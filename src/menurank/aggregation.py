@@ -20,7 +20,6 @@ Approximation routes:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -36,9 +35,7 @@ from .weights import (
     MenuWeights,
     Rational,
     as_fraction,
-    binomial,
-    counting_measure,
-    downset_mass_table,
+    downset_mass,
     make_params,
 )
 
@@ -93,7 +90,7 @@ def _position_terms(
             overlap += mult * f[(ballot_below[below] & free).bit_count()]
         return position_const[i] + mu[below] * (f[n - i] * total_voters - 2 * overlap)
 
-    return term, params.table_scale * params.mu_scale
+    return term, params.weights_scale * params.mu_scale
 
 
 def _masks_by_size(pool: tuple[int, ...], depth: int) -> list[list[int]]:
@@ -109,9 +106,7 @@ def _masks_by_size(pool: tuple[int, ...], depth: int) -> list[list[int]]:
     return layers
 
 
-def aggregate_exact(
-    params: DistanceParams, profile: Profile, threads: int = 1
-) -> AggregationResult:
+def aggregate_exact(params: DistanceParams, profile: Profile) -> AggregationResult:
     """The full set of rankings minimising the aggregate distance.
 
     Dynamic programming over candidate subsets; every tied minimiser is
@@ -128,28 +123,18 @@ def aggregate_exact(
     term, scale = _position_terms(params, profile)
     layers = _masks_by_size(tuple(range(1, n + 1)), n)
     best: dict[int, int] = {0: 0}
-
-    def relax(mask: int) -> tuple[int, Fraction]:
-        i = mask.bit_count()
-        value = None
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            candidate = bit.bit_length()
-            cur = best[mask ^ bit] + term(i, candidate, mask ^ bit)
-            if value is None or cur < value:
-                value = cur
-        return mask, value
-
     for layer in layers[1:]:
-        if threads > 1 and len(layer) > 8:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for mask, value in pool.map(relax, layer):
-                    best[mask] = value
-        else:
-            for mask in layer:
-                best[mask] = relax(mask)[1]
+        for mask in layer:
+            i = mask.bit_count()
+            value = None
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                cur = best[mask ^ bit] + term(i, bit.bit_length(), mask ^ bit)
+                if value is None or cur < value:
+                    value = cur
+            best[mask] = value
 
     full = (1 << n) - 1
     optimum = Fraction(best[full], scale)
@@ -183,28 +168,26 @@ def aggregate_exact(
 
 
 def footrule_position_costs(
-    weights: MenuWeights, profile: Profile, mu: Measure | None = None
-) -> list[list[Fraction]]:
-    """Cost of pinning candidate c (row) at position p (column)."""
-    n = weights.n
-    f = downset_mass_table(weights)
-    if mu is None:
-        mu = counting_measure(n)
+    params: DistanceParams, profile: Profile
+) -> tuple[list[list[int]], int]:
+    """Cost of pinning candidate c (row) at position p (column).
+
+    The costs are integers; divided by the returned scale they are the
+    footrule terms ``mu_c * sum_v mult_v |f(n - p) - f(|down-set of c in v|)|``.
+    """
+    n = params.n
+    f = params.int_table
+    mu = params.int_mu
     costs = []
-    for c in range(1, n + 1):
-        scale = mu.of(c)
-        row = []
-        for p in range(1, n + 1):
-            gap = sum(
-                (
-                    mult * abs(f[n - p] - f[v._below[c - 1].bit_count()])
-                    for mult, v in profile.entries
-                ),
-                Fraction(0),
-            )
-            row.append(gap * scale)
-        costs.append(row)
-    return costs
+    for c in range(n):
+        masses = [(mult, f[v._below[c].bit_count()]) for mult, v in profile.entries]
+        costs.append(
+            [
+                mu[c] * sum(mult * abs(f[n - p] - mass) for mult, mass in masses)
+                for p in range(1, n + 1)
+            ]
+        )
+    return costs, params.weights_scale * params.mu_scale
 
 
 def aggregate_footrule(
@@ -225,17 +208,17 @@ def aggregate_footrule(
         raise ValueError(
             f"dimension mismatch: weights over {weights.n}, profile over {profile.n}"
         )
-    costs = footrule_position_costs(weights, profile, mu)
+    params = make_params(weights, mu)
+    costs, scale = footrule_position_costs(params, profile)
     cols, total = min_cost_assignment(costs)
     order = [0] * weights.n
     for c, p in enumerate(cols, start=1):
         order[p] = c
     ranking = Permutation(order)
-    params = make_params(weights, mu)
     return AggregationResult(
         method="footrule",
         minimizers=(ranking,),
-        optimum=total,
+        optimum=Fraction(total, scale),
         winners=frozenset({ranking.order[0]}),
         certificate=profile_cost(params, ranking, profile),
     )
@@ -342,21 +325,17 @@ PTAS_RULES = ("affine", "exponential", "alternating", "custom")
 
 def truncation_ratio(weights: MenuWeights, t: int, depth: int) -> Fraction:
     """Mass the window of size ``depth`` ignores, relative to the top swap price,
-    for a pool of ``t`` candidates."""
+    for a pool of ``t`` candidates.
+
+    With f = ``downset_mass`` this is ``sum_{s < t - depth} f(s)`` over the
+    price ``f(t - 1) - f(t - 2)``; by the hockey-stick identity the numerator
+    is ``sum_j w_j C(t - depth, j)`` and the denominator
+    ``sum_j w_j C(t - 2, j - 2)``.
+    """
     numerator = sum(
-        (
-            weights.values[j - 2] * binomial(t - depth, j)
-            for j in range(2, min(t - depth, weights.n) + 1)
-        ),
-        Fraction(0),
+        (downset_mass(weights, s) for s in range(t - depth)), Fraction(0)
     )
-    denominator = sum(
-        (
-            weights.values[j] * binomial(t - 2, j)
-            for j in range(0, min(t - 2, weights.n - 2) + 1)
-        ),
-        Fraction(0),
-    )
+    denominator = downset_mass(weights, t - 1) - downset_mass(weights, t - 2)
     if denominator <= 0:
         raise ValueError("truncation ratio needs a positive size-2 weight")
     return numerator / denominator

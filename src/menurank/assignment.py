@@ -12,7 +12,9 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def min_cost_assignment(cost: Sequence[Sequence[Fraction]]) -> tuple[list[int], Fraction]:
+def min_cost_assignment(
+    cost: Sequence[Sequence[int | Fraction]],
+) -> tuple[list[int], int | Fraction]:
     """Assign each row a distinct column minimising the total cost.
 
     Returns ``(cols, total)`` where ``cols[r]`` is the 0-based column given to
@@ -26,9 +28,8 @@ def min_cost_assignment(cost: Sequence[Sequence[Fraction]]) -> tuple[list[int], 
             raise ValueError("cost matrix must be square")
 
     INF = float("inf")  # sentinel for comparisons only, never added
-    zero = Fraction(0)
-    u = [zero] * (n + 1)
-    v = [zero] * (n + 1)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
     match = [0] * (n + 1)  # match[col] = row occupying col, 1-based, 0 = free
 
     for r in range(1, n + 1):
@@ -68,5 +69,5 @@ def min_cost_assignment(cost: Sequence[Sequence[Fraction]]) -> tuple[list[int], 
     cols = [0] * n
     for col in range(1, n + 1):
         cols[match[col] - 1] = col - 1
-    total = sum((cost[r][cols[r]] for r in range(n)), Fraction(0))
+    total = sum(cost[r][cols[r]] for r in range(n))
     return cols, total

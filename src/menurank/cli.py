@@ -33,6 +33,7 @@ from .weights import (
     DistanceParams,
     Measure,
     MenuWeights,
+    PRESET_NAMES,
     ParamsFormatError,
     approximation_factor,
     as_fraction,
@@ -57,8 +58,7 @@ def _load_params(token: str, n: int | None) -> DistanceParams:
     """A preset token like ``kendall`` / ``binomial:1/3``, or a file path."""
     name, _, param = token.partition(":")
     try:
-        if name in ("kendall", "ok-nishimura", "gilbert", "unavailable-candidate",
-                    "linear", "binomial"):
+        if name in PRESET_NAMES:
             if n is None:
                 raise CliError(
                     f"preset {name!r} needs the candidate count (give --n or a ranking/profile)"
@@ -138,10 +138,9 @@ def _cmd_aggregate(args) -> tuple[int, list[str]]:
     profile = _load_profile(args.profile)
     params = _load_params(args.params, profile.n)
     if args.method == "exact":
-        result = aggregate_exact(params, profile, threads=args.threads)
+        result = aggregate_exact(params, profile)
     elif args.method == "footrule":
-        result = aggregate_footrule(params.weights, profile,
-                                    None if params.mu.values == tuple([1] * profile.n) else params.mu)
+        result = aggregate_footrule(params.weights, profile, params.mu)
     else:
         if args.k is None:
             raise CliError("--method myopic needs a window depth --k")
@@ -161,10 +160,7 @@ def _cmd_ptas_depth(args) -> tuple[int, list[str]]:
         if not args.params or not args.n:
             raise CliError("--rule custom needs --params and --n")
         weights = _load_params(args.params, args.n).weights
-    try:
-        depth = ptas_depth(args.rule, inv_epsilon, n=args.n, alpha=args.alpha and as_fraction(args.alpha), weights=weights)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    depth = ptas_depth(args.rule, inv_epsilon, n=args.n, alpha=args.alpha and as_fraction(args.alpha), weights=weights)
     return 0, [str(depth)]
 
 
@@ -189,20 +185,14 @@ def _cmd_check(args) -> tuple[int, list[str]]:
         if n is None:
             raise CliError("--axiom needs --n")
         params = _load_params(args.params, n)
-        try:
-            report = audit_mod.audit_axiom(params, args.axiom, n)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        report = audit_mod.audit_axiom(params, args.axiom, n)
     else:
         if not args.profile:
             raise CliError("--property needs --profile")
         profile = _load_profile(args.profile)
         params = _load_params(args.params, profile.n)
         other = _load_profile(args.profile2) if args.profile2 else None
-        try:
-            report = audit_mod.check_property(params, profile, args.property, other)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        report = audit_mod.check_property(params, profile, args.property, other)
     lines = [f"{report.property}: {report.verdict}"]
     if report.note:
         lines.append(f"  note: {report.note}")
@@ -316,8 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, profile=True)
     p.add_argument("--method", choices=("exact", "footrule", "myopic"), required=True)
     p.add_argument("--k", type=int, help="window depth for the myopic method")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the exact scan (default 1)")
     p.set_defaults(run=_cmd_aggregate)
 
     p = sub.add_parser("ptas-depth", help="window depth for a target accuracy")
@@ -367,7 +355,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, lines = args.run(args)
-    except CliError as exc:
+    except (CliError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(lines, getattr(args, "out", None))

@@ -18,7 +18,13 @@ from functools import lru_cache
 
 from .permutations import Permutation
 from .profiles import Profile
-from .weights import DistanceParams, Measure, MenuWeights, downset_mass_table
+from .weights import (
+    DistanceParams,
+    Measure,
+    MenuWeights,
+    _scaled_ints,
+    scaled_downset_table,
+)
 
 NAIVE_CANDIDATE_LIMIT = 20
 
@@ -101,32 +107,30 @@ def distance(params: DistanceParams, a: Permutation, b: Permutation) -> Fraction
         total += (
             f[n - pos_a[c]] + f[bb.bit_count()] - 2 * f[(below_a[c] & bb).bit_count()]
         ) * m
-    return Fraction(total, params.table_scale * params.mu_scale)
-
-
-@lru_cache(maxsize=512)
-def _scaled_table(weights: MenuWeights) -> tuple[tuple[int, ...], int]:
-    from .weights import _scaled_ints
-
-    return _scaled_ints(downset_mass_table(weights))
+    return Fraction(total, params.weights_scale * params.mu_scale)
 
 
 def footrule_weighted(
     weights: MenuWeights, mu: Measure, a: Permutation, b: Permutation
 ) -> Fraction:
-    """Measure-weighted footrule: per-candidate gaps between down-set masses."""
+    """Measure-weighted footrule: ``sum_c mu_c |f(n - pos_a(c)) - f(n - pos_b(c))|``.
+
+    f is ``downset_mass``; the sum runs over the integer down-set table and
+    the integer-scaled measure and divides once at the end.
+    """
     if not weights.is_nonnegative():
         raise ValueError("the footrule relaxation needs nonnegative menu weights")
     n = weights.n
     if n != mu.n or a.n != n or b.n != n:
         raise ValueError("dimension mismatch between weights, measure and rankings")
-    f, f_scale = _scaled_table(weights)
+    f, f_scale = scaled_downset_table(*_scaled_ints(weights.values))
+    int_mu, mu_scale = _scaled_ints(mu.values)
     pos_a = a._pos
     pos_b = b._pos
-    total = Fraction(0)
+    total = 0
     for c in range(n):
-        total += abs(f[n - pos_a[c]] - f[n - pos_b[c]]) * mu.values[c]
-    return total / f_scale
+        total += abs(f[n - pos_a[c]] - f[n - pos_b[c]]) * int_mu[c]
+    return Fraction(total, f_scale * mu_scale)
 
 
 def footrule(weights: MenuWeights, a: Permutation, b: Permutation) -> Fraction:
@@ -157,7 +161,7 @@ def truncated_distance(
             f[n - i] * (mu[c - 1] + mu[b.order[i - 1] - 1])
             - 2 * f[common] * mu[c - 1]
         )
-    return Fraction(total, params.table_scale * params.mu_scale)
+    return Fraction(total, params.weights_scale * params.mu_scale)
 
 
 def profile_cost(params: DistanceParams, a: Permutation, profile: Profile) -> Fraction:

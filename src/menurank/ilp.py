@@ -27,7 +27,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .distances import profile_cost
 from .permutations import Permutation
 from .profiles import Profile
 from .weights import DistanceParams, downset_mass
@@ -159,6 +158,7 @@ def build_ilp(params: DistanceParams, profile: Profile) -> IlpModel:
     ]
     m = len(ballots)
     mu = params.mu.values
+    f = [downset_mass(params.weights, t) for t in range(2 * n - 1)]
 
     objective = []
     for v in range(1, m + 1):
@@ -166,11 +166,7 @@ def build_ilp(params: DistanceParams, profile: Profile) -> IlpModel:
         for i in range(1, n + 1):
             for r in range(n):
                 for s in range(n):
-                    coeff = (
-                        mult
-                        * (downset_mass(params.weights, r + s) - 2 * downset_mass(params.weights, s))
-                        * mu[i - 1]
-                    )
+                    coeff = mult * (f[r + s] - 2 * f[s]) * mu[i - 1]
                     objective.append((q_var(v, i, r, s), coeff))
 
     constraints: list[Constraint] = []
@@ -291,12 +287,3 @@ def objective_offset(params: DistanceParams, profile: Profile) -> Fraction:
         ),
         Fraction(0),
     )
-
-
-def check_offset_identity(
-    params: DistanceParams, profile: Profile, ranking: Permutation
-) -> bool:
-    """objective_value + objective_offset == aggregate distance, exactly."""
-    return objective_value(params, profile, ranking) + objective_offset(
-        params, profile
-    ) == profile_cost(params, ranking, profile)

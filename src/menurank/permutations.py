@@ -77,10 +77,6 @@ class Permutation:
         self._check_candidate(candidate)
         return self._below[candidate - 1]
 
-    def below_set(self, candidate: int) -> frozenset[int]:
-        mask = self.below_mask(candidate)
-        return frozenset(c + 1 for c in range(self.n) if mask >> c & 1)
-
     def prefers(self, a: int, b: int) -> bool:
         """True when ``a`` is ranked above ``b``."""
         return self.position(a) < self.position(b)

@@ -13,7 +13,7 @@ The header carries the number of candidates ``n`` and the total voter count
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .permutations import Permutation
 
@@ -59,17 +59,6 @@ class Profile:
         return Profile(
             tuple((mult, tau.compose(v)) for mult, v in self.entries), self.n
         )
-
-    def replace_ballot(self, index: int, ranking: Permutation) -> "Profile":
-        entries = list(self.entries)
-        mult, _ = entries[index]
-        entries[index] = (mult, ranking)
-        return Profile(tuple(entries), self.n)
-
-
-def profile_from_rankings(rankings: Iterable[Permutation]) -> Profile:
-    rankings = list(rankings)
-    return Profile(tuple((1, r) for r in rankings), rankings[0].n)
 
 
 def parse_profile(text: str) -> Profile:

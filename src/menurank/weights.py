@@ -22,9 +22,11 @@ not a semimetric): measure conditions are sign patterns and pairwise sums,
 while the weight-side region is closed-form for nonnegative, nonpositive or
 pairwise-only weights and decided by exact enumeration otherwise.
 
-All arithmetic is over ``fractions.Fraction``: equality tests downstream are
-bit-exact, and the dimensions involved are small enough that speed never
-argues for floats.
+Every result is an exact ``fractions.Fraction``.  The down-set masses at
+t = 0..n-1 are tabulated once, as integers over the common denominator of
+the weights (``scaled_downset_table``); the Fraction table, the swap prices
+and every distance evaluator read that one table, run their inner loops
+over plain integers and divide once at the end.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, str, Fraction]
@@ -153,6 +155,7 @@ class Measure:
         )
 
 
+@lru_cache(maxsize=None)
 def counting_measure(n: int) -> Measure:
     return Measure([1] * n)
 
@@ -178,49 +181,48 @@ class PositionWeights:
         return self.values[position - 1]
 
 
+def _scaled_mass(int_weights: tuple[int, ...], t: int) -> int:
+    """``sum_k w_k * C(t, k - 1)`` over integer-scaled weights."""
+    return sum(w * c for w, c in zip(int_weights, binomial_row(t)[1:]))
+
+
 def downset_mass(weights: MenuWeights, t: int) -> Fraction:
     """Total weight of menus a candidate tops against ``t`` dominated rivals."""
     if t < 0:
         raise ValueError("down-set sizes are nonnegative")
-    return sum(
-        (w * binomial(t, k - 1) for k, w in enumerate(weights.values, start=2)),
-        Fraction(0),
-    )
+    int_weights, scale = _scaled_ints(weights.values)
+    return Fraction(_scaled_mass(int_weights, t), scale)
+
+
+@lru_cache(maxsize=512)
+def scaled_downset_table(
+    int_weights: tuple[int, ...], weights_scale: int
+) -> tuple[tuple[int, ...], int]:
+    """``downset_mass`` at t = 0..n-1 from integer-scaled weights.
+
+    ``int_weights[k - 2] / weights_scale`` is the size-k weight; the returned
+    table holds ``downset_mass(t) * weights_scale`` as exact integers, next
+    to the unchanged scale.
+    """
+    table = tuple(_scaled_mass(int_weights, t) for t in range(len(int_weights) + 1))
+    return table, weights_scale
 
 
 def downset_mass_table(weights: MenuWeights) -> tuple[Fraction, ...]:
-    """``downset_mass`` tabulated at t = 0..n-1, by Pascal's recurrence.
+    """``downset_mass`` tabulated at t = 0..n-1, as Fractions.
 
     Entry 0 is always 0 and entry 1 equals the size-2 menu weight.
     """
-    n = weights.n
-    # row[k] = C(t, k-1) for k = 2..n, updated in place per Pascal
-    row = [0] * (n - 1)
-    table = [Fraction(0)]
-    for t in range(1, n):
-        for k in range(n - 2, 0, -1):
-            row[k] += row[k - 1]
-        row[0] = t  # C(t, 1)
-        table.append(
-            sum((w * c for w, c in zip(weights.values, row) if c), Fraction(0))
-        )
-    return tuple(table)
+    table, scale = scaled_downset_table(*_scaled_ints(weights.values))
+    return tuple(Fraction(v, scale) for v in table)
 
 
 def menu_to_position_weights(weights: MenuWeights) -> PositionWeights:
     """Swap price at position a: the increment of ``downset_mass`` at n - a - 1."""
+    t, scale = scaled_downset_table(*_scaled_ints(weights.values))
     n = weights.n
     return PositionWeights(
-        tuple(
-            sum(
-                (
-                    w * binomial(n - a - 1, k - 2)
-                    for k, w in enumerate(weights.values, start=2)
-                ),
-                Fraction(0),
-            )
-            for a in range(1, n)
-        )
+        tuple(Fraction(t[n - a] - t[n - a - 1], scale) for a in range(1, n))
     )
 
 
@@ -293,50 +295,26 @@ def neutral_region(weights: MenuWeights) -> tuple[bool, bool]:
             "mixed-sign menu weights have no closed-form region; exact "
             f"classification is supported for n <= {MIXED_SIGN_REGION_LIMIT}"
         )
-    from itertools import permutations as it_perms
+    from .distances import distance
+    from .permutations import all_rankings
 
-    f, _ = _scaled_ints(downset_mass_table(weights))
-    perms = list(it_perms(range(1, n + 1)))
-    index = {p: i for i, p in enumerate(perms)}
-
-    def below_masks(p):
-        out = [0] * n
-        mask = 0
-        for c in reversed(p):
-            out[c - 1] = mask
-            mask |= 1 << (c - 1)
-        return out
-
-    identity_below = below_masks(tuple(range(1, n + 1)))
-    from_identity = []
-    for p in perms:
-        masks = below_masks(p)
-        total = 0
-        for c in range(n):
-            ib = identity_below[c]
-            pb = masks[c]
-            total += f[ib.bit_count()] + f[pb.bit_count()] - 2 * f[(ib & pb).bit_count()]
-        from_identity.append(total)
+    params = make_params(weights)
+    perms = all_rankings(n)  # lexicographic: perms[0] is the identity
+    index = {p.order: i for i, p in enumerate(perms)}
+    # the counting measure has scale 1, so distance * weights_scale is an integer
+    from_identity = [
+        int(distance(params, perms[0], p) * params.weights_scale) for p in perms
+    ]
     if any(v < 0 for v in from_identity):
         return False, False
-    inverses = {}
-    for p in perms:
-        inv = [0] * n
-        for i, c in enumerate(p):
-            inv[c - 1] = i + 1
-        inverses[p] = tuple(inv)
-    for w in perms:
-        base = from_identity[index[w]]
-        inv_w = inverses[w]
-        for q in perms:
-            relative = tuple(inv_w[c - 1] for c in q)
-            if from_identity[index[q]] > base + from_identity[index[relative]]:
+    # relabelling invariance: d(w, q) = d(identity, w^-1 q)
+    for w, base in zip(perms, from_identity):
+        inv_w = w._pos
+        for q, direct in zip(perms, from_identity):
+            relative = tuple(inv_w[c - 1] for c in q.order)
+            if direct > base + from_identity[index[relative]]:
                 return False, False
-    identity_tuple = tuple(range(1, n + 1))
-    positive = all(
-        v > 0 for p, v in zip(perms, from_identity) if p != identity_tuple
-    )
-    return True, positive
+    return True, all(v > 0 for v in from_identity[1:])
 
 
 def _positive_branch(weights: MenuWeights, mu: Measure) -> str | None:
@@ -400,29 +378,27 @@ def classify(weights: MenuWeights, mu: Measure) -> ParamLabel:
 
 def _scaled_ints(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """Clear denominators: values[i] == ints[i] / scale exactly."""
-    scale = 1
-    for v in values:
-        scale = scale * v.denominator // gcd(scale, v.denominator)
-    return tuple(int(v * scale) for v in values), scale
+    scale = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
 @dataclass(frozen=True)
 class DistanceParams:
     """A parameter pair with its tabulated down-set masses.
 
-    The integer-scaled copies of the table, measure and weights let distance
-    evaluators run their inner loops over plain integers and divide once at
-    the end; results are identical Fractions either way.  The classification
-    label is computed on first access: distances are well defined for any
-    signs, while classifying mixed-sign weights needs the exact-region
-    machinery (guarded to n <= 6).
+    ``int_table`` is ``scaled_downset_table`` of the integer-scaled weights:
+    ``table[t] == int_table[t] / weights_scale`` exactly, and ``table`` is
+    its Fraction view.  Evaluators run their inner loops over ``int_table``
+    and ``int_mu`` and divide once by ``weights_scale * mu_scale``.  The
+    classification label is computed on first access: distances are well
+    defined for any signs, while classifying mixed-sign weights needs the
+    exact-region machinery (guarded to n <= 6).
     """
 
     weights: MenuWeights
     mu: Measure
     table: tuple[Fraction, ...] = field(compare=False)
     int_table: tuple[int, ...] = field(compare=False, repr=False)
-    table_scale: int = field(compare=False, repr=False)
     int_mu: tuple[int, ...] = field(compare=False, repr=False)
     mu_scale: int = field(compare=False, repr=False)
     int_weights: tuple[int, ...] = field(compare=False, repr=False)
@@ -461,16 +437,14 @@ def make_params(
         mu = Measure(mu)
     if weights.n != mu.n:
         raise ValueError(f"dimension mismatch: weights over {weights.n}, measure over {mu.n}")
-    table = downset_mass_table(weights)
-    int_table, table_scale = _scaled_ints(table)
-    int_mu, mu_scale = _scaled_ints(mu.values)
     int_weights, weights_scale = _scaled_ints(weights.values)
+    int_table, _ = scaled_downset_table(int_weights, weights_scale)
+    int_mu, mu_scale = _scaled_ints(mu.values)
     return DistanceParams(
         weights=weights,
         mu=mu,
-        table=table,
+        table=downset_mass_table(weights),
         int_table=int_table,
-        table_scale=table_scale,
         int_mu=int_mu,
         mu_scale=mu_scale,
         int_weights=int_weights,

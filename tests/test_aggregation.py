@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 from itertools import permutations as it_perms
+from math import comb
 
 import pytest
 
@@ -68,12 +69,6 @@ class TestExact:
             assert res.optimum == best
             assert {p.order for p in res.minimizers} == argmin
             assert res.winners == {q[0] for q in argmin}
-
-    def test_threads_change_nothing(self):
-        rng = random.Random(21)
-        params = make_params(rand_weights(rng, 5), rand_measure(rng, 5))
-        V = rand_profile(rng, 5)
-        assert aggregate_exact(params, V) == aggregate_exact(params, V, threads=3)
 
     def test_size_guard(self):
         params = make_params(*preset("kendall", 11))
@@ -250,6 +245,28 @@ class TestPtasDepth:
         eps = F(1, 4)
         for t in range(max(depth, 2), 11):
             assert truncation_ratio(weights, t, depth) <= eps
+
+    def test_truncation_ratio_matches_binomial_sums(self):
+        # reference: the ignored menus of sizes up to the pool left after the
+        # window, over the binomial expansion of the top swap price
+        rng = random.Random(33)
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            w = rand_weights(rng, n)
+            for t in range(2, n + 4):
+                denominator = sum(
+                    w.values[j] * comb(t - 2, j) for j in range(0, min(t - 2, n - 2) + 1)
+                )
+                for depth in range(1, t + 2):
+                    numerator = sum(
+                        w.values[j - 2] * comb(t - depth, j)
+                        for j in range(2, min(t - depth, n) + 1)
+                    )
+                    if denominator <= 0:
+                        with pytest.raises(ValueError):
+                            truncation_ratio(w, t, depth)
+                    else:
+                        assert truncation_ratio(w, t, depth) == numerator / F(denominator)
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError, match="unknown depth rule"):

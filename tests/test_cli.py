@@ -71,6 +71,26 @@ class TestDist:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "--params", "kendall", "--a", "1 2 3", "--b", "1 2"],
+        ["dist", "--params", "kendall", "--a", "1 2 3", "--b", "3 2 1", "--window", "3", "1"],
+        ["ptas-depth", "--rule", "affine", "--epsilon", "0"],
+        ["verify-oracle", "--n", "1"],
+        ["aggregate", "--method", "exact", "--params", "kendall", "--profile", "{eleven}"],
+    ],
+    ids=["unequal-lengths", "reversed-window", "zero-epsilon", "one-candidate", "exact-n11"],
+)
+def test_library_errors_exit_2(capsys, tmp_path, argv):
+    eleven = tmp_path / "eleven.prof"
+    eleven.write_text("11 1\n1: " + " ".join(str(c) for c in range(1, 12)) + "\n")
+    assert main([tok.format(eleven=eleven) for tok in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 class TestFootruleGamma:
     def test_footrule(self, capsys):
         code, out = run(capsys, "footrule", "--params", "kendall", "--a", "1 2 3", "--b", "2 1 3")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -151,19 +152,23 @@ class TestTotalMonotonicity:
 def _brute_force_region(params, n):
     """Measure the distance directly: 'metric', 'semimetric', or None."""
     perms = all_rankings(n)
-    table = {(a, b): distance(params, a, b) for a in perms for b in perms}
-    semimetric = all(v >= 0 for v in table.values()) and all(
-        table[(a, b)] == table[(b, a)] for a in perms for b in perms
+    table = [[distance(params, a, b) for b in perms] for a in perms]
+    # clear denominators so the n!^3 triangle scan compares integers
+    scale = lcm(*(d.denominator for row in table for d in row))
+    table = [[int(d * scale) for d in row] for row in table]
+    size = len(perms)
+    semimetric = all(v >= 0 for row in table for v in row) and all(
+        table[a][b] == table[b][a] for a in range(size) for b in range(size)
     ) and all(
-        table[(a, c)] <= table[(a, b)] + table[(b, c)]
-        for a in perms
-        for b in perms
-        for c in perms
+        ac <= ab + bc
+        for row_a in table
+        for ab, row_b in zip(row_a, table)
+        for ac, bc in zip(row_a, row_b)
     )
     if not semimetric:
         return None
     metric = all(
-        (table[(a, b)] == 0) == (a == b) for a in perms for b in perms
+        (table[a][b] == 0) == (a == b) for a in range(size) for b in range(size)
     )
     return "metric" if metric else "semimetric"
 
@@ -233,12 +238,21 @@ class TestClassification:
     def test_labels_match_brute_force(self):
         rng = random.Random(10)
         seen = set()
-        for _ in range(60):
-            n = rng.randint(2, 4)
-            params = make_params(
+        cases = [
+            make_params(
                 rand_weights(rng, n, nonneg=rng.random() < 0.5),
                 rand_measure(rng, n, nonneg=rng.random() < 0.5),
             )
+            for n in (rng.randint(2, 4) for _ in range(60))
+        ]
+        # mixed-sign n = 5 weights that pass both price screens, so the
+        # label comes from the exact enumeration: a metric, a semimetric
+        # only, and a triangle violation
+        for beta in ([1, F(5, 2), F(3, 2), F(-5, 2)], [0, 1, 2, -3], [1, 1, -1, F(1, 3)]):
+            cases.append(make_params(MenuWeights(beta), counting_measure(5)))
+            cases.append(make_params(MenuWeights(beta), Measure([1, 2, F(1, 2), 1, 3])))
+        for params in cases:
+            n = params.n
             seen.add(params.label)
             region = _brute_force_region(params, n)
             if params.label is ParamLabel.METRIC:
