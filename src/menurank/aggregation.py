@@ -7,6 +7,16 @@ placed before it.  That turns the search over n! orders into dynamic
 programming over 2^n subsets, which is how the exact solver enumerates the
 full argmin set, and how the myopic scheme minimises its truncated window.
 
+The exact solver reads every term from one integer table built per
+(parameters, profile) by two subset zeta transforms (Yates' algorithm, as in
+Bjorklund, Husfeldt, Kaski and Koivisto's "Fourier meets Moebius"): a
+candidate's overlap with the ballots' down-sets is a subset-sum of its
+down-set histogram's superset-sums, weighted by the menu weights.  That
+costs O(n^2 2^n + n m) for m ballots, against O(n 2^n m) for pricing each
+DP edge ballot by ballot.  The myopic window visits too few (candidate,
+placed set) pairs for a full table to pay, so it keeps the per-ballot
+``_position_terms`` closure.
+
 Approximation routes:
 
 * ``aggregate_footrule`` minimises the footrule relaxation as a min-cost
@@ -22,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
+from operator import add, mul
 from typing import Callable, Literal
 
 from .assignment import min_cost_assignment
@@ -34,9 +45,11 @@ from .weights import (
     Measure,
     MenuWeights,
     Rational,
+    _scaled_mass,
     as_fraction,
     downset_mass,
     make_params,
+    scaled_downset_table,
 )
 
 EXACT_CANDIDATE_LIMIT = 10
@@ -60,6 +73,23 @@ class AggregationResult:
     certificate: Fraction
 
 
+def _position_constants(params: DistanceParams, profile: Profile) -> list[int]:
+    """``f(n - i) * sum_v mult_v * mu(v's i-th candidate)`` at i = 1..n.
+
+    The measure mass the ballots put at position i, which every term for
+    position i pays whatever candidate is placed there (entry 0 is unused).
+    """
+    n = params.n
+    f = params.int_table
+    mu = params.int_mu
+    constants = [0] * (n + 1)
+    for i in range(1, n + 1):
+        constants[i] = f[n - i] * sum(
+            mult * mu[v.order[i - 1] - 1] for mult, v in profile.entries
+        )
+    return constants
+
+
 def _position_terms(
     params: DistanceParams, profile: Profile
 ) -> tuple[Callable[[int, int, int], int], int]:
@@ -75,12 +105,7 @@ def _position_terms(
     total_voters = profile.voters
     universe = (1 << n) - 1
     ballots = [(mult, v._below) for mult, v in profile.entries]
-    # measure mass seen at position i across ballots: independent of the choice
-    position_const = [0] * (n + 1)
-    for i in range(1, n + 1):
-        position_const[i] = f[n - i] * sum(
-            mult * mu[v.order[i - 1] - 1] for mult, v in profile.entries
-        )
+    position_const = _position_constants(params, profile)
 
     def term(i: int, candidate: int, placed: int) -> int:
         free = universe & ~placed
@@ -91,6 +116,90 @@ def _position_terms(
         return position_const[i] + mu[below] * (f[n - i] * total_voters - 2 * overlap)
 
     return term, params.weights_scale * params.mu_scale
+
+
+def _zeta(values: list[int], bits: int, subsets: bool) -> None:
+    """Yates' transform in place over consecutive tables of 2^bits entries.
+
+    Entry S of each table becomes the sum of that table's entries over the
+    masks T subset of S (``subsets``) or T superset of S.  Pass j pairs every
+    mask without bit j with the same mask plus bit j, as strided slices or as
+    blocks, whichever takes fewer slices, and adds one side into the other
+    with ``map(add, ...)``: the O(bits 2^bits) additions run at C speed.
+    """
+    length = len(values)
+    for j in range(bits):
+        half = 1 << j
+        span = half << 1
+        if half * span <= length:
+            pairs = [
+                (slice(o, None, span), slice(o + half, None, span))
+                for o in range(half)
+            ]
+        else:
+            pairs = [
+                (slice(s, s + half), slice(s + half, s + span))
+                for s in range(0, length, span)
+            ]
+        for low, high in pairs:
+            if subsets:
+                values[high] = map(add, values[high], values[low])
+            else:
+                values[low] = map(add, values[low], values[high])
+
+
+def _term_table(
+    params: DistanceParams, profile: Profile
+) -> tuple[list[list[int]], int]:
+    """Every term of ``_position_terms`` at once, without a per-ballot loop.
+
+    ``rows[c - 1][placed]`` equals ``term(|placed| + 1, c, placed)`` for every
+    mask ``placed`` without c (entries for masks holding c are meaningless).
+    The term's only profile-dependent part is the overlap
+    ``sum_v mult_v f(|B_v(c) & U|)`` over the free set U, where B_v(c) is
+    what ballot v ranks below c.  As f(0) = 0 and the Newton coefficients
+    of f are the menu weights (the k-th difference at 0 is w_{k+1}), that
+    overlap is the subset-sum over T subset of U of ``w_{|T|+1} G_c(T)``,
+    where G_c is the superset-sum of the histogram of the B_v(c).  Both
+    transforms run over all n tables at once: O(n^2 2^n) additions after
+    O(n m) histogram updates for m ballots.
+    """
+    n = params.n
+    f = params.int_table
+    mu = params.int_mu
+    size = 1 << n
+    sizes = [mask.bit_count() for mask in range(size)]
+    # w_{|T|+1} per mask T: 0 at the empty mask and at the full one, as no
+    # menu holds n + 1 candidates
+    menu_weights = (0,) + params.int_weights + (0,)
+    weighted = [menu_weights[k] for k in sizes]
+    tables = [0] * (n * size)
+    for mult, v in profile.entries:
+        for c, below in enumerate(v._below):
+            tables[c * size + below] += mult
+    _zeta(tables, n, subsets=False)
+    tables = list(map(mul, tables, weighted * n))
+    _zeta(tables, n, subsets=True)
+    position_const = _position_constants(params, profile)
+    voters = profile.voters
+    rows = []
+    for c in range(n):
+        # the free set of ``placed`` is its complement: index from the end
+        overlap = tables[c * size : (c + 1) * size][::-1]
+        # by |placed|; the full mask (|placed| = n) holds c and is never read
+        base = [
+            position_const[k + 1] + mu[c] * f[n - 1 - k] * voters for k in range(n)
+        ] + [0]
+        rows.append(
+            list(
+                map(
+                    add,
+                    map(base.__getitem__, sizes),
+                    map(mul, overlap, repeat(-2 * mu[c], size)),
+                )
+            )
+        )
+    return rows, params.weights_scale * params.mu_scale
 
 
 def _masks_by_size(pool: tuple[int, ...], depth: int) -> list[list[int]]:
@@ -106,11 +215,44 @@ def _masks_by_size(pool: tuple[int, ...], depth: int) -> list[list[int]]:
     return layers
 
 
+def _tight_orders(
+    mask: int,
+    best: list[int],
+    rows: list[list[int]],
+    tails: dict[int, list[tuple[int, ...]]],
+) -> list[tuple[int, ...]]:
+    """Every order of the candidates in ``mask`` that reaches ``best[mask]``.
+
+    Walks the DP's tight edges back to the empty set, memoised per mask in
+    ``tails`` (seeded with the empty order).
+    """
+    cached = tails.get(mask)
+    if cached is not None:
+        return cached
+    out = []
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        prev = mask ^ bit
+        candidate = bit.bit_length()
+        if best[prev] + rows[candidate - 1][prev] == best[mask]:
+            out.extend(
+                prefix + (candidate,)
+                for prefix in _tight_orders(prev, best, rows, tails)
+            )
+    tails[mask] = out
+    return out
+
+
 def aggregate_exact(params: DistanceParams, profile: Profile) -> AggregationResult:
     """The full set of rankings minimising the aggregate distance.
 
-    Dynamic programming over candidate subsets; every tied minimiser is
-    reconstructed, in lexicographic order.  Guarded to n <= 10.
+    Dynamic programming over candidate subsets, priced from ``_term_table``
+    (O(n^2 2^n + n m) for m ballots) and relaxed in numeric mask order over
+    a flat list; every tied minimiser is reconstructed along the tight DP
+    edges, in lexicographic order.  Guarded to n <= 10, since every tied
+    minimiser is built (a zero measure ties all n! rankings).
     """
     n = params.n
     if profile.n != n:
@@ -120,43 +262,26 @@ def aggregate_exact(params: DistanceParams, profile: Profile) -> AggregationResu
             f"exact search over {n} candidates exceeds the n <= "
             f"{EXACT_CANDIDATE_LIMIT} guard"
         )
-    term, scale = _position_terms(params, profile)
-    layers = _masks_by_size(tuple(range(1, n + 1)), n)
-    best: dict[int, int] = {0: 0}
-    for layer in layers[1:]:
-        for mask in layer:
-            i = mask.bit_count()
-            value = None
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                cur = best[mask ^ bit] + term(i, bit.bit_length(), mask ^ bit)
-                if value is None or cur < value:
-                    value = cur
-            best[mask] = value
-
+    rows, scale = _term_table(params, profile)
     full = (1 << n) - 1
-    optimum = Fraction(best[full], scale)
-    tails: dict[int, list[tuple[int, ...]]] = {0: [()]}
-
-    def orderings(mask: int) -> list[tuple[int, ...]]:
-        cached = tails.get(mask)
-        if cached is not None:
-            return cached
-        i = mask.bit_count()
-        out = []
-        for candidate in range(1, n + 1):
-            bit = 1 << (candidate - 1)
-            if not mask & bit:
-                continue
+    # best[mask]: cheapest order of the candidates in mask on positions
+    # 1..|mask|; every mask minus one member comes before it numerically
+    best = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        value = None
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
             prev = mask ^ bit
-            if best[prev] + term(i, candidate, prev) == best[mask]:
-                out.extend(prefix + (candidate,) for prefix in orderings(prev))
-        tails[mask] = out
-        return out
+            cur = best[prev] + rows[bit.bit_length() - 1][prev]
+            if value is None or cur < value:
+                value = cur
+        best[mask] = value
 
-    minimizers = tuple(sorted(Permutation(seq) for seq in orderings(full)))
+    optimum = Fraction(best[full], scale)
+    orders = _tight_orders(full, best, rows, {0: [()]})
+    minimizers = tuple(Permutation(seq) for seq in sorted(orders))
     winners = frozenset(p.order[0] for p in minimizers)
     return AggregationResult(
         method="exact",
@@ -388,15 +513,18 @@ def ptas_depth(
             raise ValueError("the custom rule needs explicit weights and a horizon n")
         if not weights.is_nonnegative() or weights.values[0] <= 0:
             raise ValueError("custom depths need nonnegative weights with w_2 > 0")
+        # truncation_ratio(weights, t, depth) is prefix[t - depth] over
+        # f(t - 1) - f(t - 2), both scaled alike, with f tabulated up to n - 1
+        int_weights, scale = weights.scaled
+        f = scaled_downset_table(int_weights, scale)[0] + tuple(
+            _scaled_mass(int_weights, t) for t in range(weights.n, n)
+        )
+        prefix = [0, *accumulate(f)]
         for depth in range(1, n + 1):
-            worst = max(
-                (
-                    truncation_ratio(weights, t, depth)
-                    for t in range(max(depth, 2), n + 1)
-                ),
-                default=Fraction(0),
-            )
-            if worst <= eps:
+            if all(
+                Fraction(prefix[t - depth], f[t - 1] - f[t - 2]) <= eps
+                for t in range(max(depth, 2), n + 1)
+            ):
                 return depth
         return n
     raise ValueError(f"unknown depth rule {rule!r}; choose from {PTAS_RULES}")

@@ -22,7 +22,7 @@ from .weights import (
     DistanceParams,
     Measure,
     MenuWeights,
-    _scaled_ints,
+    counting_measure,
     scaled_downset_table,
 )
 
@@ -123,8 +123,8 @@ def footrule_weighted(
     n = weights.n
     if n != mu.n or a.n != n or b.n != n:
         raise ValueError("dimension mismatch between weights, measure and rankings")
-    f, f_scale = scaled_downset_table(*_scaled_ints(weights.values))
-    int_mu, mu_scale = _scaled_ints(mu.values)
+    f, f_scale = scaled_downset_table(*weights.scaled)
+    int_mu, mu_scale = mu.scaled
     pos_a = a._pos
     pos_b = b._pos
     total = 0
@@ -135,8 +135,6 @@ def footrule_weighted(
 
 def footrule(weights: MenuWeights, a: Permutation, b: Permutation) -> Fraction:
     """Neutral footrule: the weighted version under the counting measure."""
-    from .weights import counting_measure
-
     return footrule_weighted(weights, counting_measure(weights.n), a, b)
 
 

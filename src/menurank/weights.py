@@ -26,7 +26,9 @@ Every result is an exact ``fractions.Fraction``.  The down-set masses at
 t = 0..n-1 are tabulated once, as integers over the common denominator of
 the weights (``scaled_downset_table``); the Fraction table, the swap prices
 and every distance evaluator read that one table, run their inner loops
-over plain integers and divide once at the end.
+over plain integers and divide once at the end.  Weight vectors and
+measures are immutable, so each derives its integer scaling (``scaled``)
+only once.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, Sequence, Union
 
@@ -99,7 +101,16 @@ class MenuWeights:
     def negate(self) -> "MenuWeights":
         return MenuWeights(tuple(-v for v in self.values))
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """``values`` as integers over their common denominator, derived once."""
+        return _scaled_ints(self.values)
+
     def is_nonnegative(self) -> bool:
+        return self._nonnegative
+
+    @cached_property
+    def _nonnegative(self) -> bool:
         return all(v >= 0 for v in self.values)
 
     def is_pairwise_only(self) -> bool:
@@ -133,6 +144,11 @@ class Measure:
 
     def negate(self) -> "Measure":
         return Measure(tuple(-v for v in self.values))
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """``values`` as integers over their common denominator, derived once."""
+        return _scaled_ints(self.values)
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for v in self.values)
@@ -190,7 +206,7 @@ def downset_mass(weights: MenuWeights, t: int) -> Fraction:
     """Total weight of menus a candidate tops against ``t`` dominated rivals."""
     if t < 0:
         raise ValueError("down-set sizes are nonnegative")
-    int_weights, scale = _scaled_ints(weights.values)
+    int_weights, scale = weights.scaled
     return Fraction(_scaled_mass(int_weights, t), scale)
 
 
@@ -213,13 +229,13 @@ def downset_mass_table(weights: MenuWeights) -> tuple[Fraction, ...]:
 
     Entry 0 is always 0 and entry 1 equals the size-2 menu weight.
     """
-    table, scale = scaled_downset_table(*_scaled_ints(weights.values))
+    table, scale = scaled_downset_table(*weights.scaled)
     return tuple(Fraction(v, scale) for v in table)
 
 
 def menu_to_position_weights(weights: MenuWeights) -> PositionWeights:
     """Swap price at position a: the increment of ``downset_mass`` at n - a - 1."""
-    t, scale = scaled_downset_table(*_scaled_ints(weights.values))
+    t, scale = scaled_downset_table(*weights.scaled)
     n = weights.n
     return PositionWeights(
         tuple(Fraction(t[n - a] - t[n - a - 1], scale) for a in range(1, n))
@@ -437,9 +453,9 @@ def make_params(
         mu = Measure(mu)
     if weights.n != mu.n:
         raise ValueError(f"dimension mismatch: weights over {weights.n}, measure over {mu.n}")
-    int_weights, weights_scale = _scaled_ints(weights.values)
+    int_weights, weights_scale = weights.scaled
     int_table, _ = scaled_downset_table(int_weights, weights_scale)
-    int_mu, mu_scale = _scaled_ints(mu.values)
+    int_mu, mu_scale = mu.scaled
     return DistanceParams(
         weights=weights,
         mu=mu,

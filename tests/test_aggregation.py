@@ -24,6 +24,7 @@ from menurank import (
     truncated_distance,
     truncation_ratio,
 )
+from menurank.aggregation import _position_terms, _term_table
 
 from conftest import prof, rand_measure, rand_profile, rand_ranking, rand_weights
 
@@ -57,8 +58,8 @@ class TestExact:
 
     def test_matches_brute_force(self):
         rng = random.Random(20)
-        for _ in range(40):
-            n = rng.randint(2, 5)
+        for trial in range(44):
+            n = rng.randint(2, 5) if trial < 40 else 6
             params = make_params(
                 rand_weights(rng, n, nonneg=rng.random() < 0.7),
                 rand_measure(rng, n),
@@ -67,8 +68,30 @@ class TestExact:
             res = aggregate_exact(params, V)
             best, argmin = brute_consensus(params, V)
             assert res.optimum == best
-            assert {p.order for p in res.minimizers} == argmin
+            assert [p.order for p in res.minimizers] == sorted(argmin)
             assert res.winners == {q[0] for q in argmin}
+
+    def test_term_table_equals_position_terms(self):
+        # the subset-transform table against the per-ballot closure, entry by
+        # entry, over mixed-sign weights and measures with zero entries
+        rng = random.Random(28)
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            weights = rand_weights(rng, n, nonneg=rng.random() < 0.5)
+            mu = rand_measure(rng, n, nonneg=rng.random() < 0.7)
+            if rng.random() < 0.5:
+                mu = Measure([0 if rng.random() < 0.3 else v for v in mu.values])
+            params = make_params(weights, mu)
+            V = rand_profile(rng, n, max_ballots=6)
+            term, scale = _position_terms(params, V)
+            rows, table_scale = _term_table(params, V)
+            assert table_scale == scale
+            for c in range(1, n + 1):
+                for placed in range(1 << n):
+                    if not placed >> (c - 1) & 1:
+                        assert rows[c - 1][placed] == term(
+                            placed.bit_count() + 1, c, placed
+                        )
 
     def test_size_guard(self):
         params = make_params(*preset("kendall", 11))
@@ -267,6 +290,30 @@ class TestPtasDepth:
                             truncation_ratio(w, t, depth)
                     else:
                         assert truncation_ratio(w, t, depth) == numerator / F(denominator)
+
+    def test_custom_depth_is_the_first_depth_within_epsilon(self):
+        # reference: the definition, one truncation_ratio per pool size
+        rng = random.Random(34)
+        for _ in range(25):
+            n = rng.randint(2, 9)
+            w = rand_weights(rng, n)
+            if w.values[0] == 0:
+                w = MenuWeights((F(rng.randint(1, 4), rng.randint(1, 3)),) + w.values[1:])
+            for horizon in (n, n + 3):
+                for inv_eps in (F(1, 2), 1, 3, 10, F(40, 3)):
+                    eps = 1 / F(inv_eps)
+                    expected = next(
+                        (
+                            depth
+                            for depth in range(1, horizon + 1)
+                            if all(
+                                truncation_ratio(w, t, depth) <= eps
+                                for t in range(max(depth, 2), horizon + 1)
+                            )
+                        ),
+                        horizon,
+                    )
+                    assert ptas_depth("custom", inv_eps, n=horizon, weights=w) == expected
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError, match="unknown depth rule"):

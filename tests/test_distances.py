@@ -14,6 +14,7 @@ from menurank import (
     approximation_factor,
     distance,
     distance_naive,
+    downset_mass,
     footrule,
     footrule_weighted,
     identity,
@@ -236,6 +237,34 @@ class TestFootrule:
                         fr = footrule(weights, a, b)
                         d = distance(params, a, b)
                         assert fr <= d <= gamma * fr
+
+    def test_weighted_matches_the_defining_sum(self):
+        # repeated calls on the same weight and measure objects reuse their
+        # derived integer scaling; each value must still be the Fraction sum
+        rng = random.Random(12)
+        for _ in range(15):
+            n = rng.randint(2, 6)
+            weights = rand_weights(rng, n)
+            mu = rand_measure(rng, n, nonneg=rng.random() < 0.5)
+            f = [downset_mass(weights, t) for t in range(n)]
+            for _ in range(10):
+                a, b = rand_ranking(rng, n), rand_ranking(rng, n)
+                expected = sum(
+                    (
+                        mu.of(c) * abs(f[n - a.position(c)] - f[n - b.position(c)])
+                        for c in range(1, n + 1)
+                    ),
+                    F(0),
+                )
+                assert footrule_weighted(weights, mu, a, b) == expected
+
+    def test_derived_scaling_keeps_value_semantics(self):
+        weights, mu = MenuWeights([F(1, 2), F(2, 3)]), Measure([1, F(3, 4), 2])
+        assert weights.scaled == ((3, 4), 6) and mu.scaled == ((4, 3, 8), 4)
+        assert weights.is_nonnegative() and not weights.negate().is_nonnegative()
+        twin = MenuWeights([F(1, 2), F(2, 3)])
+        assert twin == weights and hash(twin) == hash(weights)
+        assert repr(twin) == repr(weights)
 
     def test_weighted_sandwich_with_measure_spread(self):
         rng = random.Random(10)
