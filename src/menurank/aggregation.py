@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, repeat
+from math import comb
 from operator import add, mul
 from typing import Callable, Literal
 
@@ -53,6 +54,7 @@ from .weights import (
 )
 
 EXACT_CANDIDATE_LIMIT = 10
+MYOPIC_SUBSET_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -237,10 +239,8 @@ def _tight_orders(
         prev = mask ^ bit
         candidate = bit.bit_length()
         if best[prev] + rows[candidate - 1][prev] == best[mask]:
-            out.extend(
-                prefix + (candidate,)
-                for prefix in _tight_orders(prev, best, rows, tails)
-            )
+            prefixes = _tight_orders(prev, best, rows, tails)
+            out.extend(map(add, prefixes, repeat((candidate,))))
     tails[mask] = out
     return out
 
@@ -251,8 +251,11 @@ def aggregate_exact(params: DistanceParams, profile: Profile) -> AggregationResu
     Dynamic programming over candidate subsets, priced from ``_term_table``
     (O(n^2 2^n + n m) for m ballots) and relaxed in numeric mask order over
     a flat list; every tied minimiser is reconstructed along the tight DP
-    edges, in lexicographic order.  Guarded to n <= 10, since every tied
-    minimiser is built (a zero measure ties all n! rankings).
+    edges, in lexicographic order, as bare tuples: they are bijections by
+    construction, so they become ``Permutation``s without the public
+    constructor's check, and their position and down-set tables are only
+    derived if a caller reads them.  Guarded to n <= 10, since every tied
+    minimiser is still built (a zero measure ties all n! rankings).
     """
     n = params.n
     if profile.n != n:
@@ -281,7 +284,7 @@ def aggregate_exact(params: DistanceParams, profile: Profile) -> AggregationResu
 
     optimum = Fraction(best[full], scale)
     orders = _tight_orders(full, best, rows, {0: [()]})
-    minimizers = tuple(Permutation(seq) for seq in sorted(orders))
+    minimizers = tuple(map(Permutation._trusted, sorted(orders)))
     winners = frozenset(p.order[0] for p in minimizers)
     return AggregationResult(
         method="exact",
@@ -384,6 +387,13 @@ def aggregate_myopic(
     ``min(depth, remaining)`` positions are optimised against the truncated
     objective (a subset DP); candidates never reached by the window follow in
     ascending label order, which the window objective cannot distinguish.
+
+    The DP visits every subset of the remaining candidates with at most
+    ``min(depth, remaining)`` members, so that count is checked before any of
+    them is built: above ``MYOPIC_SUBSET_LIMIT`` (2^16) it raises
+    ``ValueError``.  At the limit, a full window over 16 candidates and 40
+    distinct ballots (ok-nishimura weights) took 3.9-4.4 s on a 2-core VM
+    with Python 3.11, about 60 us a subset.
     """
     if depth < 1:
         raise ValueError("window depth must be at least 1")
@@ -394,6 +404,12 @@ def aggregate_myopic(
     n = params.n
     prefix, remaining = _majority_prefix(profile)
     span = min(depth, len(remaining))
+    subsets = sum(comb(len(remaining), size) for size in range(span + 1))
+    if subsets > MYOPIC_SUBSET_LIMIT:
+        raise ValueError(
+            f"myopic window of depth {span} over {len(remaining)} candidates "
+            f"visits {subsets} subsets, over the {MYOPIC_SUBSET_LIMIT} guard"
+        )
     start = len(prefix) + 1
     prefix_mask = sum(1 << (c - 1) for c in prefix)
 

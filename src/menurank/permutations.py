@@ -4,11 +4,15 @@ A ranking is a tuple ``order`` whose entry at (1-based) position ``i`` is the
 candidate placed ``i``-th, most preferred first.  ``Permutation`` wraps that
 tuple together with the structures every distance evaluation needs over and
 over: the position of each candidate, and per-candidate bitmasks of the
-strictly less-preferred candidates ("down-sets").
+strictly less-preferred candidates ("down-sets").  Those tables are derived
+from ``order`` on first use, so rankings that are only built, compared or
+printed (such as the tied optima of an exact consensus) never pay for them.
 
 Candidate labels are the integers ``1..n``; callers with named candidates are
 expected to map names through a symbol table before building rankings.
-Instances are immutable and safe to share between threads.
+Instances are immutable.  Filling a table is idempotent (the same value from
+the same ``order``), so concurrent readers of a fresh instance at worst
+compute it twice.
 
 The group product follows the convention ``(p * q)(i) = p[q[i]]``: composing
 on the left relabels candidates, composing on the right reorders positions.
@@ -46,22 +50,46 @@ class Permutation:
         if seen != (1 << n) - 1:
             raise ValueError(f"not a bijection on 1..{n}: {order}")
         object.__setattr__(self, "order", order)
-        pos = [0] * n
-        for i, c in enumerate(order):
-            pos[c - 1] = i + 1
-        object.__setattr__(self, "_pos", tuple(pos))
-        # below-mask of the candidate at position i = candidates at positions > i
-        below = [0] * n
-        mask = 0
-        for c in reversed(order):
-            below[c - 1] = mask
-            mask |= 1 << (c - 1)
-        object.__setattr__(self, "_below", tuple(below))
-        object.__setattr__(self, "_pair_mask", None)
-        object.__setattr__(self, "_menu_tops", None)
+
+    @classmethod
+    def _trusted(cls, order: tuple[int, ...]) -> "Permutation":
+        """Wrap ``order``, a tuple known to be a bijection on 1..n, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "order", order)
+        return self
+
+    def __getattr__(self, name):
+        # Python calls this only while the slot ``name`` is unset: derive the
+        # table, store it, and every later read is a plain slot read
+        if name == "_pos":
+            pos = [0] * len(self.order)
+            for i, c in enumerate(self.order, start=1):
+                pos[c - 1] = i
+            value = tuple(pos)
+        elif name == "_below":
+            # below-mask of the candidate at position i = candidates at positions > i
+            below = [0] * len(self.order)
+            mask = 0
+            for c in reversed(self.order):
+                below[c - 1] = mask
+                mask |= 1 << (c - 1)
+            value = tuple(below)
+        elif name == "_pair_mask":
+            value = self._derive_pair_mask()
+        elif name == "_menu_tops":
+            value = self._derive_menu_tops()
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        object.__setattr__(self, name, value)
+        return value
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Permutation is immutable")
+
+    def __reduce__(self):
+        return (Permutation, (self.order,))
 
     @property
     def n(self) -> int:
@@ -105,16 +133,17 @@ class Permutation:
     @property
     def pair_mask(self) -> int:
         """Bitmask over unordered pairs; bit set when i is ranked above j (i < j)."""
-        cached = self._pair_mask
-        if cached is None:
-            n = self.n
-            cached = 0
-            for i in range(1, n):
-                for j in range(i + 1, n + 1):
-                    if self._pos[i - 1] < self._pos[j - 1]:
-                        cached |= 1 << _pair_index(n, i, j)
-            object.__setattr__(self, "_pair_mask", cached)
-        return cached
+        return self._pair_mask
+
+    def _derive_pair_mask(self) -> int:
+        n = self.n
+        pos = self._pos
+        mask = 0
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                if pos[i - 1] < pos[j - 1]:
+                    mask |= 1 << _pair_index(n, i, j)
+        return mask
 
     def menu_tops(self) -> tuple[int, ...]:
         """Per menu bitmask, the candidate this ranking prefers most.
@@ -122,22 +151,21 @@ class Permutation:
         Filled by comparing positions along the lowest-bit recursion; cached
         for dimensions small enough to tabulate (n <= 12).
         """
-        cached = self._menu_tops
-        if cached is None:
-            n = self.n
-            if n > 12:
-                raise ValueError("menu-top tables are limited to n <= 12")
-            pos = self._pos
-            tops = [0] * (1 << n)
-            for mask in range(1, 1 << n):
-                low = mask & -mask
-                rest = mask ^ low
-                c = low.bit_length()
-                keep = tops[rest]
-                tops[mask] = c if rest == 0 or pos[c - 1] < pos[keep - 1] else keep
-            cached = tuple(tops)
-            object.__setattr__(self, "_menu_tops", cached)
-        return cached
+        return self._menu_tops
+
+    def _derive_menu_tops(self) -> tuple[int, ...]:
+        n = self.n
+        if n > 12:
+            raise ValueError("menu-top tables are limited to n <= 12")
+        pos = self._pos
+        tops = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            rest = mask ^ low
+            c = low.bit_length()
+            keep = tops[rest]
+            tops[mask] = c if rest == 0 or pos[c - 1] < pos[keep - 1] else keep
+        return tuple(tops)
 
     def _check_candidate(self, candidate: int) -> None:
         if not 1 <= candidate <= self.n:
@@ -156,7 +184,7 @@ class Permutation:
         return f"Permutation({self.order})"
 
     def __str__(self) -> str:
-        return " ".join(str(c) for c in self.order)
+        return " ".join(map(str, self.order))
 
 
 def identity(n: int) -> Permutation:
@@ -176,8 +204,8 @@ def transposition(n: int, i: int, j: int) -> Permutation:
 def all_rankings(n: int) -> tuple[Permutation, ...]:
     """Every ranking of 1..n in lexicographic order (cached; keep n small)."""
     if n > 10:
-        raise ValueError(f"refusing to materialise {n}! rankings (n | 10 limit)")
-    return tuple(Permutation(p) for p in _itertools_permutations(range(1, n + 1)))
+        raise ValueError(f"refusing to materialise {n}! rankings (n <= 10 limit)")
+    return tuple(map(Permutation._trusted, _itertools_permutations(range(1, n + 1))))
 
 
 def _check_same_n(p: Permutation, q: Permutation) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction as F
 from itertools import permutations as it_perms
@@ -24,7 +25,8 @@ from menurank import (
     truncated_distance,
     truncation_ratio,
 )
-from menurank.aggregation import _position_terms, _term_table
+from menurank import aggregation
+from menurank.aggregation import MYOPIC_SUBSET_LIMIT, _position_terms, _term_table
 
 from conftest import prof, rand_measure, rand_profile, rand_ranking, rand_weights
 
@@ -69,6 +71,10 @@ class TestExact:
             best, argmin = brute_consensus(params, V)
             assert res.optimum == best
             assert [p.order for p in res.minimizers] == sorted(argmin)
+            # built unchecked, they still equal and hash like checked rankings
+            public = tuple(Permutation(q) for q in sorted(argmin))
+            assert res.minimizers == public
+            assert [hash(p) for p in res.minimizers] == [hash(p) for p in public]
             assert res.winners == {q[0] for q in argmin}
 
     def test_term_table_equals_position_terms(self):
@@ -92,6 +98,15 @@ class TestExact:
                         assert rows[c - 1][placed] == term(
                             placed.bit_count() + 1, c, placed
                         )
+
+    def test_result_deep_copies(self):
+        params = make_params(*preset("kendall", 3))
+        res = aggregate_exact(
+            params, prof((1, (1, 2, 3)), (1, (2, 3, 1)), (1, (3, 1, 2)))
+        )
+        clone = copy.deepcopy(res)
+        assert clone == res and clone.minimizers is not res.minimizers
+        assert [p.position(1) for p in clone.minimizers] == [1, 3, 2]
 
     def test_size_guard(self):
         params = make_params(*preset("kendall", 11))
@@ -171,6 +186,27 @@ class TestMyopic:
                 aggregate_myopic(params, V, n).certificate
                 == aggregate_exact(params, V).optimum
             )
+
+    def test_size_guard_counts_window_subsets_first(self, monkeypatch):
+        # two opposite ballots leave no majority favourite, so the window
+        # spans sum_{s <= depth} C(n, s) subsets; a stub stands in for the DP
+        class ReachedTheDp(Exception):
+            pass
+
+        def refuse(pool, depth):
+            raise ReachedTheDp
+
+        monkeypatch.setattr(aggregation, "_masks_by_size", refuse)
+        for n, depth, allowed in [(16, 16, True), (17, 8, True), (17, 9, False), (17, 17, False)]:
+            assert (sum(comb(n, s) for s in range(depth + 1)) <= MYOPIC_SUBSET_LIMIT) == allowed
+            params = make_params(*preset("kendall", n))
+            V = prof((1, tuple(range(1, n + 1))), (1, tuple(range(n, 0, -1))))
+            if allowed:
+                with pytest.raises(ReachedTheDp):
+                    aggregate_myopic(params, V, depth)
+            else:
+                with pytest.raises(ValueError, match="guard"):
+                    aggregate_myopic(params, V, depth)
 
     def test_window_objective_is_reported(self):
         from menurank.aggregation import _majority_prefix

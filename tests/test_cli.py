@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from menurank import aggregation
 from menurank.cli import main
 
 CYCLIC = """\
@@ -89,6 +90,23 @@ def test_library_errors_exit_2(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_myopic_window_too_large_exits_2_before_building_it(capsys, tmp_path, monkeypatch):
+    # a ballot and its reversal: no majority favourite, so --k 40 asks for
+    # all 2^40 subsets of the 40 candidates
+    def refuse(pool, depth):
+        raise AssertionError("the window's subsets were built")
+
+    monkeypatch.setattr(aggregation, "_masks_by_size", refuse)
+    forty = tmp_path / "forty.prof"
+    labels = [str(c) for c in range(1, 41)]
+    forty.write_text(f"40 2\n1: {' '.join(labels)}\n1: {' '.join(reversed(labels))}\n")
+    code = main(["aggregate", "--method", "myopic", "--k", "40", "--params", "kendall",
+                 "--profile", str(forty)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "guard" in captured.err
 
 
 class TestFootruleGamma:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from collections import deque
 
@@ -28,17 +30,72 @@ perm_strategy = st.integers(min_value=1, max_value=7).flatmap(
 
 class TestConstruction:
     def test_rejects_non_bijections(self):
-        for bad in [(1, 1, 3), (0, 1, 2), (1, 2, 4), ()]:
+        for bad in [(1, 1, 3), (0, 1, 2), (1, 2, 4), (), (1.0, 2), ("2", "1"), (1, 2, 3.0)]:
             with pytest.raises(ValueError):
                 Permutation(bad)
 
     def test_immutable(self):
-        p = Permutation((2, 1))
-        with pytest.raises(AttributeError):
-            p.order = (1, 2)
+        for p in (Permutation((2, 1)), Permutation._trusted((2, 1))):
+            with pytest.raises(AttributeError):
+                p.order = (1, 2)
+            with pytest.raises(AttributeError):
+                p._pos = (2, 1)
+            with pytest.raises(AttributeError):
+                p.no_such_table
 
     def test_str_is_space_separated(self):
         assert str(Permutation((3, 1, 2))) == "3 1 2"
+
+    def test_pickle_and_copy_round_trip(self):
+        filled = Permutation((2, 3, 1))
+        filled.position(1), filled.pair_mask, filled.menu_tops()
+        for p in (Permutation((2, 3, 1)), filled):
+            for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+                assert clone == p and hash(clone) == hash(p)
+                assert clone.order == (2, 3, 1)
+                assert clone.position(1) == 3 and clone.below_mask(2) == 0b101
+
+
+class TestLazyTables:
+    def test_trusted_and_public_agree_with_the_definitions(self):
+        # tables are derived on first read; read them in a random order so
+        # each one is sometimes derived before the tables it builds on
+        rng = random.Random(31)
+        for n in range(1, 10):
+            for _ in range(6):
+                order = tuple(rng.sample(range(1, n + 1), n))
+                pos = {c: order.index(c) + 1 for c in order}
+                below = {c: sum(1 << (d - 1) for d in order[pos[c]:]) for c in order}
+                pair_mask = 0
+                k = 0
+                for i in range(1, n):
+                    for j in range(i + 1, n + 1):
+                        pair_mask |= (pos[i] < pos[j]) << k
+                        k += 1
+                tops = [0] + [
+                    next(c for c in order if mask >> (c - 1) & 1)
+                    for mask in range(1, 1 << n)
+                ]
+                expected = {
+                    "position": [pos[c] for c in range(1, n + 1)],
+                    "below_mask": [below[c] for c in range(1, n + 1)],
+                    "inverse": tuple(pos[c] for c in range(1, n + 1)),
+                    "pair_mask": pair_mask,
+                    "menu_tops": tuple(tops),
+                }
+                for p in (Permutation(order), Permutation._trusted(order)):
+                    reads = {
+                        "position": lambda: [p.position(c) for c in range(1, n + 1)],
+                        "below_mask": lambda: [p.below_mask(c) for c in range(1, n + 1)],
+                        "inverse": lambda: p.inverse().order,
+                        "pair_mask": lambda: p.pair_mask,
+                        "menu_tops": p.menu_tops,
+                    }
+                    names = list(reads)
+                    rng.shuffle(names)
+                    for name in names + names:
+                        assert reads[name]() == expected[name], (order, name)
+                    assert p.order == order and p == Permutation(order)
 
 
 class TestGroupOps:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menurank import Permutation, Profile, format_profile, parse_profile
 from menurank.profiles import ProfileFormatError
@@ -57,3 +59,16 @@ def test_relabel_and_concat():
     assert relabeled.entries[0][1] == Permutation((3, 2, 1))
     doubled = profile.concat(profile)
     assert doubled.voters == 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789 :\n\t-+.x"))
+def test_parse_accepts_or_rejects_cleanly(text):
+    # ballots go through the checked Permutation constructor, so any text is
+    # either a valid profile or a ProfileFormatError, never another exception
+    try:
+        profile = parse_profile(text)
+    except ProfileFormatError:
+        return
+    assert isinstance(profile, Profile)
+    assert parse_profile(format_profile(profile)).entries == profile.entries
