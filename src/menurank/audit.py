@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import permutations as _it_perms
 from typing import Callable, Mapping, Sequence
 
-from .aggregation import AggregationResult, aggregate_exact
+from .aggregation import aggregate_exact
 from .distances import distance
 from .permutations import (
     Permutation,
@@ -430,7 +430,6 @@ def check_property(
     profile: Profile,
     prop: str,
     other: Profile | None = None,
-    exact: Callable[[DistanceParams, Profile], AggregationResult] = aggregate_exact,
 ) -> AuditReport:
     """Evaluate a property of the exact consensus correspondence on a profile."""
     if prop not in PROPERTIES:
@@ -440,7 +439,7 @@ def check_property(
     if prop == "reinforcing":
         if other is None:
             raise ValueError("reinforcing compares two profiles; pass `other`")
-        return _check_reinforcing(params, profile, other, exact)
+        return _check_reinforcing(params, profile, other)
     checker = {
         "neutrality_P": _check_neutrality,
         "majority": _check_majority,
@@ -450,13 +449,13 @@ def check_property(
         "blockwise_pareto": _check_blockwise,
         "partitionwise_pareto": _check_partitionwise,
     }[prop]
-    return checker(params, profile, exact)
+    return checker(params, profile)
 
 
-def _check_neutrality(params, profile, exact) -> AuditReport:
-    base = exact(params, profile).minimizers
+def _check_neutrality(params, profile) -> AuditReport:
+    base = aggregate_exact(params, profile).minimizers
     for tau in all_rankings(profile.n):
-        relabeled = exact(params, profile.relabel(tau)).minimizers
+        relabeled = aggregate_exact(params, profile.relabel(tau)).minimizers
         expected = tuple(sorted(tau.compose(p) for p in base))
         if relabeled != expected:
             return _fails(
@@ -471,8 +470,8 @@ def _check_neutrality(params, profile, exact) -> AuditReport:
     return _holds("neutrality_P")
 
 
-def _check_majority(params, profile, exact) -> AuditReport:
-    winners = exact(params, profile).winners
+def _check_majority(params, profile) -> AuditReport:
+    winners = aggregate_exact(params, profile).winners
     margins = top_choice_margins(profile)
     for c in range(1, profile.n + 1):
         if margins[c] >= 0 and c not in winners:
@@ -482,8 +481,8 @@ def _check_majority(params, profile, exact) -> AuditReport:
     return _holds("majority")
 
 
-def _check_condorcet_p(params, profile, exact) -> AuditReport:
-    consensus = exact(params, profile).minimizers
+def _check_condorcet_p(params, profile) -> AuditReport:
+    consensus = aggregate_exact(params, profile).minimizers
     margins = net_preference_matrix(profile)
     adjacency = [
         {(p.order[k], p.order[k + 1]) for k in range(profile.n - 1)}
@@ -511,8 +510,8 @@ def _check_condorcet_p(params, profile, exact) -> AuditReport:
     return _holds("condorcet_P")
 
 
-def _check_condorcet_w(params, profile, exact) -> AuditReport:
-    winners = exact(params, profile).winners
+def _check_condorcet_w(params, profile) -> AuditReport:
+    winners = aggregate_exact(params, profile).winners
     strong = condorcet_candidates(profile)
     missing = strong - winners
     if missing:
@@ -523,13 +522,13 @@ def _check_condorcet_w(params, profile, exact) -> AuditReport:
     return _holds("condorcet_W")
 
 
-def _check_reinforcing(params, one, two, exact) -> AuditReport:
-    first = set(exact(params, one).minimizers)
-    second = set(exact(params, two).minimizers)
+def _check_reinforcing(params, one, two) -> AuditReport:
+    first = set(aggregate_exact(params, one).minimizers)
+    second = set(aggregate_exact(params, two).minimizers)
     common = first & second
     if not common:
         return _holds("reinforcing", "consensus sets are disjoint; nothing to require")
-    merged = set(exact(params, one.concat(two)).minimizers)
+    merged = set(aggregate_exact(params, one.concat(two)).minimizers)
     if merged != common:
         return _fails(
             "reinforcing",
@@ -538,8 +537,8 @@ def _check_reinforcing(params, one, two, exact) -> AuditReport:
     return _holds("reinforcing")
 
 
-def _check_monotonicity(params, profile, exact) -> AuditReport:
-    winners = exact(params, profile).winners
+def _check_monotonicity(params, profile) -> AuditReport:
+    winners = aggregate_exact(params, profile).winners
     for c in sorted(winners):
         for index, (mult, ballot) in enumerate(profile.entries):
             for promoted in adjacent_promotions(ballot, c):
@@ -549,7 +548,7 @@ def _check_monotonicity(params, profile, exact) -> AuditReport:
                 entries = [e for e in entries if e is not None]
                 entries.append((1, promoted))
                 upranked = Profile(tuple(entries), profile.n)
-                new_winners = exact(params, upranked).winners
+                new_winners = aggregate_exact(params, upranked).winners
                 if c not in new_winners:
                     return _fails(
                         "monotonicity",
@@ -573,9 +572,9 @@ def _agreed_prefix_sizes(profile: Profile) -> list[int]:
     return sizes
 
 
-def _check_blockwise(params, profile, exact) -> AuditReport:
+def _check_blockwise(params, profile) -> AuditReport:
     """Shared top-k sets (equivalently bottom-(n-k) sets) must be preserved."""
-    consensus = exact(params, profile).minimizers
+    consensus = aggregate_exact(params, profile).minimizers
     first = profile.entries[0][1]
     for k in _agreed_prefix_sizes(profile):
         top = frozenset(first.order[:k])
@@ -588,13 +587,13 @@ def _check_blockwise(params, profile, exact) -> AuditReport:
     return _holds("blockwise_pareto")
 
 
-def _check_partitionwise(params, profile, exact) -> AuditReport:
+def _check_partitionwise(params, profile) -> AuditReport:
     """Blocks cut at every agreed prefix size must be preserved as sets.
 
     Cutting at every agreed size gives the finest admissible partition;
     coarser cut sequences follow from it by unions of blocks.
     """
-    consensus = exact(params, profile).minimizers
+    consensus = aggregate_exact(params, profile).minimizers
     first = profile.entries[0][1]
     cuts = [0] + _agreed_prefix_sizes(profile)  # final agreed size is always n
     for lo, hi in zip(cuts, cuts[1:]):

@@ -168,7 +168,8 @@ def _cmd_ilp_export(args) -> tuple[int, list[str]]:
     profile = _load_profile(args.profile)
     params = _load_params(args.params, profile.n)
     model = build_ilp(params, profile)
-    return 0, model.to_lp_text().splitlines()
+    # the text as one "line": _emit adds back the final newline it drops
+    return 0, [model.to_lp_text()[:-1]]
 
 
 def _describe_witness(witness) -> list[str]:

@@ -13,104 +13,164 @@ constant shift away from the true aggregate distance.  The program has
 ``n^2 + m n^3`` binary variables and ``n + C(n,2) + n(n-1)(n-2) + 4 m n^3 +
 m n`` rows (see ``variable_count`` / ``constraint_count``).
 
-The text serialisation is the CPLEX LP dialect.  Rows are written with
-integer coefficients (the selector rows are cleared of their 1/n factor by
-scaling through n) and the objective is scaled by the least common multiple
-of its denominators, recorded in a leading comment, so any solver reads the
-file exactly.
+The model is integer throughout.  ``build_ilp`` prices every cell as an
+integer over S = ``weights_scale * mu_scale``, from the down-set masses at
+t = 0..2n-2 times ``weights_scale`` and the integer measure ``int_mu`` of
+``DistanceParams``; it divides the prices and S by their gcd, and what is
+left of S (the lcm of the prices' reduced denominators) is the objective's
+scale, recorded in a leading comment.  The text serialisation is the CPLEX
+LP dialect.  ``to_lp_text`` writes each row whole from the ballots' down-set
+masks (the selector rows are cleared of their 1/n factor by scaling through
+n), so any solver reads the file exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Sequence
 
 from .permutations import Permutation
 from .profiles import Profile
 from .weights import DistanceParams, downset_mass
 
-
-@dataclass(frozen=True)
-class Constraint:
-    name: str
-    terms: tuple[tuple[str, int], ...]  # (variable, integer coefficient)
-    sense: str  # '<=' or '='
-    rhs: int
+# a row continues on a new line before a term that would take it past this
+LINE_WIDTH = 240
 
 
 @dataclass(frozen=True)
 class IlpModel:
+    """The program for one profile, as the integers its text is written from.
+
+    ``coefficients`` holds the written objective coefficient of every
+    ``Q_v_i_r_s`` in (v, i, r, s) order; the program's objective is the sum
+    of coefficient times Q, divided by ``scale``.  ``below[v - 1][i - 1]`` is the bitmask of the
+    candidates ballot v ranks below i.
+    """
+
     n: int
     m: int
-    objective: tuple[tuple[str, Fraction], ...]
-    constraints: tuple[Constraint, ...]
-    binaries: tuple[str, ...]
+    scale: int
+    coefficients: tuple[int, ...]
+    below: tuple[tuple[int, ...], ...]
 
     def variable_count(self) -> int:
-        return len(self.binaries)
+        return expected_variable_count(self.n, self.m)
 
     def constraint_count(self) -> int:
-        return len(self.constraints)
+        return expected_constraint_count(self.n, self.m)
 
     def to_lp_text(self) -> str:
-        scale = lcm(*(coeff.denominator for _, coeff in self.objective)) if self.objective else 1
+        n, m = self.n, self.m
+        # each cell "r_s" with the right-hand sides of its four selector rows
+        targets = [(f"{r}_{s}", n - r, n + r, n - s, n + s) for r in range(n) for s in range(n)]
+        cells = [cell for cell, *_ in targets]
         lines = [
-            f"\\ consensus ranking program: n={self.n}, m={self.m}",
-            f"\\ objective scaled by {scale}",
+            f"\\ consensus ranking program: n={n}, m={m}",
+            f"\\ objective scaled by {self.scale}",
             "Minimize",
         ]
-        terms = [
-            (name, coeff * scale) for name, coeff in self.objective if coeff != 0
-        ]
-        lines.extend(_wrap_terms("obj", terms))
+        terms = []
+        coefficients = iter(self.coefficients)
+        for v in range(1, m + 1):
+            for i in range(1, n + 1):
+                for cell, c in zip(cells, coefficients):
+                    if c > 0:
+                        terms.append(f"+ {c} Q_{v}_{i}_{cell}")
+                    elif c < 0:
+                        terms.append(f"- {-c} Q_{v}_{i}_{cell}")
+        if terms:
+            # the first term carries its sign on the number: "3 Q", "-3 Q"
+            first = terms[0]
+            terms[0] = first[2:] if first[0] == "+" else "-" + first[2:]
+        else:
+            terms = ["0 P_1_1"]
+        lines.extend(_wrap(" obj:", terms))
+
         lines.append("Subject To")
-        for con in self.constraints:
-            sense = "=" if con.sense == "=" else "<="
-            body = _wrap_terms(con.name, list(con.terms), f" {sense} {con.rhs}")
-            lines.extend(body)
+        lines.extend(f" diag_{i}: 1 P_{i}_{i} = 0" for i in range(1, n + 1))
+        lines.extend(
+            f" complete_{i}_{j}: 1 P_{i}_{j} + 1 P_{j}_{i} = 1"
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+        )
+        lines.extend(
+            f" transitive_{i}_{j}_{k}: 1 P_{i}_{j} + 1 P_{j}_{k} - 1 P_{i}_{k} <= 1"
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            for k in range(1, n + 1)
+            if i != j != k != i
+        )
+        for v, masks in enumerate(self.below, start=1):
+            for i, mask in enumerate(masks, start=1):
+                # selector rows, scaled through n to integer coefficients:
+                # q <= 1 + (count - target) / n  and  the mirror image, where
+                # count runs over i's P variables outside / inside the ballot's
+                # down-set; the four rows of a cell share these fragments
+                outside = [f"P_{i}_{j}" for j in range(1, n + 1) if not mask >> (j - 1) & 1]
+                inside = [f"P_{i}_{j}" for j in range(1, n + 1) if mask >> (j - 1) & 1]
+                out_minus = "".join(f" - 1 {p}" for p in outside)
+                out_plus = "".join(f" + 1 {p}" for p in outside)
+                in_minus = "".join(f" - 1 {p}" for p in inside)
+                in_plus = "".join(f" + 1 {p}" for p in inside)
+                vi = f"{v}_{i}_"
+                q = f" {n} Q_{vi}"
+                # _wrap leaves a row whole when it ends by column LINE_WIDTH + 1;
+                # the rows of the last cell, with the longest name, are widest
+                longest = max(len(out_minus), len(in_minus))
+                if len(f" sel_rlo_{vi}{cells[-1]}:{q}{cells[-1]}") + longest > LINE_WIDTH + 1:
+                    lines.extend(_wide_selectors(vi, q, targets, outside, inside))
+                else:
+                    lines += [
+                        f" sel_rlo_{vi}{cell}:{q}{cell}{out_minus} <= {r_lo}\n"
+                        f" sel_rhi_{vi}{cell}:{q}{cell}{out_plus} <= {r_hi}\n"
+                        f" sel_slo_{vi}{cell}:{q}{cell}{in_minus} <= {s_lo}\n"
+                        f" sel_shi_{vi}{cell}:{q}{cell}{in_plus} <= {s_hi}"
+                        for cell, r_lo, r_hi, s_lo, s_hi in targets
+                    ]
+                picks = [f"+ 1 Q_{vi}{cell}" for cell in cells]
+                picks[0] = picks[0][2:]
+                lines.extend(_wrap(f" pick_{v}_{i}:", picks, " = 1"))
+
         lines.append("Binary")
-        for name in self.binaries:
-            lines.append(f" {name}")
+        lines.extend(f" P_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1))
+        lines.extend(
+            f" Q_{v}_{i}_{cell}"
+            for v in range(1, m + 1)
+            for i in range(1, n + 1)
+            for cell in cells
+        )
         lines.append("End")
         return "\n".join(lines) + "\n"
 
 
-def _format_coeff(value: Fraction | int, first: bool) -> str:
-    value = Fraction(value)
-    assert value.denominator == 1
-    v = value.numerator
-    sign = "-" if v < 0 else ("" if first else "+")
-    magnitude = abs(v)
-    return f"{sign} {magnitude} " if not first else f"{sign}{magnitude} "
-
-
-def _wrap_terms(
-    name: str, terms: Sequence[tuple[str, Fraction | int]], suffix: str = ""
-) -> list[str]:
-    if not terms:
-        terms = [("P_1_1", 0)] if not suffix else terms
-    chunks = []
-    for idx, (var, coeff) in enumerate(terms):
-        chunks.append(_format_coeff(coeff, idx == 0) + var)
+def _wrap(head: str, terms: Sequence[str], suffix: str = "") -> list[str]:
+    """``head`` and ``terms`` on one line, broken before any term that would
+    take the line past ``LINE_WIDTH``; continuation lines are indented."""
     lines = []
-    current = f" {name}:"
-    for idx, chunk in enumerate(chunks):
-        if len(current) + len(chunk) > 240:
+    current = head
+    for term in terms:
+        if len(current) + len(term) > LINE_WIDTH:
             lines.append(current)
             current = "   "
-        current += " " + chunk
-    current += suffix
-    lines.append(current)
+        current += " " + term
+    lines.append(current + suffix)
     return lines
 
 
-def p_var(i: int, j: int) -> str:
-    return f"P_{i}_{j}"
-
-def q_var(v: int, i: int, r: int, s: int) -> str:
-    return f"Q_{v}_{i}_{r}_{s}"
+def _wide_selectors(
+    vi: str, q: str, targets: list[tuple], outside: list[str], inside: list[str]
+) -> list[str]:
+    """The selector rows of one (ballot, candidate) when they pass the line
+    width (n >= 17), each wrapped term by term."""
+    lines = []
+    for cell, r_lo, r_hi, s_lo, s_hi in targets:
+        q_term = q[1:] + cell
+        for tag, count, lo, hi in (("r", outside, r_lo, r_hi), ("s", inside, s_lo, s_hi)):
+            lines += _wrap(f" sel_{tag}lo_{vi}{cell}:", [q_term, *(f"- 1 {p}" for p in count)], f" <= {lo}")
+            lines += _wrap(f" sel_{tag}hi_{vi}{cell}:", [q_term, *(f"+ 1 {p}" for p in count)], f" <= {hi}")
+    return lines
 
 
 def comparison_matrix(ranking: Permutation) -> list[list[int]]:
@@ -153,100 +213,25 @@ def build_ilp(params: DistanceParams, profile: Profile) -> IlpModel:
     n = params.n
     if profile.n != n:
         raise ValueError(f"dimension mismatch: params over {n}, profile over {profile.n}")
-    ballots: list[tuple[int, list[list[int]]]] = [
-        (mult, comparison_matrix(v)) for mult, v in profile.entries
+    # down-set masses at t = 0..2n-2, scaled by weights_scale to integers
+    f = [int(downset_mass(params.weights, t) * params.weights_scale) for t in range(2 * n - 1)]
+    cell_mass = [f[r + s] - 2 * f[s] for r in range(n) for s in range(n)]
+    coefficients = [
+        mult * mu * mass
+        for mult, _ in profile.entries
+        for mu in params.int_mu
+        for mass in cell_mass
     ]
-    m = len(ballots)
-    mu = params.mu.values
-    f = [downset_mass(params.weights, t) for t in range(2 * n - 1)]
-
-    objective = []
-    for v in range(1, m + 1):
-        mult = ballots[v - 1][0]
-        for i in range(1, n + 1):
-            for r in range(n):
-                for s in range(n):
-                    coeff = mult * (f[r + s] - 2 * f[s]) * mu[i - 1]
-                    objective.append((q_var(v, i, r, s), coeff))
-
-    constraints: list[Constraint] = []
-    for i in range(1, n + 1):
-        constraints.append(
-            Constraint(f"diag_{i}", ((p_var(i, i), 1),), "=", 0)
-        )
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            constraints.append(
-                Constraint(
-                    f"complete_{i}_{j}",
-                    ((p_var(i, j), 1), (p_var(j, i), 1)),
-                    "=",
-                    1,
-                )
-            )
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if len({i, j, k}) == 3:
-                    constraints.append(
-                        Constraint(
-                            f"transitive_{i}_{j}_{k}",
-                            ((p_var(i, j), 1), (p_var(j, k), 1), (p_var(i, k), -1)),
-                            "<=",
-                            1,
-                        )
-                    )
-
-    for v in range(1, m + 1):
-        matrix = ballots[v - 1][1]
-        for i in range(1, n + 1):
-            outside = [(p_var(i, j), 1) for j in range(1, n + 1) if matrix[i - 1][j - 1] == 0]
-            inside = [(p_var(i, j), 1) for j in range(1, n + 1) if matrix[i - 1][j - 1] == 1]
-            for r in range(n):
-                for s in range(n):
-                    q = q_var(v, i, r, s)
-                    # selector rows, scaled through n to integer coefficients:
-                    # q <= 1 + (count - target) / n  and  the mirror image
-                    for tag, count, target in (("r", outside, r), ("s", inside, s)):
-                        constraints.append(
-                            Constraint(
-                                f"sel_{tag}lo_{v}_{i}_{r}_{s}",
-                                ((q, n), *((var, -c) for var, c in count)),
-                                "<=",
-                                n - target,
-                            )
-                        )
-                        constraints.append(
-                            Constraint(
-                                f"sel_{tag}hi_{v}_{i}_{r}_{s}",
-                                ((q, n), *count),
-                                "<=",
-                                n + target,
-                            )
-                        )
-            constraints.append(
-                Constraint(
-                    f"pick_{v}_{i}",
-                    tuple((q_var(v, i, r, s), 1) for r in range(n) for s in range(n)),
-                    "=",
-                    1,
-                )
-            )
-
-    binaries = [p_var(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    binaries.extend(
-        q_var(v, i, r, s)
-        for v in range(1, m + 1)
-        for i in range(1, n + 1)
-        for r in range(n)
-        for s in range(n)
-    )
+    # each price is c / S; written as c / g over the header scale S / g with
+    # g = gcd(S, every c), and S / g is the lcm of the reduced denominators
+    scale = params.weights_scale * params.mu_scale
+    common = gcd(scale, *coefficients)
     return IlpModel(
         n=n,
-        m=m,
-        objective=tuple(objective),
-        constraints=tuple(constraints),
-        binaries=tuple(binaries),
+        m=len(profile.entries),
+        scale=scale // common,
+        coefficients=tuple(c // common for c in coefficients),
+        below=tuple(v._below for _, v in profile.entries),
     )
 
 
@@ -266,24 +251,22 @@ def objective_value(
     Equals the aggregate distance minus the ranking-independent ballot mass,
     so its argmin over rankings is the consensus set.
     """
-    n = params.n
-    total = Fraction(0)
+    table, mu = params.int_table, params.int_mu
+    total = 0
     for mult, v in profile.entries:
-        for i in range(1, n + 1):
-            s = (ranking.below_mask(i) & v.below_mask(i)).bit_count()
-            rs = ranking.below_mask(i).bit_count()
-            total += mult * (params.table[rs] - 2 * params.table[s]) * params.mu.values[i - 1]
-    return total
+        for i in range(1, params.n + 1):
+            mine = ranking.below_mask(i)
+            shared = (mine & v.below_mask(i)).bit_count()
+            total += mult * (table[mine.bit_count()] - 2 * table[shared]) * mu[i - 1]
+    return Fraction(total, params.weights_scale * params.mu_scale)
 
 
 def objective_offset(params: DistanceParams, profile: Profile) -> Fraction:
     """The constant separating ``objective_value`` from the aggregate distance."""
-    n = params.n
-    return sum(
-        (
-            mult * params.table[v.below_mask(i).bit_count()] * params.mu.values[i - 1]
-            for mult, v in profile.entries
-            for i in range(1, n + 1)
-        ),
-        Fraction(0),
+    table, mu = params.int_table, params.int_mu
+    total = sum(
+        mult * table[v.below_mask(i).bit_count()] * mu[i - 1]
+        for mult, v in profile.entries
+        for i in range(1, params.n + 1)
     )
+    return Fraction(total, params.weights_scale * params.mu_scale)

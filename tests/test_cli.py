@@ -220,6 +220,8 @@ class TestOtherCommands:
 
         model = build_ilp(make_params(*preset("kendall", 3)), load_profile(cyclic_prof))
         assert text == model.to_lp_text()
+        code, out = run(capsys, "ilp-export", "--profile", cyclic_prof, "--params", "kendall")
+        assert code == 0 and out == text
 
     def test_bench_runs(self, capsys):
         code, out = run(capsys, "bench", "--n", "4", "--m", "3", "--trials", "3", "--seed", "1")

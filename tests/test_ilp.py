@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import permutations as it_perms
 from itertools import product
+from math import comb, lcm
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from menurank import (
+    Measure,
     Permutation,
+    Profile,
     aggregate_exact,
     build_ilp,
+    load_profile,
     make_params,
     objective_offset,
     objective_value,
@@ -18,6 +25,7 @@ from menurank import (
     profile_cost,
 )
 from menurank.ilp import (
+    _wrap,
     comparison_matrix,
     expected_constraint_count,
     expected_variable_count,
@@ -25,7 +33,52 @@ from menurank.ilp import (
     ranking_from_matrix,
 )
 
-from conftest import prof, rand_measure, rand_profile, rand_weights
+from conftest import prof, rand_fraction, rand_measure, rand_profile, rand_ranking, rand_weights
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+class LpText(NamedTuple):
+    scale: int
+    objective: list[tuple[int, str]]
+    rows: list[tuple[str, list[tuple[int, str]], str, int]]  # name, terms, sense, rhs
+    binaries: list[str]
+
+
+def _terms(tokens: list[str]) -> list[tuple[int, str]]:
+    # "3 Q" or "-3 Q" first, then "+ 1 P" / "- 1 P" triples
+    terms = [(int(tokens[0]), tokens[1])]
+    for k in range(2, len(tokens), 3):
+        sign, magnitude, var = tokens[k : k + 3]
+        terms.append((int(magnitude) if sign == "+" else -int(magnitude), var))
+    return terms
+
+
+def parse_lp(text: str) -> LpText:
+    """Read the exported LP text back: rows joined with their continuation
+    lines (indented past the single space of a row start), and the Binary
+    block."""
+    lines = text.splitlines()
+    assert lines[1].startswith("\\ objective scaled by ")
+    scale = int(lines[1].rsplit(" ", 1)[1])
+    sections: dict[str, list[str]] = {}
+    section = None
+    for line in lines[2:]:
+        if line in ("Minimize", "Subject To", "Binary", "End"):
+            section = sections.setdefault(line, [])
+        elif line.startswith("    "):
+            section[-1] += line[3:]
+        else:
+            section.append(line)
+    (objective,) = sections["Minimize"]
+    assert objective.startswith(" obj: ")
+    rows = []
+    for row in sections["Subject To"]:
+        name, body = row.split(":", 1)
+        tokens = body.split()
+        rows.append((name.strip(), _terms(tokens[:-2]), tokens[-2], int(tokens[-1])))
+    binaries = [line.strip() for line in sections["Binary"]]
+    return LpText(scale, _terms(objective.split()[1:]), rows, binaries)
 
 
 class TestOrderMatrices:
@@ -67,6 +120,9 @@ class TestModelShape:
         model = build_ilp(params, V)
         assert model.variable_count() == expected_variable_count(n, m) == n * n + m * n**3
         assert model.constraint_count() == expected_constraint_count(n, m)
+        lp = parse_lp(model.to_lp_text())
+        assert len(lp.binaries) == model.variable_count()
+        assert len(lp.rows) == model.constraint_count()
 
     def test_lp_text_sections_and_names(self):
         params = make_params(*preset("linear", 3))
@@ -76,20 +132,55 @@ class TestModelShape:
         for section in ("Minimize", "Subject To", "Binary", "End"):
             assert section in text
         assert " P_1_2" in text and " Q_2_3_1_0" in text
-        # every variable is declared binary
-        binary_block = text.split("Binary", 1)[1]
-        for name in model.binaries:
-            assert f"\n {name}" in "\n" + binary_block
+        # every variable is declared binary, in P then Q order
+        assert parse_lp(text).binaries == [
+            f"P_{i}_{j}" for i in range(1, 4) for j in range(1, 4)
+        ] + [
+            f"Q_{v}_{i}_{r}_{s}"
+            for v in (1, 2)
+            for i in range(1, 4)
+            for r in range(3)
+            for s in range(3)
+        ]
 
     def test_objective_scale_clears_denominators(self):
-        params = make_params(*preset("binomial", 3, F(1, 2)))
-        model = build_ilp(params, prof((1, (1, 2, 3))))
-        text = model.to_lp_text()
-        scale_line = next(l for l in text.splitlines() if "scaled by" in l)
-        scale = int(scale_line.rsplit(" ", 1)[1])
-        assert all(
-            (coeff * scale).denominator == 1 for _, coeff in model.objective
-        )
+        # the cell prices as Fractions, mass(t) = sum_k w_k C(t, k - 1)
+        # written out here; the header scale must be the lcm of their
+        # denominators and every written coefficient the price times it
+        rng = random.Random(41)
+        for trial in range(40):
+            n = rng.randint(2, 5)
+            weights = rand_weights(rng, n, nonneg=False)
+            if trial % 10 == 0:
+                weights = [0] * (n - 1)
+            mu = Measure([rand_fraction(rng, nonneg=False) if rng.random() < 0.7 else 0 for _ in range(n)])
+            params = make_params(weights, mu)
+            V = rand_profile(rng, n)
+
+            def mass(t):
+                return sum(w * comb(t, k - 1) for k, w in enumerate(params.weights.values, start=2))
+
+            assert [mass(t) for t in range(n)] == list(params.table)
+            prices = [
+                (f"Q_{v}_{i}_{r}_{s}", mult * (mass(r + s) - 2 * mass(s)) * mu_i)
+                for v, (mult, _) in enumerate(V.entries, start=1)
+                for i, mu_i in enumerate(params.mu.values, start=1)
+                for r in range(n)
+                for s in range(n)
+            ]
+            scale = lcm(*(price.denominator for _, price in prices))
+            lp = parse_lp(build_ilp(params, V).to_lp_text())
+            assert lp.scale == scale
+            written = [(price * scale, name) for name, price in prices if price]
+            assert lp.objective == (written or [(0, "P_1_1")])
+
+    def test_rows_break_only_past_241_columns(self):
+        # a term starts a new, indented line when the line so far plus the
+        # term would pass 240 characters, so a whole row may end at column 241
+        assert _wrap(" r:", ["a" * 237], " = 1") == [" r: " + "a" * 237 + " = 1"]
+        assert _wrap(" r:", ["a" * 238], " = 1") == [" r:", "    " + "a" * 238 + " = 1"]
+        assert _wrap(" r:", ["a" * 100, "b" * 136]) == [" r: " + "a" * 100 + " " + "b" * 136]
+        assert _wrap(" r:", ["a" * 100, "b" * 137]) == [" r: " + "a" * 100, "    " + "b" * 137]
 
     def test_row_count_in_text_matches_model(self):
         params = make_params(*preset("kendall", 4))
@@ -142,11 +233,119 @@ class TestObjective:
             }
 
     def test_q_grid_selector_coefficients(self):
-        # the four scaled selector rows pin the Q cell of the true (r, s)
+        # the four selector rows of a cell, scaled through n = 3: candidate 1
+        # has 1 and 2 outside its ballot down-set {3}, and (r, s) = (0, 1)
         params = make_params(*preset("kendall", 3))
-        V = prof((1, (2, 1, 3)))
-        model = build_ilp(params, V)
-        by_name = {c.name: c for c in model.constraints}
-        con = by_name["sel_rlo_1_1_0_1"]
-        assert con.sense == "<=" and con.rhs == 3
-        assert dict(con.terms)["Q_1_1_0_1"] == 3
+        text = build_ilp(params, prof((1, (2, 1, 3)))).to_lp_text()
+        assert [line for line in text.splitlines() if "_1_1_0_1:" in line] == [
+            " sel_rlo_1_1_0_1: 3 Q_1_1_0_1 - 1 P_1_1 - 1 P_1_2 <= 3",
+            " sel_rhi_1_1_0_1: 3 Q_1_1_0_1 + 1 P_1_1 + 1 P_1_2 <= 3",
+            " sel_slo_1_1_0_1: 3 Q_1_1_0_1 - 1 P_1_3 <= 2",
+            " sel_shi_1_1_0_1: 3 Q_1_1_0_1 + 1 P_1_3 <= 4",
+        ]
+
+
+def _digest_cases():
+    for stem in ("ex_condorcet", "ex_cyclic", "ex_neutrality"):
+        V = load_profile(DATA / f"{stem}.prof")
+        for name, param in (("kendall", None), ("ok-nishimura", None), ("binomial", F(1, 3))):
+            yield f"{stem}/{name}", make_params(*preset(name, V.n, param)), V
+    yield (
+        "mixed-sign",
+        make_params([F(3, 2), F(-2, 3), F(1, 4)], [F(1, 2), 0, 2, F(5, 3)]),
+        prof((2, (1, 2, 3, 4)), (1, (4, 1, 3, 2)), (3, (2, 4, 1, 3))),
+    )
+    yield "zero-weights", make_params([0, 0]), prof((1, (1, 2, 3)), (1, (2, 3, 1)))
+    yield "n2", make_params(*preset("kendall", 2)), prof((1, (1, 2)), (2, (2, 1)))
+    rng = random.Random(5)
+    ballots = [(rng.randint(1, 3), tuple(rng.sample(range(1, 6), 5))) for _ in range(10)]
+    yield "n5m10", make_params(*preset("ok-nishimura", 5)), prof(*ballots)
+    # candidate 18 is last on the ballot, so its selector rows pass the width
+    yield "n18-wide-selectors", make_params(*preset("kendall", 18)), prof((1, tuple(range(1, 19))))
+
+
+# SHA-256 of to_lp_text per case, recorded from the Fraction-based export
+# the integer one replaced: any change to the written bytes fails here
+LP_DIGESTS = {
+    "ex_condorcet/kendall": "4afd82662b9ff2f2e428cd0b354fc72734825d0e40440145a43f3403bd5f09cb",
+    "ex_condorcet/ok-nishimura": "c8366bbb97f50a84ca58d26f167dd7dab7a2f10d74e47e8f2ea034e1b7a402ee",
+    "ex_condorcet/binomial": "1634045225ad6487460a37febe73db024db57f701b9e7234e1c947e3c85cf1d1",
+    "ex_cyclic/kendall": "e0b98822168139450a3788e457db123ca98b5a4e9552625d040ada9062c961c3",
+    "ex_cyclic/ok-nishimura": "b7e6a068b2e91268741edc2d2e29467357a8a51af2f262df27a12078d9dae08f",
+    "ex_cyclic/binomial": "fc88cd06a8d16f8bc3da033d118c3335dc29fb3271d94b54ff894fda782ae834",
+    "ex_neutrality/kendall": "75394861fb07ca404354f50e7d962394dfafea79c4ca40f4ee135e5345379bfd",
+    "ex_neutrality/ok-nishimura": "4e6620226ffba7efb4e9d9dcae41d313e0a72c6258e0ba9fc9bcd24f48514b73",
+    "ex_neutrality/binomial": "0e4332b2ca3f9ae9d8d3d793af724bdb980b81126920039d88fd5726d4066db2",
+    "mixed-sign": "ecd1c5b9514f15afb25e442988041d9a640065bd7d05aa2fb455fabf658d8302",
+    "zero-weights": "e807812f3da1d7152d61137541fd3483e7b51eabeef74040093c0bba01d4023b",
+    "n2": "4de9e29d7c56f5f5a1a6978bba3c4fb1121bffacec73a3c4f3ce4e4c2a98a35b",
+    "n5m10": "834892ad633fcb291f52aad7cdacfcb9ec7e682fcbbceee27005cf88b91debfe",
+    "n18-wide-selectors": "eac9869356432b9b49f05425aed7359adcfa97ec77481995059f744a9b025cbb",
+}
+
+
+def _wrapped_row_kinds(text: str) -> set[str]:
+    """The name prefixes (obj, sel, pick, ...) of rows with continuation lines."""
+    lines = text.splitlines()
+    return {
+        row.split(":", 1)[0].strip().split("_", 1)[0]
+        for row, after in zip(lines, lines[1:])
+        if after.startswith("    ") and not row.startswith("    ")
+    }
+
+
+def test_lp_text_is_byte_identical_to_the_recorded_digests():
+    seen = {}
+    for name, params, V in _digest_cases():
+        text = build_ilp(params, V).to_lp_text()
+        seen[name] = hashlib.sha256(text.encode()).hexdigest()
+        if name == "zero-weights":
+            assert text.splitlines()[1:4] == ["\\ objective scaled by 1", "Minimize", " obj: 0 P_1_1"]
+        if name == "n5m10":
+            assert _wrapped_row_kinds(text) == {"obj", "pick"}
+        if name == "n18-wide-selectors":
+            assert _wrapped_row_kinds(text) == {"obj", "pick", "sel"}
+    assert seen == LP_DIGESTS
+
+
+@pytest.mark.parametrize("name", ["kendall", "ok-nishimura"])
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 3), (4, 5)])
+def test_milp_solves_the_export_to_the_exact_consensus(name, n, m):
+    pytest.importorskip("scipy")
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    rng = random.Random(100 * n + m)
+    params = make_params(*preset(name, n))
+    V = Profile(tuple((rng.randint(1, 3), rand_ranking(rng, n)) for _ in range(m)), n)
+    lp = parse_lp(build_ilp(params, V).to_lp_text())
+    column = {var: k for k, var in enumerate(lp.binaries)}
+    cost = np.zeros(len(column))
+    for coeff, var in lp.objective:
+        cost[column[var]] += coeff
+    matrix = np.zeros((len(lp.rows), len(column)))
+    lower = np.full(len(lp.rows), -np.inf)
+    upper = np.zeros(len(lp.rows))
+    for k, (_, terms, sense, rhs) in enumerate(lp.rows):
+        for coeff, var in terms:
+            matrix[k, column[var]] += coeff
+        assert sense in ("<=", "=")
+        upper[k] = rhs
+        if sense == "=":
+            lower[k] = rhs
+    solution = milp(
+        cost,
+        constraints=LinearConstraint(matrix, lower, upper),
+        integrality=np.ones(len(column)),
+        bounds=Bounds(0, 1),
+    )
+    assert solution.success
+    value = round(solution.fun)
+    assert abs(solution.fun - value) < 1e-6
+    exact = aggregate_exact(params, V)
+    assert F(value, lp.scale) + objective_offset(params, V) == exact.optimum
+    order_matrix = [
+        [round(solution.x[column[f"P_{i}_{j}"]]) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    assert ranking_from_matrix(order_matrix) in exact.minimizers
