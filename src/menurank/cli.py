@@ -7,7 +7,15 @@ number is printed as an exact integer or ``p/q`` rational, and output is
 byte-identical across runs for identical arguments, seeds and input files.
 
 Exit codes: 0 success, 1 a checked statement fails (a ``Fails`` audit
-verdict or an oracle mismatch), 2 usage or input errors.
+verdict or an oracle mismatch), 2 usage or input errors, including a
+profile or parameter file that cannot be read and an ``--out`` file that
+cannot be written.
+
+``main`` can be called any number of times in one process.  The argument
+parser is built once per process, and preset parameters (``kendall``,
+``binomial:1/3``, ...) are tabulated once per token and candidate count
+(the 512 most recent are kept); parameter files are read again on every
+call, so edits to them take effect.
 """
 
 from __future__ import annotations
@@ -16,6 +24,9 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from functools import cache, lru_cache
+from itertools import starmap
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from . import audit as audit_mod
@@ -54,6 +65,12 @@ def _parse_ranking(text: str) -> Permutation:
         raise CliError(f"bad ranking {text!r}: {exc}") from None
 
 
+@lru_cache(maxsize=512)
+def _preset_params(name: str, n: int, param: Fraction | None) -> DistanceParams:
+    """The tabulated parameters of one preset token; shared by every call."""
+    return make_params(*preset(name, n, param))
+
+
 def _load_params(token: str, n: int | None) -> DistanceParams:
     """A preset token like ``kendall`` / ``binomial:1/3``, or a file path."""
     name, _, param = token.partition(":")
@@ -63,13 +80,15 @@ def _load_params(token: str, n: int | None) -> DistanceParams:
                 raise CliError(
                     f"preset {name!r} needs the candidate count (give --n or a ranking/profile)"
                 )
-            weights, mu = preset(name, n, as_fraction(param) if param else None)
-        else:
+            return _preset_params(name, n, as_fraction(param) if param else None)
+        try:
             with open(token, "r", encoding="utf-8") as handle:
-                weights, mu = parse_params_text(handle.read(), n)
-        return make_params(weights, mu)
-    except FileNotFoundError:
-        raise CliError(f"no such preset or parameter file: {token!r}") from None
+                text = handle.read()
+        except FileNotFoundError:
+            raise CliError(f"no such preset or parameter file: {token!r}") from None
+        except OSError as exc:
+            raise CliError(f"cannot read parameter file {token!r}: {exc.strerror or exc}") from None
+        return make_params(*parse_params_text(text, n))
     except (ParamsFormatError, ValueError) as exc:
         raise CliError(f"invalid parameters {token!r}: {exc}") from None
 
@@ -79,6 +98,8 @@ def _load_profile(path: str) -> Profile:
         return load_profile(path)
     except FileNotFoundError:
         raise CliError(f"no such profile file: {path!r}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read profile file {path!r}: {exc.strerror or exc}") from None
     except ProfileFormatError as exc:
         raise CliError(f"malformed profile {path!r}: {exc}") from None
 
@@ -98,8 +119,11 @@ def fmt(value) -> str:
 def _emit(lines: Iterable[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -146,15 +170,24 @@ def _cmd_aggregate(args) -> tuple[int, list[str]]:
             raise CliError("--method myopic needs a window depth --k")
         result = aggregate_myopic(params, profile, args.k)
     lines = [f"method: {result.method}", f"minimizers ({len(result.minimizers)}):"]
-    lines.extend(f"  {p}" for p in result.minimizers)
+    # one format per line instead of a Permutation.__str__ call: the same text
+    template = "  " + " ".join(["{}"] * profile.n)
+    lines.extend(starmap(template.format, map(attrgetter("order"), result.minimizers)))
     lines.append(f"objective: {fmt(result.optimum)}")
     lines.append(f"cost: {fmt(result.certificate)}")
     lines.append(f"winners: {fmt(result.winners)}")
     return 0, lines
 
 
+def _epsilon(text: str) -> Fraction:
+    eps = as_fraction(text)
+    if eps <= 0:
+        raise CliError(f"epsilon must be positive, got {text}")
+    return eps
+
+
 def _cmd_ptas_depth(args) -> tuple[int, list[str]]:
-    inv_epsilon = 1 / as_fraction(args.epsilon)
+    inv_epsilon = 1 / _epsilon(args.epsilon)
     weights = None
     if args.rule == "custom":
         if not args.params or not args.n:
@@ -206,6 +239,8 @@ def _random_fraction(rng: random.Random, top: int = 6) -> Fraction:
 
 
 def _cmd_verify_oracle(args) -> tuple[int, list[str]]:
+    if args.trials < 0:
+        raise CliError(f"--trials must be >= 0, got {args.trials}")
     rng = random.Random(args.seed)
     n = args.n
     good = 0
@@ -231,6 +266,7 @@ def _cmd_verify_oracle(args) -> tuple[int, list[str]]:
 
 
 def _cmd_bench(args) -> tuple[int, list[str]]:
+    eps = _epsilon(args.epsilon)
     rng = random.Random(args.seed)
     n, m = args.n, args.m
     profiles = []
@@ -240,7 +276,6 @@ def _cmd_bench(args) -> tuple[int, list[str]]:
             for _ in range(m)
         )
         profiles.append(Profile(entries, n))
-    eps = as_fraction(args.epsilon)
     preset_names = ("kendall", "ok-nishimura", "linear")
     lines = [f"approximation ratios over {args.trials} random profiles (n={n}, m={m}, seed={args.seed})"]
     lines.append(f"{'weights':<14} {'method':<10} {'worst ratio':>12} {'bound':>8}")
@@ -269,7 +304,10 @@ def _cmd_bench(args) -> tuple[int, list[str]]:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls (each returns a new Namespace
+    # and errors go to the sys.stderr of the moment), so one parser serves all
     parser = argparse.ArgumentParser(
         prog="menurank",
         description="Menu-weighted rank distances and consensus rankings.",
@@ -352,14 +390,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         code, lines = args.run(args)
+        _emit(lines, getattr(args, "out", None))
     except (CliError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(lines, getattr(args, "out", None))
     return code
 
 
