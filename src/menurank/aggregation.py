@@ -11,11 +11,14 @@ The exact solver reads every term from one integer table built per
 (parameters, profile) by two subset zeta transforms (Yates' algorithm, as in
 Bjorklund, Husfeldt, Kaski and Koivisto's "Fourier meets Moebius"): a
 candidate's overlap with the ballots' down-sets is a subset-sum of its
-down-set histogram's superset-sums, weighted by the menu weights.  That
-costs O(n^2 2^n + n m) for m ballots, against O(n 2^n m) for pricing each
-DP edge ballot by ballot.  The myopic window visits too few (candidate,
-placed set) pairs for a full table to pay, so it keeps the per-ballot
-``_position_terms`` closure.
+down-set histogram's superset-sums, weighted by the menu weights.  The tables
+hold n 2^(n-1) lanes, 2^(n-1) per candidate (a down-set never holds its own
+candidate), and each candidate's lanes are packed into one Python integer,
+so a transform pass is one shift, one mask and one add.  That costs
+O(n^2 2^n + n m) lane additions for m ballots, against O(n 2^n m) for
+pricing each DP edge ballot by ballot.  The myopic window visits too few
+(candidate, placed set) pairs for a full table to pay, so it keeps the
+per-ballot ``_position_terms`` closure.
 
 Approximation routes:
 
@@ -30,11 +33,14 @@ Approximation routes:
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, combinations, repeat
 from math import comb
-from operator import add, mul
+from operator import add, lshift, mul, sub
 from typing import Callable, Literal
 
 from .assignment import min_cost_assignment
@@ -120,34 +126,44 @@ def _position_terms(
     return term, params.weights_scale * params.mu_scale
 
 
-def _zeta(values: list[int], bits: int, subsets: bool) -> None:
-    """Yates' transform in place over consecutive tables of 2^bits entries.
+@lru_cache(maxsize=64)
+def _lane_masks(
+    bits: int, width: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Masks over 2^bits packed lanes of ``width`` bits each.
 
-    Entry S of each table becomes the sum of that table's entries over the
-    masks T subset of S (``subsets``) or T superset of S.  Pass j pairs every
-    mask without bit j with the same mask plus bit j, as strided slices or as
-    blocks, whichever takes fewer slices, and adds one side into the other
-    with ``map(add, ...)``: the O(bits 2^bits) additions run at C speed.
+    ``lack[j]`` fills the lanes whose index lacks bit j; ``by_size[k]`` fills
+    the lanes whose index has k bits set, and ``ones[k]`` puts a 1 in each of
+    them.  Each level is the level below (the low half of the lanes) joined
+    with its copy in the high half, so it costs time linear in its size.
     """
-    length = len(values)
-    for j in range(bits):
-        half = 1 << j
-        span = half << 1
-        if half * span <= length:
-            pairs = [
-                (slice(o, None, span), slice(o + half, None, span))
-                for o in range(half)
-            ]
-        else:
-            pairs = [
-                (slice(s, s + half), slice(s + half, s + span))
-                for s in range(0, length, span)
-            ]
-        for low, high in pairs:
-            if subsets:
-                values[high] = map(add, values[high], values[low])
-            else:
-                values[low] = map(add, values[low], values[high])
+    if bits == 0:
+        return (), ((1 << width) - 1,), (1,)
+    lack, by_size, ones = _lane_masks(bits - 1, width)
+    half = width << (bits - 1)
+    return (
+        tuple(mask | mask << half for mask in lack) + ((1 << half) - 1,),
+        tuple(low | high << half for low, high in zip(by_size + (0,), (0,) + by_size)),
+        tuple(low | high << half for low, high in zip(ones + (0,), (0,) + ones)),
+    )
+
+
+def _unpack_lanes(packed: int, lanes: int, words: int) -> list[int]:
+    """The ``lanes`` signed lanes of ``words`` 64-bit words in ``packed``.
+
+    Lane i holds a two's complement value in bits ``64 words i`` onwards; the
+    top word of each lane carries the sign, the lower words are unsigned.
+    """
+    data = packed.to_bytes(8 * words * lanes, "little")
+    chunks = array("Q", data)
+    tops = array("q", data)
+    if sys.byteorder == "big":
+        chunks.byteswap()
+        tops.byteswap()
+    values = tops[words - 1 :: words].tolist()
+    for k in range(words - 2, -1, -1):
+        values = list(map(add, map(lshift, values, repeat(64)), chunks[k::words]))
+    return values
 
 
 def _term_table(
@@ -156,51 +172,100 @@ def _term_table(
     """Every term of ``_position_terms`` at once, without a per-ballot loop.
 
     ``rows[c - 1][placed]`` equals ``term(|placed| + 1, c, placed)`` for every
-    mask ``placed`` without c (entries for masks holding c are meaningless).
-    The term's only profile-dependent part is the overlap
+    mask ``placed`` but the full one, where it is 0; the DP reads only the
+    masks without c.  The term's only profile-dependent part is the overlap
     ``sum_v mult_v f(|B_v(c) & U|)`` over the free set U, where B_v(c) is
     what ballot v ranks below c.  As f(0) = 0 and the Newton coefficients
     of f are the menu weights (the k-th difference at 0 is w_{k+1}), that
     overlap is the subset-sum over T subset of U of ``w_{|T|+1} G_c(T)``,
-    where G_c is the superset-sum of the histogram of the B_v(c).  Both
-    transforms run over all n tables at once: O(n^2 2^n) additions after
-    O(n m) histogram updates for m ballots.
+    where G_c is the superset-sum of the histogram of the B_v(c).
+
+    B_v(c) never holds c, so candidate c's table has 2^(n-1) lanes, indexed
+    by sets of the other candidates.  Each down-set is counted at its
+    complement: G_c becomes a subset-sum, and the second transform, a
+    superset-sum, lands indexed by the placed set.  The lanes are packed into
+    one integer, ``width`` bits each, so pass j of a transform is one shift,
+    one mask and one add over the whole table.  Positive and negative menu
+    weights go through the second transform as two integers, so no lane is
+    ever negative there; the row values (signed, by then) are assembled in
+    the packed form too and unpacked once.  Cost: O(n^2 2^n) lane additions,
+    n 2^(n-1) lanes per transform pass, after O(n m) histogram updates for m
+    ballots.
     """
     n = params.n
     f = params.int_table
     mu = params.int_mu
-    size = 1 << n
-    sizes = [mask.bit_count() for mask in range(size)]
-    # w_{|T|+1} per mask T: 0 at the empty mask and at the full one, as no
-    # menu holds n + 1 candidates
-    menu_weights = (0,) + params.int_weights + (0,)
-    weighted = [menu_weights[k] for k in sizes]
-    tables = [0] * (n * size)
+    bits = n - 1
+    lanes = 1 << bits
+    voters = profile.voters
+    # the row constants by |placed| = 0..n: positional mass and measure term
+    # (the full mask, |placed| = n, holds c and is never read)
+    position = _position_constants(params, profile)[1:] + [0]
+    spread = [f[n - 1 - k] * voters for k in range(n)] + [0]
+    # w_{|T|+1} for the lanes S = complement of T, by |S| = bits - |T|
+    lane_weights = ((0,) + params.int_weights)[::-1]
+    # a transform lane sums at most 2^bits weighted counts; a row value
+    # |P + mu (f V - 2 overlap)| has every part within max|mu f| V, and
+    # needs a sign bit
+    overlap_bound = (max(map(abs, lane_weights)) or 1) * voters << bits
+    row_bound = 4 * max(map(abs, mu)) * max(map(abs, f)) * voters
+    words = (max(overlap_bound, 2 * row_bound).bit_length() + 63) // 64
+    width = 64 * words
+    lack, by_size, ones = _lane_masks(bits, width)
+    # a lane bit above every row value: with it added, every lane is
+    # nonnegative, and xor-ing it back leaves each lane in two's complement
+    bias = sum(ones) << (width - 1)
+    # the constants, lane by lane: a placed set without c has the lane's
+    # size, one holding c is one larger
+    base = sum(map(mul, position, ones))
+    step = sum(map(mul, map(sub, position[1:], position), ones))
+    base_slope = sum(map(mul, spread, ones))
+    step_slope = sum(map(mul, map(sub, spread[1:], spread), ones))
+
+    stride = 8 * words
+    counts: dict[int, int] = {}
     for mult, v in profile.entries:
         for c, below in enumerate(v._below):
-            tables[c * size + below] += mult
-    _zeta(tables, n, subsets=False)
-    tables = list(map(mul, tables, weighted * n))
-    _zeta(tables, n, subsets=True)
-    position_const = _position_constants(params, profile)
-    voters = profile.voters
+            low = (1 << c) - 1
+            slot = c * lanes + (lanes - 1 - (below & low | below >> 1 & ~low))
+            counts[slot] = counts.get(slot, 0) + mult
+    packed = bytearray(stride * n * lanes)
+    for slot, count in counts.items():
+        packed[slot * stride : (slot + 1) * stride] = count.to_bytes(stride, "little")
+    view = memoryview(packed)
+
+    size = 1 << n
     rows = []
     for c in range(n):
-        # the free set of ``placed`` is its complement: index from the end
-        overlap = tables[c * size : (c + 1) * size][::-1]
-        # by |placed|; the full mask (|placed| = n) holds c and is never read
-        base = [
-            position_const[k + 1] + mu[c] * f[n - 1 - k] * voters for k in range(n)
-        ] + [0]
-        rows.append(
-            list(
-                map(
-                    add,
-                    map(base.__getitem__, sizes),
-                    map(mul, overlap, repeat(-2 * mu[c], size)),
-                )
-            )
-        )
+        x = int.from_bytes(view[c * lanes * stride : (c + 1) * lanes * stride], "little")
+        for j in range(bits):
+            x += (x & lack[j]) << (width << j)
+        plus = minus = 0
+        for k, w in enumerate(lane_weights):
+            if w > 0:
+                plus += w * (x & by_size[k])
+            elif w < 0:
+                minus -= w * (x & by_size[k])
+        for j in range(bits):
+            plus += (plus >> (width << j)) & lack[j]
+            minus += (minus >> (width << j)) & lack[j]
+        without = base + mu[c] * (base_slope - 2 * (plus - minus))
+        holding = without + step + mu[c] * step_slope
+        without = _unpack_lanes((without + bias) ^ bias, lanes, words)
+        holding = _unpack_lanes((holding + bias) ^ bias, lanes, words)
+        # insert bit c into the lane index: runs of 2^c lanes without c,
+        # then the same runs with c
+        row = [0] * size
+        run = 1 << c
+        if run * run <= lanes:
+            for o in range(run):
+                row[o :: 2 * run] = without[o::run]
+                row[o + run :: 2 * run] = holding[o::run]
+        else:
+            for t in range(0, lanes, run):
+                row[2 * t : 2 * t + run] = without[t : t + run]
+                row[2 * t + run : 2 * t + 2 * run] = holding[t : t + run]
+        rows.append(row)
     return rows, params.weights_scale * params.mu_scale
 
 
@@ -249,12 +314,12 @@ def aggregate_exact(params: DistanceParams, profile: Profile) -> AggregationResu
     """The full set of rankings minimising the aggregate distance.
 
     Dynamic programming over candidate subsets, priced from ``_term_table``
-    (O(n^2 2^n + n m) for m ballots) and relaxed in numeric mask order over
-    a flat list; every tied minimiser is reconstructed along the tight DP
-    edges, in lexicographic order, as bare tuples: they are bijections by
-    construction, so they become ``Permutation``s without the public
-    constructor's check, and their position and down-set tables are only
-    derived if a caller reads them.  Guarded to n <= 10, since every tied
+    (O(n^2 2^n + n m) for m ballots, in packed passes over n 2^(n-1) lanes)
+    and relaxed in numeric mask order over a flat list; every tied minimiser
+    is reconstructed along the tight DP edges, in lexicographic order, as
+    bare tuples: they are bijections by construction, so they become
+    ``Permutation``s without the public constructor's check, and their
+    position and down-set tables are only derived if a caller reads them.  Guarded to n <= 10, since every tied
     minimiser is still built (a zero measure ties all n! rankings).
     """
     n = params.n

@@ -238,9 +238,13 @@ def _random_fraction(rng: random.Random, top: int = 6) -> Fraction:
     return Fraction(rng.randint(0, top), rng.randint(1, 4))
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise CliError(f"--trials must be >= 0, got {trials}")
+
+
 def _cmd_verify_oracle(args) -> tuple[int, list[str]]:
-    if args.trials < 0:
-        raise CliError(f"--trials must be >= 0, got {args.trials}")
+    _check_trials(args.trials)
     rng = random.Random(args.seed)
     n = args.n
     good = 0
@@ -266,6 +270,7 @@ def _cmd_verify_oracle(args) -> tuple[int, list[str]]:
 
 
 def _cmd_bench(args) -> tuple[int, list[str]]:
+    _check_trials(args.trials)
     eps = _epsilon(args.epsilon)
     rng = random.Random(args.seed)
     n, m = args.n, args.m

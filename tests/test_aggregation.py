@@ -77,6 +77,21 @@ class TestExact:
             assert [hash(p) for p in res.minimizers] == [hash(p) for p in public]
             assert res.winners == {q[0] for q in argmin}
 
+    @staticmethod
+    def assert_table_matches_terms(params, V):
+        term, scale = _position_terms(params, V)
+        rows, table_scale = _term_table(params, V)
+        assert table_scale == scale
+        # masks holding c are never read by the DP; they still follow the
+        # same formula, except the full mask, which has no next position
+        n = params.n
+        full = (1 << n) - 1
+        for c in range(1, n + 1):
+            for placed in range(full):
+                assert rows[c - 1][placed] == term(placed.bit_count() + 1, c, placed)
+            assert rows[c - 1][full] == 0
+        return rows
+
     def test_term_table_equals_position_terms(self):
         # the subset-transform table against the per-ballot closure, entry by
         # entry, over mixed-sign weights and measures with zero entries
@@ -89,15 +104,49 @@ class TestExact:
                 mu = Measure([0 if rng.random() < 0.3 else v for v in mu.values])
             params = make_params(weights, mu)
             V = rand_profile(rng, n, max_ballots=6)
-            term, scale = _position_terms(params, V)
-            rows, table_scale = _term_table(params, V)
-            assert table_scale == scale
-            for c in range(1, n + 1):
-                for placed in range(1 << n):
-                    if not placed >> (c - 1) & 1:
-                        assert rows[c - 1][placed] == term(
-                            placed.bit_count() + 1, c, placed
-                        )
+            self.assert_table_matches_terms(params, V)
+        # the largest tables the exact solver builds
+        for n in (9, 10):
+            weights = rand_weights(rng, n, nonneg=False)
+            params = make_params(weights, rand_measure(rng, n, nonneg=False))
+            self.assert_table_matches_terms(params, rand_profile(rng, n, max_ballots=8))
+        # lanes of two and more 64-bit words: a weight numerator near 2^70, a
+        # multiplicity near 2^60, and both at once
+        for n, big_weight, big_mult in ((5, True, False), (6, False, True), (4, True, True)):
+            weights = rand_weights(rng, n, nonneg=False).values
+            if big_weight:
+                weights = (weights[0] - (1 << 70) - 3,) + weights[1:]
+            V = rand_profile(rng, n, max_ballots=5, max_mult=(1 << 60) if big_mult else 3)
+            params = make_params(MenuWeights(weights), rand_measure(rng, n, nonneg=False))
+            rows = self.assert_table_matches_terms(params, V)
+            assert max(abs(v) for row in rows for v in row) >> 64
+        # a row value at the far end of its bound, -4 max|mu f| V: 16 V is
+        # just over 2^63, so its sign bit needs a second word
+        V = prof(((1 << 59) + 1, (2, 1, 3)))
+        params = make_params(MenuWeights([1, -3]), Measure([4, 4, 4]))
+        assert self.assert_table_matches_terms(params, V)[0][0] == -16 * V.voters
+        # w_{k+1} = (-2)^k keeps |f| <= 2, yet the positive and negative
+        # overlap parts of the top candidate reach about 3^9 V / 2: over 2^66
+        params = make_params(MenuWeights([(-2) ** k for k in range(1, 10)]), Measure([1] * 10))
+        self.assert_table_matches_terms(params, prof((1 << 53, tuple(range(1, 11)))))
+        # all-zero weights and an all-zero measure
+        for n in (2, 5, 7):
+            V = rand_profile(rng, n, max_ballots=6)
+            zero_weights = MenuWeights([0] * (n - 1))
+            self.assert_table_matches_terms(make_params(zero_weights, rand_measure(rng, n)), V)
+            zero_mu = Measure([0] * n)
+            self.assert_table_matches_terms(make_params(rand_weights(rng, n), zero_mu), V)
+
+    def test_term_table_cold_equals_warm(self):
+        # the lane masks are cached per (bits, width): the first call builds
+        # them, and later calls must read the same table
+        rng = random.Random(31)
+        params = make_params(*preset("ok-nishimura", 10))
+        V = rand_profile(rng, 10, max_ballots=30)
+        aggregation._lane_masks.cache_clear()
+        cold = _term_table(params, V)
+        assert aggregation._lane_masks.cache_info().currsize > 0
+        assert _term_table(params, V) == cold
 
     def test_result_deep_copies(self):
         params = make_params(*preset("kendall", 3))

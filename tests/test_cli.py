@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from menurank import aggregation, audit
 from menurank.cli import _build_parser, _load_params, main
+from menurank.weights import PRESET_NAMES, parse_params_text
 
 CYCLIC = """\
 3 3
@@ -93,10 +94,11 @@ class TestDist:
         ["aggregate", "--method", "exact", "--params", "kendall", "--profile", "{small}",
          "--out", "{dir}"],
         ["verify-oracle", "--n", "3", "--trials", "-1"],
+        ["bench", "--n", "3", "--trials", "-1"],
     ],
     ids=["unequal-lengths", "reversed-window", "zero-epsilon", "one-candidate", "exact-n11",
          "profile-is-a-directory", "params-is-a-directory", "out-in-a-missing-directory",
-         "out-is-a-directory", "negative-trials"],
+         "out-is-a-directory", "negative-trials", "bench-negative-trials"],
 )
 def test_library_errors_exit_2(capsys, tmp_path, argv):
     eleven = tmp_path / "eleven.prof"
@@ -108,6 +110,26 @@ def test_library_errors_exit_2(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_neutrality_over_eight_candidates_exits_2_before_solving(capsys, tmp_path, monkeypatch):
+    def refuse(params, profile):
+        raise AssertionError("an exact solve ran")
+
+    monkeypatch.setattr(audit, "aggregate_exact", refuse)
+    eight = tmp_path / "eight.prof"
+    eight.write_text("8 2\n1: 1 2 3 4 5 6 7 8\n1: 8 7 6 5 4 3 2 1\n")
+    code = main(["check", "--params", "kendall", "--property", "neutrality_P",
+                 "--profile", str(eight)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "capped at 7" in captured.err
+    # at the limit the audit does start solving
+    seven = tmp_path / "seven.prof"
+    seven.write_text("7 1\n1: 1 2 3 4 5 6 7\n")
+    with pytest.raises(AssertionError, match="an exact solve ran"):
+        main(["check", "--params", "kendall", "--property", "neutrality_P",
+              "--profile", str(seven)])
 
 
 def test_myopic_window_too_large_exits_2_before_building_it(capsys, tmp_path, monkeypatch):
@@ -436,3 +458,64 @@ def test_every_argv_exits_0_1_or_2(fuzz_paths, argv):
             assert exc.code in (0, 2), argv
             return
     assert code in (0, 1, 2), argv
+
+
+_NUMBER_TOKENS = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9)),
+)
+_ODD_TOKENS = st.one_of(
+    st.text(alphabet="0123456789/-+.e _", min_size=1, max_size=6),
+    st.sampled_from(PRESET_NAMES),
+)
+
+
+@st.composite
+def _params_texts(draw):
+    # mostly well-formed beta / mu / preset lines, with odd keys, odd tokens
+    # and raw junk mixed in
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        roll = draw(st.integers(0, 9))
+        if roll == 0:
+            lines.append(draw(st.text(alphabet="betamuprsk:#0123456789/ -\t", max_size=12)))
+            continue
+        if roll < 3:
+            key = draw(st.sampled_from(("preset", "PRESET", "gamma", "")))
+            tokens = [draw(st.sampled_from(PRESET_NAMES))] + draw(
+                st.lists(_NUMBER_TOKENS, max_size=2)
+            )
+        else:
+            key = draw(st.sampled_from(("beta", "beta", "mu", " Mu ", "BETA")))
+            tokens = draw(
+                st.lists(st.one_of(_NUMBER_TOKENS, _ODD_TOKENS) if roll == 3 else _NUMBER_TOKENS,
+                         min_size=1, max_size=4)
+            )
+        comment = draw(st.sampled_from(["", "", " # note"]))
+        lines.append(f"{key}: {' '.join(tokens)}{comment}")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@pytest.fixture(scope="module")
+def params_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("params") / "fuzz.params"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_params_texts(), n=st.one_of(st.none(), st.integers(0, 6)))
+def test_params_text_parses_or_is_refused_cleanly(params_path, text, n):
+    # the parser either returns weights and a measure of one dimension or
+    # raises a ValueError (ParamsFormatError is one); through the CLI the
+    # same text exits 0, 1 or 2 without a traceback
+    try:
+        weights, mu = parse_params_text(text, n)
+    except ValueError:
+        pass
+    else:
+        assert weights.n == mu.n
+    params_path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["dist", "--params", str(params_path), "--a", "1 2 3", "--b", "3 1 2"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
