@@ -18,6 +18,7 @@ The package is organised in thin layers:
 
 from .aggregation import (
     AggregationResult,
+    ConsensusSet,
     aggregate_exact,
     aggregate_footrule,
     aggregate_myopic,
@@ -82,6 +83,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregationResult",
     "AuditReport",
+    "ConsensusSet",
     "DistanceParams",
     "IlpModel",
     "Measure",

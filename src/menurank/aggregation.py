@@ -4,8 +4,12 @@ Everything here exploits one decomposition: the aggregate distance from a
 ranking to a profile is a sum of per-position terms, where the term for
 position i depends only on the candidate placed there and on the *set*
 placed before it.  That turns the search over n! orders into dynamic
-programming over 2^n subsets, which is how the exact solver enumerates the
-full argmin set, and how the myopic scheme minimises its truncated window.
+programming over 2^n subsets, which is how the exact solver finds the full
+argmin set, and how the myopic scheme minimises its truncated window.  The
+exact solver keeps that set as the DAG of tight edges of its cost-to-go
+table: path counting gives its size and the edges out of the empty set its
+winners, and the rankings themselves are listed, in lexicographic order,
+only when a caller reads them (``ConsensusSet``).
 
 The exact solver reads every term from one integer table built per
 (parameters, profile) by two subset zeta transforms (Yates' algorithm, as in
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -71,11 +76,12 @@ class AggregationResult:
     true aggregate distance for the exact method, the footrule objective for
     the matching method, the truncated window objective for the myopic one);
     ``certificate`` is always the true aggregate distance achieved by the
-    returned ranking(s).
+    returned ranking(s).  ``minimizers`` is a ``ConsensusSet`` for the exact
+    method and a one-ranking tuple for the others.
     """
 
     method: Literal["exact", "footrule", "myopic"]
-    minimizers: tuple[Permutation, ...]
+    minimizers: Sequence[Permutation]
     optimum: Fraction
     winners: frozenset[int]
     certificate: Fraction
@@ -282,45 +288,130 @@ def _masks_by_size(pool: tuple[int, ...], depth: int) -> list[list[int]]:
     return layers
 
 
-def _tight_orders(
-    mask: int,
-    best: list[int],
-    rows: list[list[int]],
-    tails: dict[int, list[tuple[int, ...]]],
-) -> list[tuple[int, ...]]:
-    """Every order of the candidates in ``mask`` that reaches ``best[mask]``.
+def _tight_dag(
+    rows: list[list[int]], togo: list[int]
+) -> tuple[dict[int, tuple[int, ...]], int]:
+    """The tight edges out of every placed set on an optimal path, and the
+    number of optimal paths.
 
-    Walks the DP's tight edges back to the empty set, memoised per mask in
-    ``tails`` (seeded with the empty order).
+    Edge (mask, c), placing candidate c + 1 next, is tight when its term plus
+    the cost-to-go after it equals ``togo[mask]``.  The masks are reached
+    from the empty set one size at a time, so each edge is tested once; the
+    paths to the full set are then counted back from the largest masks.
     """
-    cached = tails.get(mask)
-    if cached is not None:
-        return cached
-    out = []
-    rest = mask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        prev = mask ^ bit
-        candidate = bit.bit_length()
-        if best[prev] + rows[candidate - 1][prev] == best[mask]:
-            prefixes = _tight_orders(prev, best, rows, tails)
-            out.extend(map(add, prefixes, repeat((candidate,))))
-    tails[mask] = out
-    return out
+    full = len(togo) - 1
+    dag: dict[int, tuple[int, ...]] = {}
+    frontier = [0]
+    while frontier[0] != full:
+        reached = {}
+        for mask in frontier:
+            goal = togo[mask]
+            tight = []
+            rest = full ^ mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                c = bit.bit_length() - 1
+                if rows[c][mask] + togo[mask | bit] == goal:
+                    tight.append(c)
+                    reached[mask | bit] = None
+            dag[mask] = tuple(tight)
+        frontier = list(reached)
+    paths = {full: 1}
+    for mask in reversed(dag):  # filled by size, so read from the largest
+        paths[mask] = sum(paths[mask | 1 << c] for c in dag[mask])
+    return dag, paths[0]
+
+
+def _walk(dag: dict[int, tuple[int, ...]], mask: int, tokens: list, memo: dict) -> list:
+    """Every path from ``mask`` through ``dag`` as the sum of its candidates'
+    tokens, in lexicographic order of the candidates.
+
+    Memoised per mask in ``memo`` (seeded with the full mask's empty sum).
+    Candidates are tried in ascending order, so no sort is needed.
+    """
+    done = memo.get(mask)
+    if done is None:
+        done = []
+        for c in dag[mask]:
+            done.extend(map(add, repeat(tokens[c]), _walk(dag, mask | 1 << c, tokens, memo)))
+        memo[mask] = done
+    return done
+
+
+class ConsensusSet(Sequence):
+    """The exact consensus set, kept as the DP's tight-edge DAG.
+
+    A read-only sequence of ``Permutation``s in lexicographic order.  ``len``
+    is the number of optimal paths, counted without listing them; iterating
+    or indexing builds the rankings once and keeps them.  It equals, and
+    hashes like, the tuple of its rankings.  The DAG is a canonical form of
+    the set (every edge in it lies on an optimal path), so two views compare
+    without building either.
+    """
+
+    __slots__ = ("_n", "_dag", "_count", "_rankings")
+
+    def __init__(self, n: int, dag: dict[int, tuple[int, ...]], count: int):
+        self._n = n
+        self._dag = dag
+        self._count = count
+        self._rankings: tuple[Permutation, ...] | None = None
+
+    def _sums(self, tokens: list, empty) -> list:
+        return _walk(self._dag, 0, tokens, {(1 << self._n) - 1: [empty]})
+
+    def _items(self) -> tuple[Permutation, ...]:
+        if self._rankings is None:
+            orders = self._sums([(c,) for c in range(1, self._n + 1)], ())
+            # bijections by construction: no need for the checked constructor
+            self._rankings = tuple(map(Permutation._trusted, orders))
+        return self._rankings
+
+    def texts(self) -> list[str]:
+        """Each ranking as text, a space before every label (`` 2 3 1``), in
+        order; read off the DAG without building a ``Permutation``."""
+        return self._sums([f" {c}" for c in range(1, self._n + 1)], "")
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._items()[index]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ConsensusSet):
+            return self._n == other._n and self._dag == other._dag
+        if isinstance(other, tuple):
+            return len(other) == self._count and self._items() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._items())
+
+    def __repr__(self) -> str:
+        return f"ConsensusSet({self._items()!r})"
+
+    def __reduce__(self):
+        return ConsensusSet, (self._n, self._dag, self._count)
 
 
 def aggregate_exact(params: DistanceParams, profile: Profile) -> AggregationResult:
     """The full set of rankings minimising the aggregate distance.
 
     Dynamic programming over candidate subsets, priced from ``_term_table``
-    (O(n^2 2^n + n m) for m ballots, in packed passes over n 2^(n-1) lanes)
-    and relaxed in numeric mask order over a flat list; every tied minimiser
-    is reconstructed along the tight DP edges, in lexicographic order, as
-    bare tuples: they are bijections by construction, so they become
-    ``Permutation``s without the public constructor's check, and their
-    position and down-set tables are only derived if a caller reads them.  Guarded to n <= 10, since every tied
-    minimiser is still built (a zero measure ties all n! rankings).
+    (O(n^2 2^n + n m) for m ballots, in packed passes over n 2^(n-1) lanes):
+    ``togo[mask]`` is the cheapest way to fill the positions after the
+    placed set ``mask``, relaxed in decreasing mask order over a flat list.
+    The consensus set is the DAG of tight edges out of the masks on optimal
+    paths; its size comes from counting paths and its winners are the tight
+    edges out of the empty set, so neither lists a ranking.  The minimizers
+    are a ``ConsensusSet`` view that lists them, in lexicographic order, only
+    when read.  Guarded to n <= 10, since a caller that reads every tied
+    minimiser still gets them all (a zero measure ties all n! rankings).
     """
     n = params.n
     if profile.n != n:
@@ -332,30 +423,27 @@ def aggregate_exact(params: DistanceParams, profile: Profile) -> AggregationResu
         )
     rows, scale = _term_table(params, profile)
     full = (1 << n) - 1
-    # best[mask]: cheapest order of the candidates in mask on positions
-    # 1..|mask|; every mask minus one member comes before it numerically
-    best = [0] * (full + 1)
-    for mask in range(1, full + 1):
+    # togo[mask]: cheapest order of the candidates outside mask on positions
+    # |mask|+1..n; every mask plus one candidate comes after it numerically
+    togo = [0] * (full + 1)
+    for mask in range(full - 1, -1, -1):
         value = None
-        rest = mask
+        rest = full ^ mask
         while rest:
             bit = rest & -rest
             rest ^= bit
-            prev = mask ^ bit
-            cur = best[prev] + rows[bit.bit_length() - 1][prev]
+            cur = rows[bit.bit_length() - 1][mask] + togo[mask | bit]
             if value is None or cur < value:
                 value = cur
-        best[mask] = value
+        togo[mask] = value
 
-    optimum = Fraction(best[full], scale)
-    orders = _tight_orders(full, best, rows, {0: [()]})
-    minimizers = tuple(map(Permutation._trusted, sorted(orders)))
-    winners = frozenset(p.order[0] for p in minimizers)
+    optimum = Fraction(togo[0], scale)
+    dag, count = _tight_dag(rows, togo)
     return AggregationResult(
         method="exact",
-        minimizers=minimizers,
+        minimizers=ConsensusSet(n, dag, count),
         optimum=optimum,
-        winners=winners,
+        winners=frozenset(c + 1 for c in dag[0]),
         certificate=optimum,
     )
 

@@ -25,12 +25,11 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import starmap
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from . import audit as audit_mod
 from .aggregation import (
+    ConsensusSet,
     aggregate_exact,
     aggregate_footrule,
     aggregate_myopic,
@@ -111,7 +110,7 @@ def fmt(value) -> str:
         return str(value)
     if isinstance(value, (frozenset, set)):
         return "{" + " ".join(fmt(v) for v in sorted(value)) + "}"
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, ConsensusSet)):
         return "(" + ", ".join(fmt(v) for v in value) + ")"
     return str(value)
 
@@ -169,10 +168,15 @@ def _cmd_aggregate(args) -> tuple[int, list[str]]:
         if args.k is None:
             raise CliError("--method myopic needs a window depth --k")
         result = aggregate_myopic(params, profile, args.k)
-    lines = [f"method: {result.method}", f"minimizers ({len(result.minimizers)}):"]
-    # one format per line instead of a Permutation.__str__ call: the same text
-    template = "  " + " ".join(["{}"] * profile.n)
-    lines.extend(starmap(template.format, map(attrgetter("order"), result.minimizers)))
+    rankings = result.minimizers
+    lines = [f"method: {result.method}", f"minimizers ({len(rankings)}):"]
+    # the rankings as one block of "  1 2 3" lines; the exact method's come
+    # straight from its DAG, without building a Permutation
+    if isinstance(rankings, ConsensusSet):
+        texts = rankings.texts()
+    else:
+        texts = [" " + str(p) for p in rankings]
+    lines.append(" " + "\n ".join(texts))
     lines.append(f"objective: {fmt(result.optimum)}")
     lines.append(f"cost: {fmt(result.certificate)}")
     lines.append(f"winners: {fmt(result.winners)}")

@@ -33,6 +33,7 @@ only once.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -43,13 +44,24 @@ from typing import Iterable, Sequence, Union
 Rational = Union[int, str, Fraction]
 
 
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def as_fraction(value: Rational) -> Fraction:
-    """Coerce ints, 'p/q' strings, or Fractions to an exact Fraction."""
+    """Coerce ints, 'p/q' strings, or Fractions to an exact Fraction.
+
+    A string must be an optional sign, ASCII digits and an optional
+    ``/digits``; anything else (decimal points, exponents, underscores,
+    spaces) raises ``ValueError``, so a few characters such as ``1e9999999``
+    cannot ask for an integer of millions of digits.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _RATIONAL_TEXT.fullmatch(value) is None:
+            raise ValueError(f"expected an integer or p/q rational, got {value!r}")
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {value!r}")
 

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import copy
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import permutations as it_perms
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -161,6 +162,83 @@ class TestExact:
         params = make_params(*preset("kendall", 11))
         with pytest.raises(ValueError, match="n <= 10"):
             aggregate_exact(params, prof((1, tuple(range(1, 12)))))
+
+
+class TestConsensusSet:
+    """The exact minimizers as a view over the tight-edge DAG, refereed by
+    brute force over all n! rankings."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(41)
+        for trial in range(24):
+            n = rng.randint(2, 6) if trial < 22 else 7
+            params = make_params(
+                rand_weights(rng, n, nonneg=rng.random() < 0.7), rand_measure(rng, n)
+            )
+            yield params, rand_profile(rng, n, max_ballots=5)
+        # two blocs, a ballot and its reversal: under pairwise weights every
+        # ranking ties, under other weights many do
+        for n, token in ((4, "kendall"), (5, "linear"), (6, "ok-nishimura"), (8, "kendall")):
+            ballot = rand_ranking(rng, n).order
+            yield make_params(*preset(token, n)), prof((2, ballot), (2, ballot[::-1]))
+        # a zero measure prices every ranking at 0
+        for n in (3, 5, 7):
+            params = make_params(rand_weights(rng, n), Measure([0] * n))
+            yield params, rand_profile(rng, n)
+        yield make_params(*preset("ok-nishimura", 8)), rand_profile(rng, 8, max_ballots=2)
+
+    def test_view_matches_brute_force(self):
+        seen = set()
+        for params, V in self.cases():
+            res = aggregate_exact(params, V)
+            view = res.minimizers
+            best, argmin = brute_consensus(params, V)
+            public = tuple(Permutation(q) for q in sorted(argmin))
+            seen.add(len(argmin) == factorial(V.n))
+            assert res.optimum == best
+            assert len(view) == len(argmin)
+            assert res.winners == {q[0] for q in argmin}
+            assert [p.order for p in view] == sorted(argmin)
+            assert view[0] == public[0] and view[-1] == public[-1]
+            assert view[1:3] == public[1:3]
+            assert public[-1] in view
+            assert view == public and public == view and not view != public
+            assert len(public) < 2 or (view != public[::-1] and view != public[:-1])
+            assert hash(view) == hash(public)
+            assert view.texts() == [" " + str(p) for p in public]
+            for clone in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
+                assert clone == res and clone.minimizers == public
+                assert hash(clone.minimizers) == hash(public)
+        assert seen == {True, False}
+
+    def test_views_compare_by_their_dags(self, monkeypatch):
+        params = make_params(*preset("kendall", 4))
+        one = aggregate_exact(params, prof((1, (1, 2, 3, 4)), (1, (4, 3, 2, 1)))).minimizers
+        # the same 24 rankings from another electorate
+        two = aggregate_exact(params, prof((3, (2, 4, 1, 3)), (3, (3, 1, 4, 2)))).minimizers
+        three = aggregate_exact(params, prof((1, (1, 2, 3, 4)))).minimizers
+        as_list = list(two)
+        monkeypatch.setattr(Permutation, "_trusted", _refuse)
+        assert one == two and one != three and len(three) == 1
+        assert one != as_list and one != None  # noqa: E711
+        with pytest.raises(AssertionError, match="enumerated"):
+            three[0]
+
+    def test_counting_never_enumerates(self, monkeypatch):
+        # a zero measure ties all 10! rankings; the count and the winners
+        # come from the DAG alone
+        monkeypatch.setattr(Permutation, "_trusted", _refuse)
+        n = 10
+        params = make_params(preset("linear", n)[0], Measure([0] * n))
+        res = aggregate_exact(params, prof((1, tuple(range(1, n + 1))), (2, tuple(range(n, 0, -1)))))
+        assert len(res.minimizers) == factorial(n) == 3628800
+        assert res.winners == set(range(1, n + 1))
+        assert res.optimum == 0 == res.certificate
+
+
+def _refuse(order):
+    raise AssertionError("enumerated a ranking")
 
 
 class TestFootruleAggregation:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,29 @@ def test_library_errors_exit_2(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "--params", "{params}", "--a", "1 2 3", "--b", "3 1 2"],
+        ["dist", "--params", "binomial:1e-9999999", "--a", "1 2 3", "--b", "3 1 2"],
+        ["ptas-depth", "--rule", "affine", "--epsilon", "1e-9999999"],
+        ["ptas-depth", "--rule", "exponential", "--epsilon", "1/4", "--alpha", "1e9999999"],
+        ["bench", "--n", "3", "--trials", "1", "--epsilon", "1e-9999999"],
+    ],
+    ids=["params-file", "preset-token", "epsilon", "alpha", "bench-epsilon"],
+)
+def test_exponent_tokens_exit_2_at_once(capsys, tmp_path, argv):
+    # each of these used to parse as an exact number of about 33M bits
+    params = tmp_path / "huge.params"
+    params.write_text("beta: 1e9999999 1\n")
+    start = time.perf_counter()
+    code = main([tok.format(params=params) for tok in argv])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "integer or p/q" in captured.err
 
 
 def test_neutrality_over_eight_candidates_exits_2_before_solving(capsys, tmp_path, monkeypatch):
@@ -374,6 +398,24 @@ def test_minimizer_lines_are_the_printed_rankings(capsys, tmp_path, method):
         assert lines[start:start + count] == ["  " + str(p) for p in result.minimizers], name
         assert lines[start + count].startswith("objective: ")
         assert name != "ties" or method != "exact" or count == 720
+
+
+def test_exact_report_builds_no_ranking(capsys, tmp_path, monkeypatch):
+    # the header counts the DAG's paths and the lines are walked off it as
+    # text: the 720 tied rankings never become Permutations
+    from menurank import Permutation
+
+    def refuse(order):
+        raise AssertionError("built a ranking")
+
+    path = tmp_path / "ties.prof"
+    path.write_text("6 2\n1: 1 2 3 4 5 6\n1: 6 5 4 3 2 1\n")
+    monkeypatch.setattr(Permutation, "_trusted", refuse)
+    code, out = run(capsys, "aggregate", "--method", "exact", "--params", "kendall",
+                    "--profile", str(path))
+    lines = out.splitlines()
+    assert code == 0 and lines[1] == "minimizers (720):" and lines[2] == "  1 2 3 4 5 6"
+    assert lines[721] == "  6 5 4 3 2 1" and lines[722] == "objective: 30"
 
 
 # argv drawn per subcommand from its own flags, each with values that are

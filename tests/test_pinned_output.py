@@ -1,0 +1,149 @@
+"""Byte-for-byte pins on the printed output: the CLI's consensus reports,
+the audits that read consensus sets, and the demos, against SHA-256 digests
+(and exit codes) recorded before the exact solver kept its consensus set as
+a tight-edge DAG."""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from menurank.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "demos" / "data"
+
+# written to a temporary directory, then named in the argv as {name}
+FILES = {
+    # a ballot and its reversal, three voters each: all 5040 rankings tie
+    "two_bloc.prof": "7 6\n3: 3 1 4 7 5 2 6\n3: 6 2 5 7 4 1 3\n",
+    "n6.prof": "6 4\n2: 4 1 6 2 5 3\n1: 2 6 3 1 4 5\n1: 5 3 1 6 2 4\n",
+    # a zero measure prices every ranking at 0: all 720 tie
+    "zero_mu.params": "beta: 1 2 3 4 5\nmu: 0 0 0 0 0 0\n",
+}
+
+CASES = {
+    f"{profile}/{token}": ("aggregate", "--method", "exact", "--params", token,
+                           "--profile", str(DATA / f"{profile}.prof"))
+    for profile in ("ex_condorcet", "ex_cyclic", "ex_neutrality")
+    for token in ("kendall", "ok-nishimura", "linear", "binomial:1/3")
+}
+CASES.update({
+    "two-bloc-n7/kendall": ("aggregate", "--method", "exact", "--params", "kendall",
+                            "--profile", "{two_bloc.prof}"),
+    "n6/zero-measure": ("aggregate", "--method", "exact", "--params", "{zero_mu.params}",
+                        "--profile", "{n6.prof}"),
+    "ex_condorcet/footrule": ("aggregate", "--method", "footrule", "--params", "ok-nishimura",
+                              "--profile", str(DATA / "ex_condorcet.prof")),
+    "ex_neutrality/params-file": ("aggregate", "--method", "exact",
+                                  "--params", str(DATA / "ex_neutrality.params"),
+                                  "--profile", str(DATA / "ex_neutrality.prof")),
+    "n6/myopic": ("aggregate", "--method", "myopic", "--k", "2", "--params", "linear",
+                  "--profile", "{n6.prof}"),
+})
+# the audits read the consensus sets too, and print them in their witnesses
+CASES.update({
+    f"check/{prop}/{profile}": ("check", "--property", prop, "--params", params,
+                                "--profile", str(DATA / f"{profile}.prof"),
+                                "--profile2", str(DATA / f"{other}.prof"))
+    for prop in ("neutrality_P", "majority", "condorcet_P", "condorcet_W", "reinforcing",
+                 "monotonicity", "blockwise_pareto", "partitionwise_pareto")
+    for profile, other, params in (
+        ("ex_neutrality", "ex_cyclic", str(DATA / "ex_neutrality.params")),
+        ("ex_condorcet", "ex_condorcet", "ok-nishimura"),
+    )
+})
+
+DIGESTS = {
+    "check/blockwise_pareto/ex_condorcet": (0, "dd5c96cdefdb07461c148fe7d60e4f3f31738e79ae1949a906575e4504e25351"),
+    "check/blockwise_pareto/ex_neutrality": (0, "dd5c96cdefdb07461c148fe7d60e4f3f31738e79ae1949a906575e4504e25351"),
+    "check/condorcet_P/ex_condorcet": (1, "cc1e2fb8f7d036e337608b3ae552e5837032e4677fc4b315e223ac82a6d67c5d"),
+    "check/condorcet_P/ex_neutrality": (0, "25af04a92c4c404aeb52890cd202f059d19e82a98c6d9fde59676e0bbc205af0"),
+    "check/condorcet_W/ex_condorcet": (1, "5d545300c716423d9710502d89ef00e97efe2cbdf92ea6695fb751d0ee210129"),
+    "check/condorcet_W/ex_neutrality": (0, "ff97a650a17e10392b8234173f2790f038bc0719ee81b5a29d63b79ab052d45a"),
+    "check/majority/ex_condorcet": (0, "ba4e9f73a4a042cf2e1d4e86b692b504479e3f2b431391bf017dac3c34508c39"),
+    "check/majority/ex_neutrality": (0, "ba4e9f73a4a042cf2e1d4e86b692b504479e3f2b431391bf017dac3c34508c39"),
+    "check/monotonicity/ex_condorcet": (0, "91ce204a0151a1a1119313ee1a6562acf43515107a7a96bfe34a5703a2d4bcd9"),
+    "check/monotonicity/ex_neutrality": (0, "91ce204a0151a1a1119313ee1a6562acf43515107a7a96bfe34a5703a2d4bcd9"),
+    "check/neutrality_P/ex_condorcet": (0, "20a649845c36879c526304a9f304539b6e065a36251e1dc7a3437340d87a9682"),
+    "check/neutrality_P/ex_neutrality": (1, "e13185f1adae8288c8913596336706c9d0e4b9a8aa85b317872c4ef5ec51668c"),
+    "check/partitionwise_pareto/ex_condorcet": (0, "0a0ec708619a9aeecaf24fd2428cfadd7afe7efc3d7dbcfd856e6e33e62b98a5"),
+    "check/partitionwise_pareto/ex_neutrality": (0, "0a0ec708619a9aeecaf24fd2428cfadd7afe7efc3d7dbcfd856e6e33e62b98a5"),
+    "check/reinforcing/ex_condorcet": (0, "52f391aefb5e121714f1bbf552d6cd909bcbe3e5f96d9114183645561050f1e7"),
+    "check/reinforcing/ex_neutrality": (0, "52f391aefb5e121714f1bbf552d6cd909bcbe3e5f96d9114183645561050f1e7"),
+    "ex_condorcet/binomial:1/3": (0, "b4b3a53f28e011165afa501d6ff7094bdd2b5e9b292c487eafca0e3b8d7d01c0"),
+    "ex_condorcet/footrule": (0, "9ebea31cf250fb5b523ba96c12fcaa7fdf4124818b6a4ea7609f5323860d0089"),
+    "ex_condorcet/kendall": (0, "2294c47bca5dc36030faccdea44b62ac340194663a2da525bf16430f8068413a"),
+    "ex_condorcet/linear": (0, "3049e7045372b49d555d25b0c360ec3a06a4b7dc7cc91d7c13c8b95ca306ff00"),
+    "ex_condorcet/ok-nishimura": (0, "4645ffed1a71f167e87938c8fef9a3a3ae1054f4df2d187f32f996fc32f22f0f"),
+    "ex_cyclic/binomial:1/3": (0, "4172ad0647309a9bd248f29c5836c2fee707ff02271b46974fda58097f8a704d"),
+    "ex_cyclic/kendall": (0, "1fae4f93d9a870c8827e3c9521525619bdc7173f8fa18c27d9b47bc10c99c6c6"),
+    "ex_cyclic/linear": (0, "0308a762ef6b1b34eaec5c8d3fb685973e24b881005ff5a48acca0c98a653d43"),
+    "ex_cyclic/ok-nishimura": (0, "24f8982e5e7226ee6eae66f7cc5cb48c08ed800a5656424709ac5772c34606d5"),
+    "ex_neutrality/binomial:1/3": (0, "4172ad0647309a9bd248f29c5836c2fee707ff02271b46974fda58097f8a704d"),
+    "ex_neutrality/kendall": (0, "1fae4f93d9a870c8827e3c9521525619bdc7173f8fa18c27d9b47bc10c99c6c6"),
+    "ex_neutrality/linear": (0, "0308a762ef6b1b34eaec5c8d3fb685973e24b881005ff5a48acca0c98a653d43"),
+    "ex_neutrality/ok-nishimura": (0, "24f8982e5e7226ee6eae66f7cc5cb48c08ed800a5656424709ac5772c34606d5"),
+    "ex_neutrality/params-file": (0, "2f9367ddf3cc3ef44df4dbe527314e9fa0fed4b9b821d6b88214263e060f686c"),
+    "n6/myopic": (0, "cbf9d2043f61b9c6388cc90d2a8f098ffbd7c9251b0dd8ef301edec70717756d"),
+    "n6/zero-measure": (0, "6a94d74e1ca860207840e5e194919f2b92a7e8df20621d8eb434ff810dd42d83"),
+    "two-bloc-n7/kendall": (0, "a274ad738187edb6e67405c61c38ba0f475dd894450c4111ed453e4480317b6e"),
+}
+
+DEMO_DIGESTS = {
+    "01_distances.py": "46101e264bee70145410d81d9122f3a4f4c475cb509c8715d7def11fe800255a",
+    "02_parameter_space.py": "8809388aa0e3abf750d014fb1b7c5594c4890b4cb281afc02b5b8e8f62c4ed94",
+    "03_consensus.py": "bfb4a0924c2493e5a3eb26f6d3f4490d51bb12d75cd243bf48a1a54f1bf060ea",
+    "04_axioms_and_properties.py": "936042e6cdb08552ed79583689f1d810ea1c51fbd544f9a2ec80f5ab5b0faac3",
+    "05_integer_program.py": "d271892263c6d8de9e442928d456e5c01876d3643e4fb5d335951e3f95238e68",
+}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    for name, text in FILES.items():
+        (root / name).write_text(text)
+    return {name: str(root / name) for name in FILES}
+
+
+def cli_output(argv, files) -> tuple[int, bytes]:
+    argv = [files[tok[1:-1]] if tok[:1] == "{" else tok for tok in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_byte_identical(files, name):
+    code, text = cli_output(CASES[name], files)
+    assert (code, hashlib.sha256(text).hexdigest()) == DIGESTS[name]
+
+
+def test_tie_heavy_cases_print_every_ranking(files):
+    for name, count in (("two-bloc-n7/kendall", 5040), ("n6/zero-measure", 720)):
+        lines = cli_output(CASES[name], files)[1].decode().splitlines()
+        assert lines[1] == f"minimizers ({count}):"
+        assert len(set(lines[2:2 + count])) == count
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_DIGESTS))
+def test_demo_output_is_byte_identical(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                         capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr.decode()
+    assert hashlib.sha256(run.stdout).hexdigest() == DEMO_DIGESTS[demo]
+
+
+def test_every_demo_is_pinned():
+    assert sorted(DEMO_DIGESTS) == sorted(p.name for p in (ROOT / "demos").glob("0*.py"))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction as F
 from math import lcm
 
@@ -26,7 +27,7 @@ from menurank import (
     position_to_menu_weights,
     preset,
 )
-from menurank.weights import ParamsFormatError, binomial, parse_params_text
+from menurank.weights import ParamsFormatError, as_fraction, binomial, parse_params_text
 
 from conftest import rand_measure, rand_weights
 
@@ -377,6 +378,37 @@ class TestParamsFile:
     def test_errors(self, text, fragment):
         with pytest.raises(ParamsFormatError, match=fragment):
             parse_params_text(text)
+
+
+class TestRationalTokens:
+    @pytest.mark.parametrize("text, value", [
+        ("0", F(0)), ("7", F(7)), ("+3", F(3)), ("-3/4", F(-3, 4)), ("2/6", F(1, 3)),
+        ("007/010", F(7, 10)),
+    ])
+    def test_integers_and_ratios_parse(self, text, value):
+        assert as_fraction(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "0.5", ".5", "5.", "1e3", "1E3", "1.5e-2", "1_000", "1/2_0", " 1/2", "1/2 ",
+        "\u0661", "1 /2", "1/-2", "--1", "/2", "1/", "", "inf", "0x10",
+    ])
+    def test_other_notations_are_refused(self, text):
+        with pytest.raises(ValueError, match="integer or p/q"):
+            as_fraction(text)
+
+    def test_zero_denominator_still_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            as_fraction("1/0")
+
+    def test_huge_exponent_is_refused_at_once(self):
+        # an exponent token used to build an exact integer of ~33M bits
+        # (13 s); refusing the notation must not look at its value
+        start = time.perf_counter()
+        with pytest.raises(ParamsFormatError, match="integer or p/q"):
+            parse_params_text("beta: 1e9999999 1\n")
+        with pytest.raises(ValueError, match="integer or p/q"):
+            preset("binomial", 4, "1e-9999999")
+        assert time.perf_counter() - start < 1
 
 
 def test_binomial_helper_matches_math():
