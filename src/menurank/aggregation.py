@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, repeat
 from math import comb
-from operator import add, lshift, mul, sub
+from operator import add, lshift, mul
 from typing import Callable, Literal
 
 from .assignment import min_cost_assignment
@@ -61,7 +61,6 @@ from .weights import (
     as_fraction,
     downset_mass,
     make_params,
-    scaled_downset_table,
 )
 
 EXACT_CANDIDATE_LIMIT = 10
@@ -129,7 +128,7 @@ def _position_terms(
             overlap += mult * f[(ballot_below[below] & free).bit_count()]
         return position_const[i] + mu[below] * (f[n - i] * total_voters - 2 * overlap)
 
-    return term, params.weights_scale * params.mu_scale
+    return term, params.scale
 
 
 @lru_cache(maxsize=64)
@@ -178,8 +177,8 @@ def _term_table(
     """Every term of ``_position_terms`` at once, without a per-ballot loop.
 
     ``rows[c - 1][placed]`` equals ``term(|placed| + 1, c, placed)`` for every
-    mask ``placed`` but the full one, where it is 0; the DP reads only the
-    masks without c.  The term's only profile-dependent part is the overlap
+    mask ``placed`` without c, and is 0 at the masks holding c, which the DP
+    never reads.  The term's only profile-dependent part is the overlap
     ``sum_v mult_v f(|B_v(c) & U|)`` over the free set U, where B_v(c) is
     what ballot v ranks below c.  As f(0) = 0 and the Newton coefficients
     of f are the menu weights (the k-th difference at 0 is w_{k+1}), that
@@ -204,10 +203,9 @@ def _term_table(
     bits = n - 1
     lanes = 1 << bits
     voters = profile.voters
-    # the row constants by |placed| = 0..n: positional mass and measure term
-    # (the full mask, |placed| = n, holds c and is never read)
-    position = _position_constants(params, profile)[1:] + [0]
-    spread = [f[n - 1 - k] * voters for k in range(n)] + [0]
+    # the row constants by |placed| = 0..n-1: positional mass and measure term
+    position = _position_constants(params, profile)[1:]
+    spread = [f[n - 1 - k] * voters for k in range(n)]
     # w_{|T|+1} for the lanes S = complement of T, by |S| = bits - |T|
     lane_weights = ((0,) + params.int_weights)[::-1]
     # a transform lane sums at most 2^bits weighted counts; a row value
@@ -221,12 +219,9 @@ def _term_table(
     # a lane bit above every row value: with it added, every lane is
     # nonnegative, and xor-ing it back leaves each lane in two's complement
     bias = sum(ones) << (width - 1)
-    # the constants, lane by lane: a placed set without c has the lane's
-    # size, one holding c is one larger
+    # the constants, lane by lane: a placed set without c has the lane's size
     base = sum(map(mul, position, ones))
-    step = sum(map(mul, map(sub, position[1:], position), ones))
     base_slope = sum(map(mul, spread, ones))
-    step_slope = sum(map(mul, map(sub, spread[1:], spread), ones))
 
     stride = 8 * words
     counts: dict[int, int] = {}
@@ -256,23 +251,19 @@ def _term_table(
             plus += (plus >> (width << j)) & lack[j]
             minus += (minus >> (width << j)) & lack[j]
         without = base + mu[c] * (base_slope - 2 * (plus - minus))
-        holding = without + step + mu[c] * step_slope
         without = _unpack_lanes((without + bias) ^ bias, lanes, words)
-        holding = _unpack_lanes((holding + bias) ^ bias, lanes, words)
-        # insert bit c into the lane index: runs of 2^c lanes without c,
-        # then the same runs with c
+        # insert a clear bit c into the lane index: runs of 2^c lanes go to
+        # the masks without c, and the runs between them (with c) stay 0
         row = [0] * size
         run = 1 << c
         if run * run <= lanes:
             for o in range(run):
                 row[o :: 2 * run] = without[o::run]
-                row[o + run :: 2 * run] = holding[o::run]
         else:
             for t in range(0, lanes, run):
                 row[2 * t : 2 * t + run] = without[t : t + run]
-                row[2 * t + run : 2 * t + 2 * run] = holding[t : t + run]
         rows.append(row)
-    return rows, params.weights_scale * params.mu_scale
+    return rows, params.scale
 
 
 def _masks_by_size(pool: tuple[int, ...], depth: int) -> list[list[int]]:
@@ -468,7 +459,7 @@ def footrule_position_costs(
                 for p in range(1, n + 1)
             ]
         )
-    return costs, params.weights_scale * params.mu_scale
+    return costs, params.scale
 
 
 def aggregate_footrule(
@@ -684,10 +675,8 @@ def ptas_depth(
             raise ValueError("custom depths need nonnegative weights with w_2 > 0")
         # truncation_ratio(weights, t, depth) is prefix[t - depth] over
         # f(t - 1) - f(t - 2), both scaled alike, with f tabulated up to n - 1
-        int_weights, scale = weights.scaled
-        f = scaled_downset_table(int_weights, scale)[0] + tuple(
-            _scaled_mass(int_weights, t) for t in range(weights.n, n)
-        )
+        int_weights = weights.scaled[0]
+        f = [_scaled_mass(int_weights, t) for t in range(n)]
         prefix = [0, *accumulate(f)]
         for depth in range(1, n + 1):
             if all(

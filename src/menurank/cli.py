@@ -38,7 +38,7 @@ from .aggregation import (
 from .distances import distance, distance_naive, footrule_weighted, truncated_distance
 from .ilp import build_ilp
 from .permutations import Permutation
-from .profiles import Profile, ProfileFormatError, load_profile
+from .profiles import Profile, ProfileFormatError, load_profile, parse_naturals
 from .weights import (
     DistanceParams,
     Measure,
@@ -59,7 +59,7 @@ class CliError(Exception):
 
 def _parse_ranking(text: str) -> Permutation:
     try:
-        return Permutation([int(tok) for tok in text.split()])
+        return Permutation(parse_naturals(text))
     except ValueError as exc:
         raise CliError(f"bad ranking {text!r}: {exc}") from None
 

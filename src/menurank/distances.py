@@ -86,7 +86,7 @@ def distance_naive(params: DistanceParams, a: Permutation, b: Permutation) -> Fr
             continue
         row = hits[size]
         total += weight * sum(mu[c - 1] * row[c] for c in range(1, n + 1) if row[c])
-    return Fraction(total, params.weights_scale * params.mu_scale)
+    return Fraction(total, params.scale)
 
 
 def distance(params: DistanceParams, a: Permutation, b: Permutation) -> Fraction:
@@ -107,7 +107,7 @@ def distance(params: DistanceParams, a: Permutation, b: Permutation) -> Fraction
         total += (
             f[n - pos_a[c]] + f[bb.bit_count()] - 2 * f[(below_a[c] & bb).bit_count()]
         ) * m
-    return Fraction(total, params.weights_scale * params.mu_scale)
+    return Fraction(total, params.scale)
 
 
 def footrule_weighted(
@@ -159,7 +159,7 @@ def truncated_distance(
             f[n - i] * (mu[c - 1] + mu[b.order[i - 1] - 1])
             - 2 * f[common] * mu[c - 1]
         )
-    return Fraction(total, params.weights_scale * params.mu_scale)
+    return Fraction(total, params.scale)
 
 
 def profile_cost(params: DistanceParams, a: Permutation, profile: Profile) -> Fraction:

@@ -14,11 +14,11 @@ constant shift away from the true aggregate distance.  The program has
 m n`` rows (see ``variable_count`` / ``constraint_count``).
 
 The model is integer throughout.  ``build_ilp`` prices every cell as an
-integer over S = ``weights_scale * mu_scale``, from the down-set masses at
-t = 0..2n-2 times ``weights_scale`` and the integer measure ``int_mu`` of
-``DistanceParams``; it divides the prices and S by their gcd, and what is
-left of S (the lcm of the prices' reduced denominators) is the objective's
-scale, recorded in a leading comment.  The text serialisation is the CPLEX
+integer over S = ``DistanceParams.scale``, from the down-set masses at
+t = 0..2n-2 times ``weights_scale`` and the integer measure ``int_mu``; it
+divides the prices and S by their gcd, and what is left of S (the lcm of
+the prices' reduced denominators) is the objective's scale, recorded in a
+leading comment.  The text serialisation is the CPLEX
 LP dialect.  ``to_lp_text`` writes each row whole from the ballots' down-set
 masks (the selector rows are cleared of their 1/n factor by scaling through
 n), so any solver reads the file exactly.
@@ -224,7 +224,7 @@ def build_ilp(params: DistanceParams, profile: Profile) -> IlpModel:
     ]
     # each price is c / S; written as c / g over the header scale S / g with
     # g = gcd(S, every c), and S / g is the lcm of the reduced denominators
-    scale = params.weights_scale * params.mu_scale
+    scale = params.scale
     common = gcd(scale, *coefficients)
     return IlpModel(
         n=n,
@@ -258,7 +258,7 @@ def objective_value(
             mine = ranking.below_mask(i)
             shared = (mine & v.below_mask(i)).bit_count()
             total += mult * (table[mine.bit_count()] - 2 * table[shared]) * mu[i - 1]
-    return Fraction(total, params.weights_scale * params.mu_scale)
+    return Fraction(total, params.scale)
 
 
 def objective_offset(params: DistanceParams, profile: Profile) -> Fraction:
@@ -269,4 +269,4 @@ def objective_offset(params: DistanceParams, profile: Profile) -> Fraction:
         for mult, v in profile.entries
         for i in range(1, params.n + 1)
     )
-    return Fraction(total, params.weights_scale * params.mu_scale)
+    return Fraction(total, params.scale)

@@ -139,10 +139,12 @@ class Permutation:
         n = self.n
         pos = self._pos
         mask = 0
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                if pos[i - 1] < pos[j - 1]:
-                    mask |= 1 << _pair_index(n, i, j)
+        bit = 1  # pairs are indexed in this loop's (i, j) order
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                if pos[i] < pos[j]:
+                    mask |= bit
+                bit <<= 1
         return mask
 
     def menu_tops(self) -> tuple[int, ...]:
@@ -269,18 +271,3 @@ def adjacent_promotions(p: Permutation, candidate: int) -> Iterator[Permutation]
     pos = p.position(candidate)
     if pos > 1:
         yield p.swap_adjacent(pos - 1)
-
-
-@lru_cache(maxsize=None)
-def _pair_index_table(n: int) -> dict[tuple[int, int], int]:
-    table = {}
-    k = 0
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            table[(i, j)] = k
-            k += 1
-    return table
-
-
-def _pair_index(n: int, i: int, j: int) -> int:
-    return _pair_index_table(n)[(i, j)]

@@ -7,7 +7,8 @@ The on-disk format is line oriented, one election per file::
     k: c1 c2 ... cn     # k voters submitted this ballot
 
 The header carries the number of candidates ``n`` and the total voter count
-``m``; ballot multiplicities must add up to ``m`` exactly.
+``m``; ballot multiplicities must add up to ``m`` exactly.  Every number is
+written in plain ASCII decimal digits.
 """
 
 from __future__ import annotations
@@ -61,6 +62,17 @@ class Profile:
         )
 
 
+def parse_naturals(text: str) -> list[int]:
+    """The whitespace-separated numbers in ``text``, each in ASCII digits
+    only: no sign, underscore or other script's digits, all of which
+    ``int`` would accept."""
+    tokens = text.split()
+    digits = "".join(tokens)
+    if digits and not (digits.isascii() and digits.isdigit()):
+        raise ValueError("expected ASCII decimal digits only")
+    return list(map(int, tokens))
+
+
 def parse_profile(text: str) -> Profile:
     lines = [
         stripped
@@ -73,7 +85,7 @@ def parse_profile(text: str) -> Profile:
     if len(header) != 2:
         raise ProfileFormatError(f"malformed header {lines[0]!r}: expected 'n m'")
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = parse_naturals(lines[0])
     except ValueError:
         raise ProfileFormatError(f"non-integer header {lines[0]!r}") from None
     entries = []
@@ -82,7 +94,7 @@ def parse_profile(text: str) -> Profile:
             raise ProfileFormatError(f"malformed ballot line {line!r}: missing ':'")
         mult_part, ballot_part = line.split(":", 1)
         try:
-            mult = int(mult_part)
+            (mult,) = parse_naturals(mult_part)
         except ValueError:
             raise ProfileFormatError(
                 f"non-integer multiplicity {mult_part!r}"
@@ -90,7 +102,7 @@ def parse_profile(text: str) -> Profile:
         if mult < 1:
             raise ProfileFormatError(f"multiplicity {mult} must be positive")
         try:
-            candidates = [int(tok) for tok in ballot_part.split()]
+            candidates = parse_naturals(ballot_part)
         except ValueError:
             raise ProfileFormatError(f"non-integer candidate in {line!r}") from None
         if len(candidates) != n:

@@ -22,23 +22,25 @@ not a semimetric): measure conditions are sign patterns and pairwise sums,
 while the weight-side region is closed-form for nonnegative, nonpositive or
 pairwise-only weights and decided by exact enumeration otherwise.
 
-Every result is an exact ``fractions.Fraction``.  The down-set masses at
-t = 0..n-1 are tabulated once, as integers over the common denominator of
-the weights (``scaled_downset_table``); the Fraction table, the swap prices
-and every distance evaluator read that one table, run their inner loops
-over plain integers and divide once at the end.  Weight vectors and
-measures are immutable, so each derives its integer scaling (``scaled``)
-only once.
+Every result is an exact ``fractions.Fraction``.  One integer kernel,
+``_scaled_mass``, evaluates the mass over the weights' common denominator as
+``sum_k w_k * math.comb(t, k - 1)`` over the nonzero weights only.  The
+masses at t = 0..n-1 are tabulated from it once (``scaled_downset_table``);
+the Fraction table, the swap prices and every distance evaluator read that
+one table, run their inner loops over plain integers and divide once at the
+end.  Weight vectors and measures are immutable, so each derives its integer
+scaling (``scaled``) only once, and ``DistanceParams`` stores nothing but
+the pair, deriving its integer views on first use.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, str, Fraction]
@@ -68,25 +70,6 @@ def as_fraction(value: Rational) -> Fraction:
 
 def _fraction_tuple(values: Iterable[Rational]) -> tuple[Fraction, ...]:
     return tuple(as_fraction(v) for v in values)
-
-
-@lru_cache(maxsize=None)
-def binomial_row(t: int) -> tuple[int, ...]:
-    """Row ``t`` of Pascal's triangle as exact integers."""
-    if t < 0:
-        raise ValueError("binomial rows start at t = 0")
-    if t == 0:
-        return (1,)
-    prev = binomial_row(t - 1)
-    return tuple(
-        (prev[k - 1] if k else 0) + (prev[k] if k < t else 0) for k in range(t + 1)
-    )
-
-
-def binomial(t: int, k: int) -> int:
-    if k < 0 or k > t:
-        return 0
-    return binomial_row(t)[k]
 
 
 @dataclass(frozen=True)
@@ -210,8 +193,11 @@ class PositionWeights:
 
 
 def _scaled_mass(int_weights: tuple[int, ...], t: int) -> int:
-    """``sum_k w_k * C(t, k - 1)`` over integer-scaled weights."""
-    return sum(w * c for w, c in zip(int_weights, binomial_row(t)[1:]))
+    """``sum_k w_k * C(t, k - 1)`` over integer-scaled weights.
+
+    ``int_weights[k - 2]`` is the size-k weight; zero weights are skipped.
+    """
+    return sum(w * comb(t, k) for k, w in enumerate(int_weights, 1) if w)
 
 
 def downset_mass(weights: MenuWeights, t: int) -> Fraction:
@@ -262,7 +248,7 @@ def position_to_menu_weights(prices: PositionWeights) -> MenuWeights:
     def menu_weight(a: int) -> Fraction:
         return sum(
             (
-                (-1 if (a + k) % 2 else 1) * binomial(a - 2, k) * phi[n - 2 - k]
+                (-1 if (a + k) % 2 else 1) * comb(a - 2, k) * phi[n - 2 - k]
                 for k in range(a - 1)
             ),
             Fraction(0),
@@ -412,37 +398,53 @@ def _scaled_ints(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
 
 @dataclass(frozen=True)
 class DistanceParams:
-    """A parameter pair with its tabulated down-set masses.
+    """A parameter pair; everything an evaluator reads is derived from it.
 
-    ``int_table`` is ``scaled_downset_table`` of the integer-scaled weights:
-    ``table[t] == int_table[t] / weights_scale`` exactly, and ``table`` is
-    its Fraction view.  Evaluators run their inner loops over ``int_table``
-    and ``int_mu`` and divide once by ``weights_scale * mu_scale``.  The
-    classification label is computed on first access: distances are well
-    defined for any signs, while classifying mixed-sign weights needs the
-    exact-region machinery (guarded to n <= 6).
+    The integer views are computed on first access and kept: ``int_weights``
+    and ``int_mu`` over ``weights_scale`` and ``mu_scale``, and ``int_table``,
+    the down-set masses ``scaled_downset_table`` tabulates at t = 0..n-1, so
+    ``downset_mass(weights, t) == int_table[t] / weights_scale``.  Evaluators
+    run their inner loops over ``int_table`` and ``int_mu`` and divide once
+    by ``scale``.  The classification label is also derived on first
+    access: distances are well defined for any signs, while classifying
+    mixed-sign weights needs the exact-region machinery (guarded to n <= 6).
     """
 
     weights: MenuWeights
     mu: Measure
-    table: tuple[Fraction, ...] = field(compare=False)
-    int_table: tuple[int, ...] = field(compare=False, repr=False)
-    int_mu: tuple[int, ...] = field(compare=False, repr=False)
-    mu_scale: int = field(compare=False, repr=False)
-    int_weights: tuple[int, ...] = field(compare=False, repr=False)
-    weights_scale: int = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.mu.n
 
-    @property
+    @cached_property
+    def int_weights(self) -> tuple[int, ...]:
+        return self.weights.scaled[0]
+
+    @cached_property
+    def weights_scale(self) -> int:
+        return self.weights.scaled[1]
+
+    @cached_property
+    def int_mu(self) -> tuple[int, ...]:
+        return self.mu.scaled[0]
+
+    @cached_property
+    def mu_scale(self) -> int:
+        return self.mu.scaled[1]
+
+    @cached_property
+    def int_table(self) -> tuple[int, ...]:
+        return scaled_downset_table(*self.weights.scaled)[0]
+
+    @cached_property
+    def scale(self) -> int:
+        """The common denominator of every evaluator's integer total."""
+        return self.weights_scale * self.mu_scale
+
+    @cached_property
     def label(self) -> ParamLabel:
-        cached = self.__dict__.get("_label")
-        if cached is None:
-            cached = classify(self.weights, self.mu)
-            object.__setattr__(self, "_label", cached)
-        return cached
+        return classify(self.weights, self.mu)
 
     def is_semimetric(self) -> bool:
         return self.label in (
@@ -465,19 +467,7 @@ def make_params(
         mu = Measure(mu)
     if weights.n != mu.n:
         raise ValueError(f"dimension mismatch: weights over {weights.n}, measure over {mu.n}")
-    int_weights, weights_scale = weights.scaled
-    int_table, _ = scaled_downset_table(int_weights, weights_scale)
-    int_mu, mu_scale = mu.scaled
-    return DistanceParams(
-        weights=weights,
-        mu=mu,
-        table=downset_mass_table(weights),
-        int_table=int_table,
-        int_mu=int_mu,
-        mu_scale=mu_scale,
-        int_weights=int_weights,
-        weights_scale=weights_scale,
-    )
+    return DistanceParams(weights, mu)
 
 
 PRESET_NAMES = (
@@ -512,7 +502,9 @@ def preset(
     elif name == "gilbert":
         if param is None:
             raise ValueError("gilbert needs a cutoff menu size")
-        cutoff = int(as_fraction(param))
+        cutoff = as_fraction(param)
+        if cutoff.denominator != 1:
+            raise ValueError(f"gilbert cutoff {cutoff} is not a whole menu size")
         if not 2 <= cutoff <= n:
             raise ValueError(f"gilbert cutoff {cutoff} outside 2..{n}")
         values = [Fraction(int(k <= cutoff)) for k in sizes]

@@ -83,14 +83,14 @@ class TestExact:
         term, scale = _position_terms(params, V)
         rows, table_scale = _term_table(params, V)
         assert table_scale == scale
-        # masks holding c are never read by the DP; they still follow the
-        # same formula, except the full mask, which has no next position
+        # the DP never reads the masks holding c, and the table leaves them 0
         n = params.n
-        full = (1 << n) - 1
         for c in range(1, n + 1):
-            for placed in range(full):
-                assert rows[c - 1][placed] == term(placed.bit_count() + 1, c, placed)
-            assert rows[c - 1][full] == 0
+            for placed in range(1 << n):
+                if placed >> (c - 1) & 1:
+                    assert rows[c - 1][placed] == 0
+                else:
+                    assert rows[c - 1][placed] == term(placed.bit_count() + 1, c, placed)
         return rows
 
     def test_term_table_equals_position_terms(self):

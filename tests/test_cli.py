@@ -96,17 +96,25 @@ class TestDist:
          "--out", "{dir}"],
         ["verify-oracle", "--n", "3", "--trials", "-1"],
         ["bench", "--n", "3", "--trials", "-1"],
+        ["dist", "--params", "kendall", "--a", "+1 2 3", "--b", "1 2 3"],
+        ["dist", "--params", "kendall", "--a", "1 \u0662 3", "--b", "1 2 3"],
+        ["aggregate", "--method", "exact", "--params", "kendall", "--profile", "{underscored}"],
+        ["dist", "--params", "gilbert:5/2", "--a", "1 2 3 4", "--b", "4 3 2 1"],
     ],
     ids=["unequal-lengths", "reversed-window", "zero-epsilon", "one-candidate", "exact-n11",
          "profile-is-a-directory", "params-is-a-directory", "out-in-a-missing-directory",
-         "out-is-a-directory", "negative-trials", "bench-negative-trials"],
+         "out-is-a-directory", "negative-trials", "bench-negative-trials", "signed-label",
+         "non-ascii-label", "underscored-counts", "fractional-gilbert-cutoff"],
 )
 def test_library_errors_exit_2(capsys, tmp_path, argv):
     eleven = tmp_path / "eleven.prof"
     eleven.write_text("11 1\n1: " + " ".join(str(c) for c in range(1, 12)) + "\n")
     small = tmp_path / "small.prof"
     small.write_text(CYCLIC)
-    paths = dict(eleven=eleven, small=small, dir=tmp_path, missing=tmp_path / "missing" / "x")
+    underscored = tmp_path / "underscored.prof"  # int() reads 1_0 as 10
+    underscored.write_text("3 1_0\n1_0: 1 2 3\n")
+    paths = dict(eleven=eleven, small=small, underscored=underscored, dir=tmp_path,
+                 missing=tmp_path / "missing" / "x")
     assert main([tok.format(**paths) for tok in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -17,6 +17,7 @@ from menurank import (
     Profile,
     aggregate_exact,
     build_ilp,
+    downset_mass_table,
     load_profile,
     make_params,
     objective_offset,
@@ -160,7 +161,7 @@ class TestModelShape:
             def mass(t):
                 return sum(w * comb(t, k - 1) for k, w in enumerate(params.weights.values, start=2))
 
-            assert [mass(t) for t in range(n)] == list(params.table)
+            assert [mass(t) for t in range(n)] == list(downset_mass_table(params.weights))
             prices = [
                 (f"Q_{v}_{i}_{r}_{s}", mult * (mass(r + s) - 2 * mass(s)) * mu_i)
                 for v, (mult, _) in enumerate(V.entries, start=1)

@@ -38,11 +38,24 @@ def test_parse_roundtrip():
         ("3 1\n1: 1 2 2\n", "invalid ballot"),
         ("3 2\n1: 1 2 3\n", "sum to 1"),
         ("3 1\n", "no ballots"),
+        # numbers are ASCII digits only; int() would take every one of these
+        ("3 1_0\n1_0: 1 2 3\n", "non-integer header"),
+        ("+3 1\n1: 1 2 3\n", "non-integer header"),
+        ("\uff13 1\n1: 1 2 3\n", "non-integer header"),  # fullwidth three
+        ("3 1\n+1: 1 2 3\n", "non-integer multiplicity"),
+        ("3 1\n\u0661: 1 2 3\n", "non-integer multiplicity"),  # Arabic-Indic one
+        ("3 1\n1: +1 2 3\n", "non-integer candidate"),
+        ("3 1\n1: 1 2 \u0663\n", "non-integer candidate"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(ProfileFormatError, match=fragment):
         parse_profile(text)
+
+
+def test_space_before_the_colon_is_still_a_separator():
+    profile = parse_profile("3 2\n2 : 3 1 2\n")
+    assert profile.entries == ((2, Permutation((3, 1, 2))),)
 
 
 def test_profile_validation():

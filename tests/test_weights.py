@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import fields
 from fractions import Fraction as F
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,13 @@ from menurank import (
     position_to_menu_weights,
     preset,
 )
-from menurank.weights import ParamsFormatError, as_fraction, binomial, parse_params_text
+from menurank.weights import (
+    DistanceParams,
+    ParamsFormatError,
+    as_fraction,
+    parse_params_text,
+    scaled_downset_table,
+)
 
 from conftest import rand_measure, rand_weights
 
@@ -65,6 +72,25 @@ class TestDownsetMass:
             assert all(x <= y for x, y in zip(table, table[1:]))
             if w.values[0] > 0:
                 assert all(x < y for x, y in zip(table, table[1:]))
+
+    def test_mass_far_beyond_the_recursion_limit(self):
+        # the kernel is math.comb, not a recursive Pascal row
+        assert downset_mass(MenuWeights([1, 1]), 5000) == 5000 + comb(5000, 2)
+
+    def test_scaled_table_is_the_definition(self):
+        # sum_k w_k C(t, k - 1), with k running over the menu sizes 2..n
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randint(2, 30)
+            w = rand_weights(rng, n, nonneg=False)
+            if rng.random() < 0.5:
+                w = MenuWeights([0 if rng.random() < 0.5 else v for v in w.values])
+            table, scale = scaled_downset_table(*w.scaled)
+            assert scale == w.scaled[1]
+            assert [F(v, scale) for v in table] == [
+                sum((wk * comb(t, k - 1) for k, wk in enumerate(w.values, 2)), F(0))
+                for t in range(n)
+            ]
 
     def test_increasing_increments(self):
         rng = random.Random(5)
@@ -276,8 +302,13 @@ class TestPresets:
 
     def test_gilbert(self):
         assert preset("gilbert", 5, 3)[0].values == (1, 1, 0, 0)
+        assert preset("gilbert", 5, "4/1")[0].values == (1, 1, 1, 0)
         with pytest.raises(ValueError):
             preset("gilbert", 5)
+        # a cutoff that is not a whole menu size is refused, not truncated
+        for cutoff in ("5/2", F(7, 2), "9/4"):
+            with pytest.raises(ValueError, match="not a whole menu size"):
+                preset("gilbert", 5, cutoff)
 
     def test_unavailable_candidate(self):
         assert preset("unavailable-candidate", 4, 2)[0].values == (1, 1, 1)
@@ -411,9 +442,22 @@ class TestRationalTokens:
         assert time.perf_counter() - start < 1
 
 
-def test_binomial_helper_matches_math():
-    from math import comb
+class TestDistanceParams:
+    def test_only_the_pair_is_stored(self):
+        assert [f.name for f in fields(DistanceParams)] == ["weights", "mu"]
+        w, mu = MenuWeights([F(1, 2), F(-1, 3), 2]), Measure([F(3, 4), 1, F(1, 6), 0])
+        params = DistanceParams(w, mu)
+        assert params == make_params(w, mu) and hash(params) == hash(make_params(w, mu))
+        assert (params.int_weights, params.weights_scale) == w.scaled
+        assert (params.int_mu, params.mu_scale) == mu.scaled
+        assert params.scale == params.weights_scale * params.mu_scale == 72
+        assert [F(v, params.weights_scale) for v in params.int_table] == list(
+            downset_mass_table(w)
+        )
 
-    for t in range(12):
-        for k in range(-1, t + 2):
-            assert binomial(t, k) == (comb(t, k) if 0 <= k <= t else 0)
+    def test_make_params_coerces_and_checks_dimensions(self):
+        params = make_params([1, "1/2"])
+        assert params == DistanceParams(MenuWeights([1, F(1, 2)]), counting_measure(3))
+        assert make_params([1, 0], [1, 2, 3]).mu == Measure([1, 2, 3])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            make_params([1, 0], [1, 1])
