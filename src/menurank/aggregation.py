@@ -564,8 +564,10 @@ def aggregate_myopic(
         pool = tuple(sorted(remaining))
         layers = _masks_by_size(pool, span)
         # completion[mask]: cheapest way to extend the placed window ``mask``
-        # to a full span; build bottom-up from the deepest layer
+        # to a full span, built bottom-up from the deepest layer; choice[mask]:
+        # the lowest pool label that reaches it
         completion: dict[int, int] = {mask: 0 for mask in layers[span]}
+        choice: dict[int, int] = {}
         for size in range(span - 1, -1, -1):
             for mask in layers[size]:
                 value = None
@@ -579,20 +581,14 @@ def aggregate_myopic(
                     )
                     if value is None or cur < value:
                         value = cur
+                        choice[mask] = c
                 completion[mask] = value
         window_value = Fraction(completion[0], scale)
         mask = 0
         while len(window) < span:
-            size = len(window)
-            for c in pool:
-                bit = 1 << (c - 1)
-                if mask & bit:
-                    continue
-                step = term(start + size, c, prefix_mask | mask)
-                if step + completion[mask | bit] == completion[mask]:
-                    window.append(c)
-                    mask |= bit
-                    break
+            c = choice[mask]
+            window.append(c)
+            mask |= 1 << (c - 1)
 
     tail = sorted(remaining - set(window))
     ranking = Permutation(prefix + window + tail)

@@ -3,7 +3,9 @@
 ``check_axiom`` evaluates one of six quantified statements about a distance
 function literally, by enumeration over all rankings of 1..n (guarded to
 n <= 5), and returns the first counterexample in lexicographic order when
-the statement fails.  ``check_property`` evaluates social-choice properties
+the statement fails.  A1 and A3 call the distance once per ordered pair of
+rankings, into rows indexed by rank, and test betweenness on the rankings'
+pair masks.  ``check_property`` evaluates social-choice properties
 of the induced consensus correspondence against the exact solver;
 ``neutrality_P`` solves the profile once per relabelling, n! times, so it is
 guarded to n <= 7 (about 3 s at n = 7).
@@ -44,7 +46,6 @@ from .permutations import (
     Permutation,
     all_rankings,
     adjacent_promotions,
-    is_between,
     kendall_count,
 )
 from .profiles import Profile
@@ -142,14 +143,16 @@ def _guard_axiom_n(n: int) -> None:
         )
 
 
-def _distance_table(
+def _rank_tables(
     dist: DistanceFn, perms: Sequence[Permutation]
-) -> dict[tuple[Permutation, Permutation], Fraction]:
-    table = {}
-    for a in perms:
-        for b in perms:
-            table[(a, b)] = dist(a, b)
-    return table
+) -> tuple[list[int], list[list[Fraction]]]:
+    """The rankings' pair masks and the distance rows, both by index:
+    ``rows[i][j]`` is ``dist(perms[i], perms[j])``.
+
+    Ranking w lies between p and q (``is_between``) exactly when
+    ``(m[p] ^ m[w]) & ~(m[p] ^ m[q]) == 0`` for these masks m.
+    """
+    return [p.pair_mask for p in perms], [[dist(a, b) for b in perms] for a in perms]
 
 
 def _swap_realisations(
@@ -197,25 +200,27 @@ def check_axiom(dist: DistanceFn, n: int, axiom: str) -> AuditReport:
 
 
 def _check_a1(dist: DistanceFn, perms) -> AuditReport:
-    table = _distance_table(dist, perms)
-    for p in perms:
-        for q in perms:
-            base = table[(q, p)]
-            for w in perms:
-                if w == p or w == q or p == q:
+    masks, rows = _rank_tables(dist, perms)
+    for i, mp in enumerate(masks):
+        for j, mq in enumerate(masks):
+            if i == j:
+                continue
+            agree = ~(mp ^ mq)
+            from_q = rows[j]
+            base = from_q[i]
+            for k, mw in enumerate(masks):
+                if (mp ^ mw) & agree or k == i or k == j:
                     continue
-                if not is_between(p, w, q):
-                    continue
-                if table[(q, w)] + table[(w, p)] != base:
+                if from_q[k] + rows[k][i] != base:
                     return _fails(
                         "A1",
                         {
-                            "p": p,
-                            "w": w,
-                            "q": q,
+                            "p": perms[i],
+                            "w": perms[k],
+                            "q": perms[j],
                             "d(q,p)": base,
-                            "d(q,w)": table[(q, w)],
-                            "d(w,p)": table[(w, p)],
+                            "d(q,w)": from_q[k],
+                            "d(w,p)": rows[k][i],
                         },
                     )
     return _holds("A1")
@@ -245,20 +250,22 @@ def _check_a2(dist: DistanceFn, perms, n: int) -> AuditReport:
 
 
 def _check_a3(dist: DistanceFn, perms) -> AuditReport:
-    table = _distance_table(dist, perms)
-    for p in perms:
-        for q in perms:
-            if kendall_count(p, q) < 2:
+    masks, rows = _rank_tables(dist, perms)
+    for i, mp in enumerate(masks):
+        from_p = rows[i]
+        for j, mq in enumerate(masks):
+            if (mp ^ mq).bit_count() < 2:
                 continue
-            target = table[(p, q)]
+            agree = ~(mp ^ mq)
+            target = from_p[j]
             if not any(
-                w != p
-                and w != q
-                and is_between(p, w, q)
-                and table[(p, w)] + table[(w, q)] == target
-                for w in perms
+                (mp ^ mw) & agree == 0
+                and k != i
+                and k != j
+                and from_p[k] + rows[k][j] == target
+                for k, mw in enumerate(masks)
             ):
-                return _fails("A3", {"p": p, "q": q, "d(p,q)": target})
+                return _fails("A3", {"p": perms[i], "q": perms[j], "d(p,q)": target})
     return _holds("A3")
 
 
@@ -368,26 +375,22 @@ def recover_pair_weights(
     distance is not additive over inversions.
     """
     _guard_axiom_n(n)
-    weights: dict[frozenset[int], Fraction] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rest = [c for c in range(1, n + 1) if c not in (i, j)]
-            base = Permutation([i, j] + rest)
-            weights[frozenset((i, j))] = dist(base, base.swap_adjacent(1))
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]  # pair_mask bit order
+    costs = []
+    for i, j in pairs:
+        rest = [c for c in range(1, n + 1) if c not in (i, j)]
+        base = Permutation([i, j] + rest)
+        costs.append(dist(base, base.swap_adjacent(1)))
     perms = all_rankings(n)
     for a in perms:
         for b in perms:
             mask = a.pair_mask ^ b.pair_mask
-            expected = Fraction(0)
-            bit = 0
-            for i in range(1, n):
-                for j in range(i + 1, n + 1):
-                    if mask >> bit & 1:
-                        expected += weights[frozenset((i, j))]
-                    bit += 1
+            expected = sum(
+                (cost for bit, cost in enumerate(costs) if mask >> bit & 1), Fraction(0)
+            )
             if dist(a, b) != expected:
                 return None
-    return weights
+    return {frozenset(pair): cost for pair, cost in zip(pairs, costs)}
 
 
 def minimal_path_costs(

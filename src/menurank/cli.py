@@ -8,8 +8,9 @@ byte-identical across runs for identical arguments, seeds and input files.
 
 Exit codes: 0 success, 1 a checked statement fails (a ``Fails`` audit
 verdict or an oracle mismatch), 2 usage or input errors, including a
-profile or parameter file that cannot be read and an ``--out`` file that
-cannot be written.
+profile or parameter file that cannot be read, an ``--out`` file that
+cannot be written and an integer flag (``--n``, ``--k``, ``--m``,
+``--trials``, ``--seed``, ``--window``) not written in ASCII digits.
 
 ``main`` can be called any number of times in one process.  The argument
 parser is built once per process, and preset parameters (``kendall``,
@@ -55,6 +56,19 @@ from .weights import (
 
 class CliError(Exception):
     """Input problems that should exit with status 2."""
+
+
+def _natural(text: str) -> int:
+    """An integer flag's value, in ASCII digits only (``int`` would also take
+    ``1_0``, ``+5`` or ``\u0665``).  Raised as a ``CliError``, which argparse
+    passes on, so ``main`` exits 2 with one ``error:`` line."""
+    try:
+        (value,) = parse_naturals(text)  # ValueError too unless exactly one
+    except ValueError:
+        raise CliError(
+            f"integer flags take one natural number in ASCII digits, got {text!r}"
+        ) from None
+    return value
 
 
 def _parse_ranking(text: str) -> Permutation:
@@ -242,13 +256,7 @@ def _random_fraction(rng: random.Random, top: int = 6) -> Fraction:
     return Fraction(rng.randint(0, top), rng.randint(1, 4))
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 0:
-        raise CliError(f"--trials must be >= 0, got {trials}")
-
-
 def _cmd_verify_oracle(args) -> tuple[int, list[str]]:
-    _check_trials(args.trials)
     rng = random.Random(args.seed)
     n = args.n
     good = 0
@@ -274,7 +282,6 @@ def _cmd_verify_oracle(args) -> tuple[int, list[str]]:
 
 
 def _cmd_bench(args) -> tuple[int, list[str]]:
-    _check_trials(args.trials)
     eps = _epsilon(args.epsilon)
     rng = random.Random(args.seed)
     n, m = args.n, args.m
@@ -335,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="first ranking, e.g. '1 2 3'")
     p.add_argument("--b", required=True, help="second ranking")
     p.add_argument("--naive", action="store_true", help="use the menu-enumeration oracle")
-    p.add_argument("--window", nargs=2, type=int, metavar=("FIRST", "LAST"),
+    p.add_argument("--window", nargs=2, type=_natural, metavar=("FIRST", "LAST"),
                    help="truncate to this position window")
     p.set_defaults(run=_cmd_dist)
 
@@ -347,13 +354,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="footrule sandwich factor of the weights")
     add_common(p)
-    p.add_argument("--n", type=int, help="candidate count (needed for presets)")
+    p.add_argument("--n", type=_natural, help="candidate count (needed for presets)")
     p.set_defaults(run=_cmd_gamma)
 
     p = sub.add_parser("aggregate", help="consensus ranking(s) for a profile")
     add_common(p, profile=True)
     p.add_argument("--method", choices=("exact", "footrule", "myopic"), required=True)
-    p.add_argument("--k", type=int, help="window depth for the myopic method")
+    p.add_argument("--k", type=_natural, help="window depth for the myopic method")
     p.set_defaults(run=_cmd_aggregate)
 
     p = sub.add_parser("ptas-depth", help="window depth for a target accuracy")
@@ -362,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True, help="target accuracy, e.g. 1/4")
     p.add_argument("--alpha", help="base for the exponential rule")
     p.add_argument("--params", help="weights for --rule custom")
-    p.add_argument("--n", type=int, help="horizon for --rule custom")
+    p.add_argument("--n", type=_natural, help="horizon for --rule custom")
     p.add_argument("--out")
     p.set_defaults(run=_cmd_ptas_depth)
 
@@ -374,23 +381,23 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--axiom", choices=audit_mod.AXIOMS)
     p.add_argument("--property", choices=audit_mod.PROPERTIES)
-    p.add_argument("--n", type=int, help="candidate count for axiom checks")
+    p.add_argument("--n", type=_natural, help="candidate count for axiom checks")
     p.add_argument("--profile", help="profile file for property checks")
     p.add_argument("--profile2", help="second profile (reinforcing)")
     p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("verify-oracle", help="closed form vs menu enumeration on random inputs")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--trials", type=_natural, default=100)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--out")
     p.set_defaults(run=_cmd_verify_oracle)
 
     p = sub.add_parser("bench", help="approximation-ratio table on random profiles")
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_natural, default=5)
+    p.add_argument("--m", type=_natural, default=4)
+    p.add_argument("--trials", type=_natural, default=10)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--epsilon", default="1/4")
     p.add_argument("--out")
     p.set_defaults(run=_cmd_bench)
@@ -399,8 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code, lines = args.run(args)
         _emit(lines, getattr(args, "out", None))
     except (CliError, ValueError, ZeroDivisionError) as exc:

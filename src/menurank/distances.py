@@ -4,7 +4,9 @@
 masses, O(n^2) per pair.  ``distance_naive`` literally enumerates every menu
 of two or more candidates and charges the measure of the symmetric
 difference of the two menu maxima; it exists as the independent oracle the
-closed form is tested against, and is guarded to small n.
+closed form is tested against.  It reads both rankings' menu-top tables
+(``Permutation.menu_tops``, 2^n entries each) in one pass, keeps nothing
+of its own between calls, and shares their cap of n <= 20.
 
 Negative weights and measures are accepted by every evaluator here: the
 formulas stay well-defined and the parameter classification, not the
@@ -14,9 +16,8 @@ arithmetic, decides what the numbers mean.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .permutations import Permutation
+from .permutations import NAIVE_CANDIDATE_LIMIT, Permutation
 from .profiles import Profile
 from .weights import (
     DistanceParams,
@@ -26,8 +27,6 @@ from .weights import (
     scaled_downset_table,
 )
 
-NAIVE_CANDIDATE_LIMIT = 20
-
 
 def _check_dims(params: DistanceParams, *rankings: Permutation) -> int:
     n = params.n
@@ -35,16 +34,6 @@ def _check_dims(params: DistanceParams, *rankings: Permutation) -> int:
         if r.n != n:
             raise ValueError(f"dimension mismatch: params over {n}, ranking over {r.n}")
     return n
-
-
-@lru_cache(maxsize=None)
-def _menus(n: int) -> tuple[tuple[int, int], ...]:
-    """(bitmask, size) for all candidate subsets with at least two members."""
-    return tuple(
-        (mask, mask.bit_count())
-        for mask in range(1 << n)
-        if mask.bit_count() >= 2
-    )
 
 
 def distance_naive(params: DistanceParams, a: Permutation, b: Permutation) -> Fraction:
@@ -59,33 +48,14 @@ def distance_naive(params: DistanceParams, a: Permutation, b: Permutation) -> Fr
             f"naive enumeration visits 2^{n} menus; n is capped at "
             f"{NAIVE_CANDIDATE_LIMIT}"
         )
-    if n <= 12:
-        tops_a = a.menu_tops()
-        tops_b = b.menu_tops()
-    else:  # beyond the table cap: scan each menu in preference order
-        order_a, order_b = a.order, b.order
-        tops_a = tops_b = None
-    # hits[k][c]: menus of size k whose two maxima differ, counted once per
-    # candidate c in the symmetric difference
-    hits = [[0] * (n + 1) for _ in range(n + 1)]
-    for mask, size in _menus(n):
-        if tops_a is not None:
-            top_a = tops_a[mask]
-            top_b = tops_b[mask]
-        else:
-            top_a = next(c for c in order_a if mask >> (c - 1) & 1)
-            top_b = next(c for c in order_b if mask >> (c - 1) & 1)
-        if top_a != top_b:
-            row = hits[size]
-            row[top_a] += 1
-            row[top_b] += 1
-    mu = params.int_mu
+    weight = (0, 0, *params.int_weights)  # by menu size
+    mu = (0, *params.int_mu)  # by candidate
+    # menus of fewer than two candidates never have differing maxima, so
+    # every mask is scanned
     total = 0
-    for size, weight in enumerate(params.int_weights, start=2):
-        if weight == 0:
-            continue
-        row = hits[size]
-        total += weight * sum(mu[c - 1] * row[c] for c in range(1, n + 1) if row[c])
+    for mask, top_a, top_b in zip(range(1 << n), a.menu_tops(), b.menu_tops()):
+        if top_a != top_b:
+            total += weight[mask.bit_count()] * (mu[top_a] + mu[top_b])
     return Fraction(total, params.scale)
 
 

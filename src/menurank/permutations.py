@@ -24,6 +24,9 @@ from functools import lru_cache
 from itertools import permutations as _itertools_permutations
 from typing import Iterable, Iterator
 
+# menu-top tables hold 2^n entries; n = 20 is the menu oracle's cap
+NAIVE_CANDIDATE_LIMIT = 20
+
 
 class Permutation:
     """An immutable ranking of candidates 1..n in one-line notation.
@@ -148,17 +151,21 @@ class Permutation:
         return mask
 
     def menu_tops(self) -> tuple[int, ...]:
-        """Per menu bitmask, the candidate this ranking prefers most.
+        """Per menu bitmask, the candidate this ranking prefers most (0 for
+        the empty menu).
 
-        Filled by comparing positions along the lowest-bit recursion; cached
-        for dimensions small enough to tabulate (n <= 12).
+        Filled by comparing positions along the lowest-bit recursion and kept
+        on the ranking, so exhaustive sweeps that reuse a ranking build it
+        once.  It has 2^n entries: n is capped at ``NAIVE_CANDIDATE_LIMIT``.
         """
         return self._menu_tops
 
     def _derive_menu_tops(self) -> tuple[int, ...]:
         n = self.n
-        if n > 12:
-            raise ValueError("menu-top tables are limited to n <= 12")
+        if n > NAIVE_CANDIDATE_LIMIT:
+            raise ValueError(
+                f"menu-top tables hold 2^n entries; n <= {NAIVE_CANDIDATE_LIMIT} only"
+            )
         pos = self._pos
         tops = [0] * (1 << n)
         for mask in range(1, 1 << n):
@@ -204,9 +211,10 @@ def transposition(n: int, i: int, j: int) -> Permutation:
 
 @lru_cache(maxsize=None)
 def all_rankings(n: int) -> tuple[Permutation, ...]:
-    """Every ranking of 1..n in lexicographic order (cached; keep n small)."""
-    if n > 10:
-        raise ValueError(f"refusing to materialise {n}! rankings (n <= 10 limit)")
+    """Every ranking of 1..n in lexicographic order, cached for the life of
+    the process: 7.4 MB at n = 8, so n <= 8."""
+    if n > 8:
+        raise ValueError(f"refusing to materialise {n}! rankings (n <= 8 limit)")
     return tuple(map(Permutation._trusted, _itertools_permutations(range(1, n + 1))))
 
 

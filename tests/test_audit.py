@@ -72,6 +72,14 @@ class TestAxioms:
         report = check_axiom(d, n, "A1")
         assert report.verdict == "Fails"
         w = report.witness
+        # the first failing (p, q, w) in lexicographic order, recorded before
+        # the audit ran on rank-index tables
+        p, between, q, d_qp, d_qw, d_wp = {
+            3: ((1, 2, 3), (2, 1, 3), (3, 2, 1), 8, 6, 4),
+            4: ((1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 3, 2), 8, 6, 4),
+        }[n]
+        assert w == {"p": Permutation(p), "w": Permutation(between), "q": Permutation(q),
+                     "d(q,p)": d_qp, "d(q,w)": d_qw, "d(w,p)": d_wp}
         assert is_between(w["p"], w["w"], w["q"])
         assert d(w["q"], w["p"]) != d(w["q"], w["w"]) + d(w["w"], w["p"])
 
@@ -103,6 +111,12 @@ class TestAxioms:
 
         report = check_axiom(d, 4, "A4")
         assert report.verdict == "Fails"
+        assert report.witness == {
+            "position": 1,
+            "pair": (2, 3),
+            "rankings": (Permutation((2, 3, 1, 4)), Permutation((2, 3, 4, 1))),
+            "values": (1, 2),
+        }
         a = report.witness["position"]
         p1, p2 = report.witness["rankings"]
         assert {p1.order[a - 1], p1.order[a]} == {p2.order[a - 1], p2.order[a]}
@@ -117,7 +131,11 @@ class TestAxioms:
 
     def test_squared_inversions_fail_a3(self):
         d = lambda a, b: F(kendall_count(a, b)) ** 2
-        assert check_axiom(d, 4, "A3").verdict == "Fails"
+        report = check_axiom(d, 4, "A3")
+        assert report.verdict == "Fails"
+        assert report.witness == {
+            "p": Permutation((1, 2, 3, 4)), "q": Permutation((1, 3, 4, 2)), "d(p,q)": 4,
+        }
 
     def test_guard_and_unknown(self):
         d = params_distance(make_params(*preset("kendall", 6)))

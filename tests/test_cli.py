@@ -100,11 +100,21 @@ class TestDist:
         ["dist", "--params", "kendall", "--a", "1 \u0662 3", "--b", "1 2 3"],
         ["aggregate", "--method", "exact", "--params", "kendall", "--profile", "{underscored}"],
         ["dist", "--params", "gilbert:5/2", "--a", "1 2 3 4", "--b", "4 3 2 1"],
+        ["gamma", "--params", "kendall", "--n", "1_0"],
+        ["gamma", "--params", "kendall", "--n", "\u0665"],
+        ["check", "--axiom", "A1", "--params", "kendall", "--n", "+3"],
+        ["verify-oracle", "--n", "3", "--trials", "2", "--seed", "-1"],
+        ["bench", "--n", "3", "--m", "2 2", "--trials", "1"],
+        ["aggregate", "--method", "myopic", "--k", "\uff12", "--params", "kendall",
+         "--profile", "{small}"],
+        ["dist", "--params", "kendall", "--a", "1 2 3", "--b", "3 2 1", "--window", "1", ""],
     ],
     ids=["unequal-lengths", "reversed-window", "zero-epsilon", "one-candidate", "exact-n11",
          "profile-is-a-directory", "params-is-a-directory", "out-in-a-missing-directory",
          "out-is-a-directory", "negative-trials", "bench-negative-trials", "signed-label",
-         "non-ascii-label", "underscored-counts", "fractional-gilbert-cutoff"],
+         "non-ascii-label", "underscored-counts", "fractional-gilbert-cutoff",
+         "underscored-n", "arabic-indic-n", "signed-n", "negative-seed", "two-numbers-m",
+         "fullwidth-k", "empty-window-end"],
 )
 def test_library_errors_exit_2(capsys, tmp_path, argv):
     eleven = tmp_path / "eleven.prof"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -63,7 +65,7 @@ class TestSpecValues:
             distance_naive(params, identity(21), identity(21))
 
     def test_naive_scan_branch_beyond_top_tables(self):
-        # above n = 12 the oracle scans menus instead of tabulating maxima
+        # the oracle past n = 12 agrees with the closed form
         rng = random.Random(99)
         params = make_params(*preset("linear", 13))
         a, b = rand_ranking(rng, 13), rand_ranking(rng, 13)
@@ -72,6 +74,21 @@ class TestSpecValues:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             distance(KENDALL3, identity(3), identity(4))
+
+    def test_naive_keeps_nothing_once_the_rankings_are_dropped(self):
+        # the menu-top tables live on the two rankings and nowhere else
+        rng = random.Random(16)
+        params = make_params(*preset("linear", 16))
+        a, b = rand_ranking(rng, 16), rand_ranking(rng, 16)
+        tracemalloc.start()
+        try:
+            assert distance_naive(params, a, b) == distance(params, a, b)
+            del a, b
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
 
 
 class TestOracleEquivalence:

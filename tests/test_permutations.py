@@ -213,6 +213,19 @@ class TestMenus:
         with pytest.raises(ValueError):
             menu_max(set(), identity(3))
 
+    def test_menu_tops_beyond_twelve_candidates(self):
+        # the table covers every n up to the menu oracle's cap of 20
+        p = Permutation(random.Random(13).sample(range(1, 14), 13))
+        tops = p.menu_tops()
+        assert len(tops) == 1 << 13 and tops[0] == 0
+        for mask in range(1, 1 << 13):
+            menu = [c for c in range(1, 14) if mask >> (c - 1) & 1]
+            assert tops[mask] == menu_max(menu, p)
+
+    def test_menu_tops_refused_above_the_oracle_cap(self):
+        with pytest.raises(ValueError, match="n <= 20"):
+            identity(21).menu_tops()
+
     def test_menu_tops_table(self):
         rng = random.Random(11)
         for _ in range(20):
@@ -227,6 +240,13 @@ class TestMenus:
         assert adjacent_pairs(identity(3)) == {(1, 2), (2, 3)}
         assert adjacent_pairs(Permutation((3, 1, 2))) == {(3, 1), (1, 2)}
         assert adjacent_pairs(Permutation((2, 1))) == {(2, 1)}
+
+
+class TestAllRankings:
+    def test_refused_above_eight_candidates(self):
+        # the tuple is cached for the life of the process: 70 MB at n = 9
+        with pytest.raises(ValueError, match="n <= 8"):
+            all_rankings(9)
 
 
 class TestBetweenness:

@@ -1,7 +1,8 @@
 """Byte-for-byte pins on the printed output: the CLI's consensus reports,
 the audits that read consensus sets, and the demos, against SHA-256 digests
 (and exit codes) recorded before the exact solver kept its consensus set as
-a tight-edge DAG."""
+a tight-edge DAG; and the axiom audits' verdicts and witnesses, recorded
+before those audits ran on rank-index tables."""
 
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ FILES = {
     "n6.prof": "6 4\n2: 4 1 6 2 5 3\n1: 2 6 3 1 4 5\n1: 5 3 1 6 2 4\n",
     # a zero measure prices every ranking at 0: all 720 tie
     "zero_mu.params": "beta: 1 2 3 4 5\nmu: 0 0 0 0 0 0\n",
+    "measure_weighted.params": "beta: 1 1 0\nmu: 1 2 3 4\n",
 }
 
 CASES = {
@@ -60,8 +62,39 @@ CASES.update({
         ("ex_condorcet", "ex_condorcet", "ok-nishimura"),
     )
 })
+# every axiom at n = 4, under presets and a non-counting measure
+CASES.update({
+    f"check/{axiom}/{name}": ("check", "--axiom", axiom, "--n", "4", "--params", token)
+    for axiom in ("A1", "A2", "A3", "A4", "A5", "A6")
+    for name, token in (("kendall", "kendall"), ("ok-nishimura", "ok-nishimura"),
+                        ("linear", "linear"), ("measure-weighted", "{measure_weighted.params}"))
+})
 
 DIGESTS = {
+    "check/A1/kendall": (0, "4e23ad7d44f2b89aaa609f4a4ba25f7b2c52c7a028e374bfbfcada8064542d66"),
+    "check/A2/kendall": (0, "84ef485f2be62b7e37837dd93b27d4d14ec02dc53b3f4b81114a81222328c69b"),
+    "check/A3/kendall": (0, "95f9949eb2dab9d9708649980e20bc38280e550057eb661158f46765ef1b602c"),
+    "check/A4/kendall": (0, "45888021dee776f1e06a331e2208e0f23f2a5d2b970599417b828e48594a7799"),
+    "check/A5/kendall": (0, "127f18d23489936675fb21b6f3e1fa1400ceb2cc4417941549ff34bb0c48026f"),
+    "check/A6/kendall": (0, "b2924c2da0af8302c75315561d051a332565220471f78661056396fc9a9604e6"),
+    "check/A1/ok-nishimura": (1, "53d537fd016954b578930423ae098de8a078f850eeb5ec0094c534081d0010f7"),
+    "check/A2/ok-nishimura": (1, "cee56051858349e875e78c40c3504ecfd4ebd69c6c487290f7855d067c992ea5"),
+    "check/A3/ok-nishimura": (0, "95f9949eb2dab9d9708649980e20bc38280e550057eb661158f46765ef1b602c"),
+    "check/A4/ok-nishimura": (0, "45888021dee776f1e06a331e2208e0f23f2a5d2b970599417b828e48594a7799"),
+    "check/A5/ok-nishimura": (0, "127f18d23489936675fb21b6f3e1fa1400ceb2cc4417941549ff34bb0c48026f"),
+    "check/A6/ok-nishimura": (0, "b2924c2da0af8302c75315561d051a332565220471f78661056396fc9a9604e6"),
+    "check/A1/linear": (1, "4d5d8d707dabdd90b10d04aa0bc5744a4207c8595b594fd76ec13e914a195040"),
+    "check/A2/linear": (1, "9017245ef983737c8c74fe5325e4993ff24c1d1dd079a5a63b31c85291bf0735"),
+    "check/A3/linear": (0, "95f9949eb2dab9d9708649980e20bc38280e550057eb661158f46765ef1b602c"),
+    "check/A4/linear": (0, "45888021dee776f1e06a331e2208e0f23f2a5d2b970599417b828e48594a7799"),
+    "check/A5/linear": (0, "127f18d23489936675fb21b6f3e1fa1400ceb2cc4417941549ff34bb0c48026f"),
+    "check/A6/linear": (0, "b2924c2da0af8302c75315561d051a332565220471f78661056396fc9a9604e6"),
+    "check/A1/measure-weighted": (1, "0e2e2f9559d4c51d0b62c9ffc229451e81d07d1f0472aaaaac3048321ee1045d"),
+    "check/A2/measure-weighted": (1, "caa55fe49963d88fcfdd55e747da20196d57b8919ca1f9644defbe9741c60fc3"),
+    "check/A3/measure-weighted": (0, "95f9949eb2dab9d9708649980e20bc38280e550057eb661158f46765ef1b602c"),
+    "check/A4/measure-weighted": (0, "45888021dee776f1e06a331e2208e0f23f2a5d2b970599417b828e48594a7799"),
+    "check/A5/measure-weighted": (0, "127f18d23489936675fb21b6f3e1fa1400ceb2cc4417941549ff34bb0c48026f"),
+    "check/A6/measure-weighted": (0, "b2924c2da0af8302c75315561d051a332565220471f78661056396fc9a9604e6"),
     "check/blockwise_pareto/ex_condorcet": (0, "dd5c96cdefdb07461c148fe7d60e4f3f31738e79ae1949a906575e4504e25351"),
     "check/blockwise_pareto/ex_neutrality": (0, "dd5c96cdefdb07461c148fe7d60e4f3f31738e79ae1949a906575e4504e25351"),
     "check/condorcet_P/ex_condorcet": (1, "cc1e2fb8f7d036e337608b3ae552e5837032e4677fc4b315e223ac82a6d67c5d"),
