@@ -21,8 +21,10 @@ candidate), and each candidate's lanes are packed into one Python integer,
 so a transform pass is one shift, one mask and one add.  That costs
 O(n^2 2^n + n m) lane additions for m ballots, against O(n 2^n m) for
 pricing each DP edge ballot by ballot.  The myopic window visits too few
-(candidate, placed set) pairs for a full table to pay, so it keeps the
-per-ballot ``_position_terms`` closure.
+(candidate, placed set) pairs for a full table to pay; it prices its edges
+from packed per-ballot down-set counts instead (``aggregate_myopic``).
+``_position_terms`` prices one term ballot by ballot, and is the tests'
+referee for both routes.
 
 Approximation routes:
 
@@ -45,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, repeat
 from math import comb
-from operator import add, lshift, mul
+from operator import add, getitem, lshift, mul
 from typing import Callable, Literal
 
 from .assignment import min_cost_assignment
@@ -268,15 +270,24 @@ def _term_table(
 
 def _masks_by_size(pool: tuple[int, ...], depth: int) -> list[list[int]]:
     """Subset bitmasks of ``pool`` (candidate labels) grouped by popcount."""
-    layers: list[list[int]] = []
-    for size in range(depth + 1):
-        layers.append(
-            [
-                sum(1 << (c - 1) for c in combo)
-                for combo in combinations(pool, size)
-            ]
-        )
-    return layers
+    bits = tuple(1 << (c - 1) for c in pool)
+    return [list(map(sum, combinations(bits, size))) for size in range(depth + 1)]
+
+
+def _window_counts(
+    n: int, belows: list[int], pool: tuple[int, ...]
+) -> dict[int, int]:
+    """The down-set masks ``belows`` transposed: for each pool label x, keyed
+    by its bit, one integer whose byte j is 1 when mask j holds x.
+
+    Each mask is written as n binary digits, label n first, the digits are
+    turned into 0 and 1 bytes, and x's column is read off as a strided slice.
+    Summed over a placed set M, byte j holds |mask j & M|, with no carry
+    while |M| < 256.
+    """
+    digits = "".join([format(below, f"0{n}b") for below in belows]).encode()
+    table = digits.translate(bytes.maketrans(b"01", b"\0\1"))
+    return {1 << (x - 1): int.from_bytes(table[n - x :: n], "little") for x in pool}
 
 
 def _tight_dag(
@@ -532,12 +543,21 @@ def aggregate_myopic(
     objective (a subset DP); candidates never reached by the window follow in
     ascending label order, which the window objective cannot distinguish.
 
+    Each edge is priced from packed counts: per pool candidate x, one
+    integer with a byte per (pool candidate c, ballot v) slot that is 1 when
+    v ranks x below c.  Summed over a placed set M and written out as bytes,
+    it gives k = |B_v(c) & M| at every slot, and the ballot's overlap term is
+    entry k of a tuple shared by every slot of equal multiplicity and
+    down-set size.  The terms are the integers ``_position_terms`` returns.
+
     The DP visits every subset of the remaining candidates with at most
     ``min(depth, remaining)`` members, so that count is checked before any of
     them is built: above ``MYOPIC_SUBSET_LIMIT`` (2^16) it raises
-    ``ValueError``.  At the limit, a full window over 16 candidates and 40
-    distinct ballots (ok-nishimura weights) took 3.9-4.4 s on a 2-core VM
-    with Python 3.11, about 60 us a subset.
+    ``ValueError``.  The guard also keeps every count below 16, so no byte
+    carries.  At the limit, a full window over 16 candidates and 40 distinct
+    ballots (ok-nishimura weights) took 1.6-2.8 s (median 2.2 s) on a 2-core
+    VM with Python 3.11, about 34 us a subset, against 3.2-3.7 s priced
+    ballot by ballot; the tracemalloc peak was 10.6 MB either way.
     """
     if depth < 1:
         raise ValueError("window depth must be at least 1")
@@ -555,35 +575,67 @@ def aggregate_myopic(
             f"visits {subsets} subsets, over the {MYOPIC_SUBSET_LIMIT} guard"
         )
     start = len(prefix) + 1
-    prefix_mask = sum(1 << (c - 1) for c in prefix)
 
     window: list[int] = []
     window_value = Fraction(0)
     if span > 0:
-        term, scale = _position_terms(params, profile)
         pool = tuple(sorted(remaining))
         layers = _masks_by_size(pool, span)
+        f = params.int_table
+        mu = params.int_mu
+        voters = profile.voters
+        position_const = _position_constants(params, profile)
+        # one slot per (pool candidate c, ballot v), c-major: B_v(c), what v
+        # ranks below c, within the pool; the free set beside a placed window
+        # M is pool \ M, so the term's overlap at v is mult_v f(d - k) with
+        # d = |B_v(c)| and k = |B_v(c) & M| < span
+        ballots = len(profile.entries)
+        pool_mask = sum(1 << (c - 1) for c in pool)
+        belows = [v._below[c - 1] & pool_mask for c in pool for _, v in profile.entries]
+        # a window of one position prices the empty placed set alone
+        counts = _window_counts(n, belows, pool) if span > 1 else {}
+        prices: dict[tuple[int, int], tuple[int, ...]] = {}
+        candidates = []
+        for i, c in enumerate(pool):
+            lo, hi = i * ballots, (i + 1) * ballots
+            row = []
+            for (mult, _), below in zip(profile.entries, belows[lo:hi]):
+                d = below.bit_count()
+                price = prices.get((mult, d))
+                if price is None:
+                    price = prices[mult, d] = tuple(
+                        mult * f[d - k] for k in range(min(d, span - 1) + 1)
+                    )
+                row.append(price)
+            candidates.append((c, 1 << (c - 1), mu[c - 1], row, lo, hi))
         # completion[mask]: cheapest way to extend the placed window ``mask``
         # to a full span, built bottom-up from the deepest layer; choice[mask]:
         # the lowest pool label that reaches it
-        completion: dict[int, int] = {mask: 0 for mask in layers[span]}
+        completion: dict[int, int] = dict.fromkeys(layers[span], 0)
         choice: dict[int, int] = {}
         for size in range(span - 1, -1, -1):
+            const = position_const[start + size]
+            spread = f[n - start - size] * voters
             for mask in layers[size]:
+                placed = 0
+                rest = mask
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    placed += counts[bit]
+                # byte j: k at slot j (|M| <= span - 1 <= 15 under the guard)
+                ks = placed.to_bytes(len(belows), "little")
                 value = None
-                for c in pool:
-                    bit = 1 << (c - 1)
+                for c, bit, mu_c, row, lo, hi in candidates:
                     if mask & bit:
                         continue
-                    cur = (
-                        term(start + size, c, prefix_mask | mask)
-                        + completion[mask | bit]
-                    )
+                    overlap = sum(map(getitem, row, ks[lo:hi]))
+                    cur = const + mu_c * (spread - 2 * overlap) + completion[mask | bit]
                     if value is None or cur < value:
                         value = cur
                         choice[mask] = c
                 completion[mask] = value
-        window_value = Fraction(completion[0], scale)
+        window_value = Fraction(completion[0], params.scale)
         mask = 0
         while len(window) < span:
             c = choice[mask]

@@ -208,7 +208,7 @@ def _cmd_ptas_depth(args) -> tuple[int, list[str]]:
     inv_epsilon = 1 / _epsilon(args.epsilon)
     weights = None
     if args.rule == "custom":
-        if not args.params or not args.n:
+        if not args.params or args.n is None:
             raise CliError("--rule custom needs --params and --n")
         weights = _load_params(args.params, args.n).weights
     depth = ptas_depth(args.rule, inv_epsilon, n=args.n, alpha=args.alpha and as_fraction(args.alpha), weights=weights)

@@ -4,7 +4,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction as F
-from itertools import permutations as it_perms
+from itertools import combinations, permutations as it_perms
 from math import comb, factorial
 
 import pytest
@@ -13,6 +13,7 @@ from menurank import (
     MenuWeights,
     Measure,
     Permutation,
+    Profile,
     aggregate_exact,
     aggregate_footrule,
     aggregate_myopic,
@@ -27,7 +28,12 @@ from menurank import (
     truncation_ratio,
 )
 from menurank import aggregation
-from menurank.aggregation import MYOPIC_SUBSET_LIMIT, _position_terms, _term_table
+from menurank.aggregation import (
+    MYOPIC_SUBSET_LIMIT,
+    _majority_prefix,
+    _position_terms,
+    _term_table,
+)
 
 from conftest import prof, rand_measure, rand_profile, rand_ranking, rand_weights
 
@@ -377,6 +383,95 @@ class TestMyopic:
             ]
             assert res.optimum == min(others)
             assert res.certificate == profile_cost(params, ranking, V)
+
+    @staticmethod
+    def reference_myopic(params, profile, depth):
+        """The window DP priced term by term through ``_position_terms``:
+        (order, window optimum, certificate)."""
+        prefix, remaining = _majority_prefix(profile)
+        pool = sorted(remaining)
+        span = min(depth, len(pool))
+        start = len(prefix) + 1
+        prefix_mask = sum(1 << (c - 1) for c in prefix)
+        window, optimum = [], F(0)
+        if span:
+            term, scale = _position_terms(params, profile)
+            completion, choice = {}, {}
+            for size in range(span, -1, -1):
+                for combo in combinations(pool, size):
+                    mask = sum(1 << (c - 1) for c in combo)
+                    if size == span:
+                        completion[mask] = 0
+                        continue
+                    best = None
+                    for c in pool:  # ascending: the lowest label wins a tie
+                        if c in combo:
+                            continue
+                        cur = (term(start + size, c, prefix_mask | mask)
+                               + completion[mask | 1 << (c - 1)])
+                        if best is None or cur < best:
+                            best, choice[mask] = cur, c
+                    completion[mask] = best
+            optimum = F(completion[0], scale)
+            mask = 0
+            while len(window) < span:
+                window.append(choice[mask])
+                mask |= 1 << (window[-1] - 1)
+        order = tuple(prefix + window + sorted(set(pool) - set(window)))
+        return order, optimum, profile_cost(params, Permutation(order), profile)
+
+    @staticmethod
+    def window_cases():
+        rng = random.Random(27)
+        presets = (("kendall", None), ("ok-nishimura", None), ("linear", None),
+                   ("binomial", F(1, 3)))
+        for trial in range(60):
+            n = 2 + trial % 15  # 2..16
+            if rng.random() < 0.5:
+                name, param = rng.choice(presets)
+                params = make_params(*preset(name, n, param))
+            else:
+                mu = rand_measure(rng, n, nonneg=False)
+                # zero and negative measure entries
+                mu = Measure([0 if rng.random() < 0.3 else v for v in mu.values])
+                params = make_params(rand_weights(rng, n), mu)
+            V = Profile(tuple((rng.randint(1, 3), rand_ranking(rng, n))
+                              for _ in range(rng.randint(3, 9))), n)
+            if trial % 3 == 0:  # a duplicate ballot, listed twice
+                V = V.concat(Profile(V.entries[:1], n))
+            if trial % 4 == 1:  # three blocs, a majority together, share a head
+                head = rand_ranking(rng, n).order[: rng.randint(1, n - 1)]
+                rest = [c for c in range(1, n + 1) if c not in head]
+                blocs = [(V.voters, head + tuple(rng.sample(rest, len(rest)))) for _ in range(3)]
+                V = V.concat(prof(*blocs))
+            # the deepest window within 2^12 subsets (a 16th of the guard, to
+            # keep the reference quick), or a random shallower one
+            deepest = max(d for d in range(1, n + 1)
+                          if sum(comb(n, s) for s in range(d + 1)) <= 1 << 12)
+            yield params, V, rng.choice((deepest, rng.randint(1, deepest)))
+        # two blocs, a ballot and its reversal: no majority, many tied windows
+        for n, token, depth in ((5, "kendall", 5), (9, "kendall", 4), (12, "linear", 3),
+                                (16, "ok-nishimura", 2)):
+            ballot = rand_ranking(rng, n).order
+            yield make_params(*preset(token, n)), prof((3, ballot), (3, ballot[::-1])), depth
+        # a pool of 16, the full window at the subset guard
+        ballot = rand_ranking(rng, 16).order
+        V = prof((2, ballot), (1, ballot[::-1]), (1, rand_ranking(rng, 16).order))
+        yield make_params(*preset("ok-nishimura", 16)), V, 16
+
+    def test_window_matches_the_per_term_reference(self):
+        seen = {"prefix": 0, "odd": 0, "even": 0, "wide": 0}
+        for params, V, depth in self.window_cases():
+            res = aggregate_myopic(params, V, depth)
+            order, optimum, certificate = self.reference_myopic(params, V, depth)
+            assert (res.minimizers[0].order, res.optimum, res.certificate) == (
+                order, optimum, certificate)
+            prefix, remaining = _majority_prefix(V)
+            span = min(depth, len(remaining))
+            seen["prefix"] += bool(prefix) and span > 1
+            seen["odd" if V.voters % 2 else "even"] += 1
+            seen["wide"] += len(remaining) > 8 and span > 1
+        assert min(seen.values()) > 0, seen
 
     def test_depth_guard(self):
         params = make_params(*preset("kendall", 3))

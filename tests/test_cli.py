@@ -108,13 +108,15 @@ class TestDist:
         ["aggregate", "--method", "myopic", "--k", "\uff12", "--params", "kendall",
          "--profile", "{small}"],
         ["dist", "--params", "kendall", "--a", "1 2 3", "--b", "3 2 1", "--window", "1", ""],
+        ["ptas-depth", "--rule", "custom", "--epsilon", "1/2", "--params", "kendall",
+         "--n", "0"],
     ],
     ids=["unequal-lengths", "reversed-window", "zero-epsilon", "one-candidate", "exact-n11",
          "profile-is-a-directory", "params-is-a-directory", "out-in-a-missing-directory",
          "out-is-a-directory", "negative-trials", "bench-negative-trials", "signed-label",
          "non-ascii-label", "underscored-counts", "fractional-gilbert-cutoff",
          "underscored-n", "arabic-indic-n", "signed-n", "negative-seed", "two-numbers-m",
-         "fullwidth-k", "empty-window-end"],
+         "fullwidth-k", "empty-window-end", "custom-rule-zero-n"],
 )
 def test_library_errors_exit_2(capsys, tmp_path, argv):
     eleven = tmp_path / "eleven.prof"
@@ -172,6 +174,14 @@ def test_neutrality_over_eight_candidates_exits_2_before_solving(capsys, tmp_pat
     with pytest.raises(AssertionError, match="an exact solve ran"):
         main(["check", "--params", "kendall", "--property", "neutrality_P",
               "--profile", str(seven)])
+
+
+def test_custom_depth_with_zero_n_reports_the_preset_limit(capsys):
+    # --n 0 was given: the error is about its value, not a missing flag
+    code = main(["ptas-depth", "--rule", "custom", "--epsilon", "1/2", "--params", "kendall",
+                 "--n", "0"])
+    assert (code, capsys.readouterr().err) == (
+        2, "error: invalid parameters 'kendall': presets need n >= 2\n")
 
 
 def test_myopic_window_too_large_exits_2_before_building_it(capsys, tmp_path, monkeypatch):

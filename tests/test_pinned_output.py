@@ -1,8 +1,10 @@
 """Byte-for-byte pins on the printed output: the CLI's consensus reports,
 the audits that read consensus sets, and the demos, against SHA-256 digests
 (and exit codes) recorded before the exact solver kept its consensus set as
-a tight-edge DAG; and the axiom audits' verdicts and witnesses, recorded
-before those audits ran on rank-index tables."""
+a tight-edge DAG; the axiom audits' verdicts and witnesses, recorded
+before those audits ran on rank-index tables; and two myopic windows over
+more than eight candidates, recorded before the window was priced from
+packed down-set counts."""
 
 from __future__ import annotations
 
@@ -29,6 +31,19 @@ FILES = {
     # a zero measure prices every ranking at 0: all 720 tie
     "zero_mu.params": "beta: 1 2 3 4 5\nmu: 0 0 0 0 0 0\n",
     "measure_weighted.params": "beta: 1 1 0\nmu: 1 2 3 4\n",
+    # four of seven voters rank 5 first: the myopic window opens after it
+    "majority_n12.prof": (
+        "12 7\n1: 5 8 9 6 3 4 1 12 7 2 11 10\n1: 5 9 1 10 3 8 12 2 7 6 11 4\n"
+        "1: 5 9 11 6 7 2 1 12 8 10 4 3\n1: 5 2 11 7 3 6 10 12 1 9 4 8\n"
+        "1: 7 10 12 8 9 5 4 11 1 3 6 2\n1: 11 5 6 10 7 9 3 1 8 12 2 4\n"
+        "1: 6 9 10 11 3 1 4 12 7 8 5 2\n"
+    ),
+    "n10.prof": (
+        "10 8\n2: 7 1 10 2 5 9 8 6 3 4\n1: 1 7 5 4 3 8 10 6 2 9\n1: 4 6 5 10 7 9 2 1 8 3\n"
+        "3: 3 4 9 5 1 10 7 6 8 2\n1: 9 1 4 5 10 3 2 6 8 7\n"
+    ),
+    # a measure with a zero and a negative entry
+    "signed_mu_n10.params": "beta: 1 2 0 1/2 3 1 0 2 1\nmu: 1 0 2 -1 3 1 1/2 2 1 -3/2\n",
 }
 
 CASES = {
@@ -49,6 +64,11 @@ CASES.update({
                                   "--profile", str(DATA / "ex_neutrality.prof")),
     "n6/myopic": ("aggregate", "--method", "myopic", "--k", "2", "--params", "linear",
                   "--profile", "{n6.prof}"),
+    "majority-n12/myopic": ("aggregate", "--method", "myopic", "--k", "5",
+                            "--params", "ok-nishimura", "--profile", "{majority_n12.prof}"),
+    "n10/myopic-signed-measure": ("aggregate", "--method", "myopic", "--k", "3",
+                                  "--params", "{signed_mu_n10.params}",
+                                  "--profile", "{n10.prof}"),
 })
 # the audits read the consensus sets too, and print them in their witnesses
 CASES.update({
@@ -125,6 +145,8 @@ DIGESTS = {
     "ex_neutrality/linear": (0, "0308a762ef6b1b34eaec5c8d3fb685973e24b881005ff5a48acca0c98a653d43"),
     "ex_neutrality/ok-nishimura": (0, "24f8982e5e7226ee6eae66f7cc5cb48c08ed800a5656424709ac5772c34606d5"),
     "ex_neutrality/params-file": (0, "2f9367ddf3cc3ef44df4dbe527314e9fa0fed4b9b821d6b88214263e060f686c"),
+    "majority-n12/myopic": (0, "3fd95e619777a719801d9ea954326dada6a679fe1b5d40e60b7cef53f82d77bb"),
+    "n10/myopic-signed-measure": (0, "a4dec256202050f9336a6923ed032b8e42bd190424b15103447507b293418dc9"),
     "n6/myopic": (0, "cbf9d2043f61b9c6388cc90d2a8f098ffbd7c9251b0dd8ef301edec70717756d"),
     "n6/zero-measure": (0, "6a94d74e1ca860207840e5e194919f2b92a7e8df20621d8eb434ff810dd42d83"),
     "two-bloc-n7/kendall": (0, "a274ad738187edb6e67405c61c38ba0f475dd894450c4111ed453e4480317b6e"),
