@@ -18,7 +18,9 @@ candidate's overlap with the ballots' down-sets is a subset-sum of its
 down-set histogram's superset-sums, weighted by the menu weights.  The tables
 hold n 2^(n-1) lanes, 2^(n-1) per candidate (a down-set never holds its own
 candidate), and each candidate's lanes are packed into one Python integer,
-so a transform pass is one shift, one mask and one add.  That costs
+so a transform pass is one shift, one mask and one add.  A lane is as narrow
+as the largest sum it can hold allows (16 or 32 bits for the presets at
+n = 10), which sets how long each packed integer is.  That costs
 O(n^2 2^n + n m) lane additions for m ballots, against O(n 2^n m) for
 pricing each DP edge ballot by ballot.  The myopic window visits too few
 (candidate, placed set) pairs for a full table to pay; it prices its edges
@@ -155,18 +157,54 @@ def _lane_masks(
     )
 
 
-def _unpack_lanes(packed: int, lanes: int, words: int) -> list[int]:
-    """The ``lanes`` signed lanes of ``words`` 64-bit words in ``packed``.
+# array typecodes by item size in bytes, so no letter's width is assumed
+_SIGNED = {array(code).itemsize: code for code in "hilq"}
+_UNSIGNED = {array(code).itemsize: code for code in "HILQ"}
 
-    Lane i holds a two's complement value in bits ``64 words i`` onwards; the
-    top word of each lane carries the sign, the lower words are unsigned.
+
+def _lane_width(params: DistanceParams, voters: int) -> int:
+    """Bits per lane of ``_term_table`` for ``voters`` voters: 16, 32 or 64,
+    or 64 k above that, whichever is the narrowest to hold both bounds below
+    and a sign bit.
+
+    A transform lane holds part of the positive or the negative overlap,
+    ``sum_v mult_v f+(|B_v(c) & U|)`` or its f- twin, where f+ and f- are
+    the down-set masses over the positive and the negative menu weights, so
+    it is at most ``V max(f+(n - 1), f-(n - 1))``.  A row value
+    ``P + mu (f V - 2 overlap)`` has every part within ``max|mu f| V``.
     """
-    data = packed.to_bytes(8 * words * lanes, "little")
-    chunks = array("Q", data)
-    tops = array("q", data)
+    n = params.n
+    weights = params.int_weights
+    overlap_bound = voters * max(
+        _scaled_mass(tuple(max(w, 0) for w in weights), n - 1),
+        _scaled_mass(tuple(max(-w, 0) for w in weights), n - 1),
+    )
+    row_bound = 4 * max(map(abs, params.int_mu)) * max(map(abs, params.int_table)) * voters
+    bits = (max(overlap_bound, row_bound) << 1).bit_length()
+    if bits <= 32:
+        return 16 if bits <= 16 else 32
+    return 64 * -(-bits // 64)
+
+
+def _unpack_lanes(packed: int, lanes: int, width: int) -> list[int]:
+    """The ``lanes`` signed lanes of ``width`` bits each in ``packed``.
+
+    Lane i holds a two's complement value in bits ``width i`` onwards.  A
+    lane of 16, 32 or 64 bits is one machine word, read by one array; a
+    wider lane is 64-bit words whose top word carries the sign and whose
+    lower words are unsigned.
+    """
+    itemsize = min(width, 64) // 8
+    words = width // 8 // itemsize
+    data = packed.to_bytes(width // 8 * lanes, "little")
+    tops = array(_SIGNED[itemsize], data)
+    if sys.byteorder == "big":
+        tops.byteswap()
+    if words == 1:
+        return tops.tolist()
+    chunks = array(_UNSIGNED[itemsize], data)
     if sys.byteorder == "big":
         chunks.byteswap()
-        tops.byteswap()
     values = tops[words - 1 :: words].tolist()
     for k in range(words - 2, -1, -1):
         values = list(map(add, map(lshift, values, repeat(64)), chunks[k::words]))
@@ -198,6 +236,13 @@ def _term_table(
     the packed form too and unpacked once.  Cost: O(n^2 2^n) lane additions,
     n 2^(n-1) lanes per transform pass, after O(n m) histogram updates for m
     ballots.
+
+    The lanes are as narrow as the bounds in ``_lane_width`` allow: 16 bits
+    for the Kendall distance and 32 for the other presets at n = 10 with up
+    to 150 voters.  Each pass costs time linear in the packed length, so a
+    lane half as wide halves it.  The histogram is written into one zeroed
+    array of lane-sized machine words (64-bit words, lowest first, in a
+    wider lane), and each candidate's part is read as one integer.
     """
     n = params.n
     f = params.int_table
@@ -210,13 +255,7 @@ def _term_table(
     spread = [f[n - 1 - k] * voters for k in range(n)]
     # w_{|T|+1} for the lanes S = complement of T, by |S| = bits - |T|
     lane_weights = ((0,) + params.int_weights)[::-1]
-    # a transform lane sums at most 2^bits weighted counts; a row value
-    # |P + mu (f V - 2 overlap)| has every part within max|mu f| V, and
-    # needs a sign bit
-    overlap_bound = (max(map(abs, lane_weights)) or 1) * voters << bits
-    row_bound = 4 * max(map(abs, mu)) * max(map(abs, f)) * voters
-    words = (max(overlap_bound, 2 * row_bound).bit_length() + 63) // 64
-    width = 64 * words
+    width = _lane_width(params, voters)
     lack, by_size, ones = _lane_masks(bits, width)
     # a lane bit above every row value: with it added, every lane is
     # nonnegative, and xor-ing it back leaves each lane in two's complement
@@ -225,22 +264,28 @@ def _term_table(
     base = sum(map(mul, position, ones))
     base_slope = sum(map(mul, spread, ones))
 
-    stride = 8 * words
+    # the histogram, candidate-major, one count per lane
     counts: dict[int, int] = {}
     for mult, v in profile.entries:
         for c, below in enumerate(v._below):
             low = (1 << c) - 1
             slot = c * lanes + (lanes - 1 - (below & low | below >> 1 & ~low))
             counts[slot] = counts.get(slot, 0) + mult
-    packed = bytearray(stride * n * lanes)
+    itemsize = min(width, 64) // 8
+    words = width // 8 // itemsize
+    stride = width // 8 * lanes
+    histogram = array(_UNSIGNED[itemsize], bytes(stride * n))
     for slot, count in counts.items():
-        packed[slot * stride : (slot + 1) * stride] = count.to_bytes(stride, "little")
-    view = memoryview(packed)
+        for k in range(words):
+            histogram[slot * words + k] = count >> 64 * k & (1 << 64) - 1
+    if sys.byteorder == "big":
+        histogram.byteswap()
+    view = memoryview(histogram).cast("B")
 
     size = 1 << n
     rows = []
     for c in range(n):
-        x = int.from_bytes(view[c * lanes * stride : (c + 1) * lanes * stride], "little")
+        x = int.from_bytes(view[c * stride : (c + 1) * stride], "little")
         for j in range(bits):
             x += (x & lack[j]) << (width << j)
         plus = minus = 0
@@ -253,7 +298,7 @@ def _term_table(
             plus += (plus >> (width << j)) & lack[j]
             minus += (minus >> (width << j)) & lack[j]
         without = base + mu[c] * (base_slope - 2 * (plus - minus))
-        without = _unpack_lanes((without + bias) ^ bias, lanes, words)
+        without = _unpack_lanes((without + bias) ^ bias, lanes, width)
         # insert a clear bit c into the lane index: runs of 2^c lanes go to
         # the masks without c, and the runs between them (with c) stay 0
         row = [0] * size

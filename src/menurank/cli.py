@@ -102,7 +102,7 @@ def _load_params(token: str, n: int | None) -> DistanceParams:
         except OSError as exc:
             raise CliError(f"cannot read parameter file {token!r}: {exc.strerror or exc}") from None
         return make_params(*parse_params_text(text, n))
-    except (ParamsFormatError, ValueError) as exc:
+    except (ParamsFormatError, ValueError, ZeroDivisionError) as exc:
         raise CliError(f"invalid parameters {token!r}: {exc}") from None
 
 

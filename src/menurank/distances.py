@@ -1,7 +1,8 @@
 """Distance evaluations between rankings.
 
 ``distance`` is the closed form: a sum over candidates of tabulated down-set
-masses, O(n^2) per pair.  ``distance_naive`` literally enumerates every menu
+masses, O(n^2) per pair; ``profile_cost`` sums the same integer kernel over
+a profile's ballots and divides by the scale once.  ``distance_naive`` literally enumerates every menu
 of two or more candidates and charges the measure of the symmetric
 difference of the two menu maxima; it exists as the independent oracle the
 closed form is tested against.  It reads both rankings' menu-top tables
@@ -59,25 +60,24 @@ def distance_naive(params: DistanceParams, a: Permutation, b: Permutation) -> Fr
     return Fraction(total, params.scale)
 
 
+def _scaled_distance(
+    f: tuple[int, ...], mu: tuple[int, ...], a: Permutation, b: Permutation
+) -> int:
+    """``distance`` times ``params.scale``, from the integer down-set table f
+    and the integer measure mu."""
+    n = len(mu)
+    total = 0
+    for m, pos, below_a, bb in zip(mu, a._pos, a._below, b._below):
+        if m:
+            total += (f[n - pos] + f[bb.bit_count()] - 2 * f[(below_a & bb).bit_count()]) * m
+    return total
+
+
 def distance(params: DistanceParams, a: Permutation, b: Permutation) -> Fraction:
     """Closed-form distance: down-set masses of both rankings minus twice the
     mass of their common down-sets, weighted by the measure."""
-    n = _check_dims(params, a, b)
-    f = params.int_table
-    mu = params.int_mu
-    pos_a = a._pos
-    below_a = a._below
-    below_b = b._below
-    total = 0
-    for c in range(n):
-        m = mu[c]
-        if m == 0:
-            continue
-        bb = below_b[c]
-        total += (
-            f[n - pos_a[c]] + f[bb.bit_count()] - 2 * f[(below_a[c] & bb).bit_count()]
-        ) * m
-    return Fraction(total, params.scale)
+    _check_dims(params, a, b)
+    return Fraction(_scaled_distance(params.int_table, params.int_mu, a, b), params.scale)
 
 
 def footrule_weighted(
@@ -133,10 +133,12 @@ def truncated_distance(
 
 
 def profile_cost(params: DistanceParams, a: Permutation, profile: Profile) -> Fraction:
-    """Multiplicity-weighted sum of distances from ``a`` to every ballot."""
+    """Multiplicity-weighted sum of distances from ``a`` to every ballot,
+    summed in integers and divided by the scale once."""
     if profile.n != params.n:
         raise ValueError(f"dimension mismatch: params over {params.n}, profile over {profile.n}")
-    return sum(
-        (mult * distance(params, a, ballot) for mult, ballot in profile.entries),
-        Fraction(0),
-    )
+    _check_dims(params, a)
+    f = params.int_table
+    mu = params.int_mu
+    total = sum(mult * _scaled_distance(f, mu, a, ballot) for mult, ballot in profile.entries)
+    return Fraction(total, params.scale)

@@ -55,7 +55,8 @@ def as_fraction(value: Rational) -> Fraction:
     A string must be an optional sign, ASCII digits and an optional
     ``/digits``; anything else (decimal points, exponents, underscores,
     spaces) raises ``ValueError``, so a few characters such as ``1e9999999``
-    cannot ask for an integer of millions of digits.
+    cannot ask for an integer of millions of digits.  A zero denominator
+    raises ``ZeroDivisionError`` naming the token.
     """
     if isinstance(value, Fraction):
         return value
@@ -64,7 +65,10 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, str):
         if _RATIONAL_TEXT.fullmatch(value) is None:
             raise ValueError(f"expected an integer or p/q rational, got {value!r}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ZeroDivisionError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 

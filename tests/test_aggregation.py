@@ -155,6 +155,45 @@ class TestExact:
         assert aggregation._lane_masks.cache_info().currsize > 0
         assert _term_table(params, V) == cold
 
+    @pytest.mark.parametrize("cut", (16, 32, 64, 128))
+    def test_lane_width_cuts_by_row_bound(self, cut):
+        # w = (1, -3) and mu = 4 give f = (0, 1, -1), so the row bound is
+        # 4 max|mu f| V = 16 V, and rows[0][0] = -16 V reaches it: with the
+        # sign bit the lane needs bit_length(32 V), which is the cut just
+        # below V = 2^(cut - 5) and one bit more at it
+        params = make_params(MenuWeights([1, -3]), Measure([4, 4, 4]))
+        above = {16: 32, 32: 64, 64: 128, 128: 192}[cut]
+        for voters, width in (((1 << cut - 5) - 1, cut), (1 << cut - 5, above)):
+            assert aggregation._lane_width(params, voters) == width
+            V = prof((voters, (2, 1, 3)))
+            assert self.assert_table_matches_terms(params, V)[0][0] == -16 * voters
+
+    @pytest.mark.parametrize("cut", (16, 32, 64))
+    def test_lane_width_cuts_by_overlap_bound(self, cut):
+        # w_{k+1} = (-2)^k keeps |f| <= 2 (row bound 8 V), but over the 9
+        # candidates below the top one the positive weights sum to
+        # f+(9) = 9840 and the negative ones to f-(9) = 9842: the negative
+        # transform lane of candidate 1 at the empty placed set is 9842 V,
+        # and with the sign bit the lane needs bit_length(19684 V)
+        params = make_params(MenuWeights([(-2) ** k for k in range(1, 10)]), Measure([1] * 10))
+        below = ((1 << cut) - 1) // 19684
+        for voters, width in ((below, cut), (below + 1, 2 * cut if cut < 64 else 128)):
+            assert aggregation._lane_width(params, voters) == width
+            self.assert_table_matches_terms(params, prof((voters, tuple(range(1, 11)))))
+
+    def test_bench_presets_take_one_word_lanes(self):
+        # the perf harness's exact requests: n = 10 and 30 to 50 ballots of
+        # one to three voters each
+        rng = random.Random(33)
+        for token, width in (("kendall", 16), ("ok-nishimura", 32), ("linear", 32),
+                             ("binomial:1/3", 32)):
+            name, _, p = token.partition(":")
+            params = make_params(*preset(name, 10, p or None))
+            assert [aggregation._lane_width(params, v) for v in (30, 150)] == [width, width]
+            V = prof(*((30, rand_ranking(rng, 10).order) for _ in range(5)))
+            assert V.voters == 150
+            self.assert_table_matches_terms(params, V)
+
     def test_result_deep_copies(self):
         params = make_params(*preset("kendall", 3))
         res = aggregate_exact(

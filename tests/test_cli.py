@@ -156,6 +156,31 @@ def test_exponent_tokens_exit_2_at_once(capsys, tmp_path, argv):
     assert captured.err.startswith("error: ") and "integer or p/q" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ptas-depth", "--rule", "affine", "--epsilon", "1/0"],
+         "error: zero denominator in '1/0'"),
+        (["ptas-depth", "--rule", "exponential", "--epsilon", "1/4", "--alpha", "3/0"],
+         "error: zero denominator in '3/0'"),
+        (["gamma", "--params", "binomial:1/0", "--n", "4"],
+         "error: invalid parameters 'binomial:1/0': zero denominator in '1/0'"),
+        (["gamma", "--params", "{params}", "--n", "3"],
+         "error: invalid parameters '{params}': bad value on line 'beta: 1/0 1': "
+         "zero denominator in '1/0'"),
+    ],
+    ids=["epsilon", "alpha", "preset-token", "params-file"],
+)
+def test_zero_denominators_exit_2_naming_the_token(capsys, tmp_path, argv, message):
+    # these used to read "error: Fraction(1, 0)"
+    params = tmp_path / "zero.params"
+    params.write_text("beta: 1/0 1\n")
+    code = main([tok.format(params=params) for tok in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == message.format(params=params) + "\n"
+
+
 def test_neutrality_over_eight_candidates_exits_2_before_solving(capsys, tmp_path, monkeypatch):
     def refuse(params, profile):
         raise AssertionError("an exact solve ran")

@@ -374,3 +374,26 @@ class TestProfileCost:
                 mult * distance(params, p, v) for mult, v in V.entries
             )
             assert profile_cost(params, p, V) == expanded
+
+    def test_integer_sum_equals_summed_distances(self):
+        # one division by the scale at the end, against a Fraction per ballot:
+        # mixed-sign weights, measures with zero and negative entries, and
+        # the oracle on a few of them
+        rng = random.Random(15)
+        for trial in range(60):
+            n = rng.randint(2, 9)
+            mu = rand_measure(rng, n, nonneg=rng.random() < 0.5).values
+            mu = Measure([0 if rng.random() < 0.3 else v for v in mu])
+            params = make_params(rand_weights(rng, n, nonneg=False), mu)
+            V = rand_profile(rng, n, max_ballots=6, max_mult=5)
+            p = rand_ranking(rng, n)
+            cost = profile_cost(params, p, V)
+            assert cost == sum((mult * distance(params, p, v) for mult, v in V.entries), F(0))
+            if trial < 10:
+                assert cost == sum(mult * distance_naive(params, p, v) for mult, v in V.entries)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            profile_cost(KENDALL3, identity(4), prof((1, (1, 2, 3))))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            profile_cost(KENDALL3, identity(3), prof((1, (1, 2, 3, 4))))

@@ -4,7 +4,10 @@ the audits that read consensus sets, and the demos, against SHA-256 digests
 a tight-edge DAG; the axiom audits' verdicts and witnesses, recorded
 before those audits ran on rank-index tables; and two myopic windows over
 more than eight candidates, recorded before the window was priced from
-packed down-set counts."""
+packed down-set counts; and exact consensus at n = 10 under the four bench
+presets and under a weight numerator near 2^60 (lanes of two 64-bit
+words), recorded before the term table sized its lanes from the overlap
+bound."""
 
 from __future__ import annotations
 
@@ -44,6 +47,10 @@ FILES = {
     ),
     # a measure with a zero and a negative entry
     "signed_mu_n10.params": "beta: 1 2 0 1/2 3 1 0 2 1\nmu: 1 0 2 -1 3 1 1/2 2 1 -3/2\n",
+    # the term table's row values reach about 2^68: lanes wider than 64 bits
+    "wide_lanes_n10.params": (
+        "beta: 1152921504606846975 -3 1/2 0 1 2 0 1 5\nmu: 1 2 0 1 3 1 1/2 2 1 1\n"
+    ),
 }
 
 CASES = {
@@ -69,6 +76,13 @@ CASES.update({
     "n10/myopic-signed-measure": ("aggregate", "--method", "myopic", "--k", "3",
                                   "--params", "{signed_mu_n10.params}",
                                   "--profile", "{n10.prof}"),
+    "n10/exact-wide-lanes": ("aggregate", "--method", "exact",
+                             "--params", "{wide_lanes_n10.params}", "--profile", "{n10.prof}"),
+})
+CASES.update({
+    f"n10/exact-{token}": ("aggregate", "--method", "exact", "--params", token,
+                           "--profile", "{n10.prof}")
+    for token in ("kendall", "ok-nishimura", "linear", "binomial:1/3")
 })
 # the audits read the consensus sets too, and print them in their witnesses
 CASES.update({
@@ -146,6 +160,11 @@ DIGESTS = {
     "ex_neutrality/ok-nishimura": (0, "24f8982e5e7226ee6eae66f7cc5cb48c08ed800a5656424709ac5772c34606d5"),
     "ex_neutrality/params-file": (0, "2f9367ddf3cc3ef44df4dbe527314e9fa0fed4b9b821d6b88214263e060f686c"),
     "majority-n12/myopic": (0, "3fd95e619777a719801d9ea954326dada6a679fe1b5d40e60b7cef53f82d77bb"),
+    "n10/exact-binomial:1/3": (0, "a1598ed3bdeff7c559062928f6603ffcd98ea84f9662fb00748648f91b597537"),
+    "n10/exact-kendall": (0, "c9b33b03255db494341f0f040d7f81ea886f5360036c926d842767b33ef100a8"),
+    "n10/exact-linear": (0, "438819b00c938fcdab199dc9c0772bd882b97c3ea1c8be28ee415816918e3b3c"),
+    "n10/exact-ok-nishimura": (0, "5f735dfd5953486f28cf15ffc1abbbe849a548c9c28ac1ca6f6ab9845d1f18df"),
+    "n10/exact-wide-lanes": (0, "b42609a7691532b097a391c6a834709ed9926be7b2fe684f4ceeadcecea805f4"),
     "n10/myopic-signed-measure": (0, "a4dec256202050f9336a6923ed032b8e42bd190424b15103447507b293418dc9"),
     "n6/myopic": (0, "cbf9d2043f61b9c6388cc90d2a8f098ffbd7c9251b0dd8ef301edec70717756d"),
     "n6/zero-measure": (0, "6a94d74e1ca860207840e5e194919f2b92a7e8df20621d8eb434ff810dd42d83"),
