@@ -167,10 +167,12 @@ def _lane_width(params: DistanceParams, voters: int) -> int:
     or 64 k above that, whichever is the narrowest to hold both bounds below
     and a sign bit.
 
-    A transform lane holds part of the positive or the negative overlap,
+    A lane first holds a histogram count and its subset-sums, at most V.  A
+    transform lane then holds part of the positive or the negative overlap,
     ``sum_v mult_v f+(|B_v(c) & U|)`` or its f- twin, where f+ and f- are
     the down-set masses over the positive and the negative menu weights, so
-    it is at most ``V max(f+(n - 1), f-(n - 1))``.  A row value
+    it is at most ``V max(f+(n - 1), f-(n - 1))``; that covers the counts
+    unless every weight is 0, hence the 1.  A row value
     ``P + mu (f V - 2 overlap)`` has every part within ``max|mu f| V``.
     """
     n = params.n
@@ -178,12 +180,20 @@ def _lane_width(params: DistanceParams, voters: int) -> int:
     overlap_bound = voters * max(
         _scaled_mass(tuple(max(w, 0) for w in weights), n - 1),
         _scaled_mass(tuple(max(-w, 0) for w in weights), n - 1),
+        1,
     )
     row_bound = 4 * max(map(abs, params.int_mu)) * max(map(abs, params.int_table)) * voters
     bits = (max(overlap_bound, row_bound) << 1).bit_length()
     if bits <= 32:
         return 16 if bits <= 16 else 32
     return 64 * -(-bits // 64)
+
+
+def _lane_words(width: int) -> tuple[int, int]:
+    """(bytes per machine word, words per lane) for lanes of ``width`` bits:
+    one word of the lane's own size up to 64 bits, 64-bit words above."""
+    itemsize = min(width, 64) // 8
+    return itemsize, width // 8 // itemsize
 
 
 def _unpack_lanes(packed: int, lanes: int, width: int) -> list[int]:
@@ -194,8 +204,7 @@ def _unpack_lanes(packed: int, lanes: int, width: int) -> list[int]:
     wider lane is 64-bit words whose top word carries the sign and whose
     lower words are unsigned.
     """
-    itemsize = min(width, 64) // 8
-    words = width // 8 // itemsize
+    itemsize, words = _lane_words(width)
     data = packed.to_bytes(width // 8 * lanes, "little")
     tops = array(_SIGNED[itemsize], data)
     if sys.byteorder == "big":
@@ -271,8 +280,7 @@ def _term_table(
             low = (1 << c) - 1
             slot = c * lanes + (lanes - 1 - (below & low | below >> 1 & ~low))
             counts[slot] = counts.get(slot, 0) + mult
-    itemsize = min(width, 64) // 8
-    words = width // 8 // itemsize
+    itemsize, words = _lane_words(width)
     stride = width // 8 * lanes
     histogram = array(_UNSIGNED[itemsize], bytes(stride * n))
     for slot, count in counts.items():

@@ -2,10 +2,10 @@
 
 ``distance`` is the closed form: a sum over candidates of tabulated down-set
 masses, O(n^2) per pair; ``profile_cost`` sums the same integer kernel over
-a profile's ballots and divides by the scale once.  ``distance_naive`` literally enumerates every menu
-of two or more candidates and charges the measure of the symmetric
-difference of the two menu maxima; it exists as the independent oracle the
-closed form is tested against.  It reads both rankings' menu-top tables
+a profile's ballots and divides by the scale once.  ``distance_naive``
+literally enumerates every menu of two or more candidates and charges the
+measure of the symmetric difference of the two menu maxima; it exists as
+the independent oracle the closed form is tested against.  It reads both rankings' menu-top tables
 (``Permutation.menu_tops``, 2^n entries each) in one pass, keeps nothing
 of its own between calls, and shares their cap of n <= 20.
 

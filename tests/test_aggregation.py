@@ -181,6 +181,17 @@ class TestExact:
             assert aggregation._lane_width(params, voters) == width
             self.assert_table_matches_terms(params, prof((voters, tuple(range(1, 11)))))
 
+    @pytest.mark.parametrize("mu", ([0, 0, 0, 0], [2, -1, 0, 3]))
+    def test_lane_width_holds_counts_under_zero_weights(self, mu):
+        # with every weight 0 the overlap bound is 0, yet a lane still holds
+        # a raw histogram count: one ballot of 2^16 voters must not fit in
+        # 16 bits
+        params = make_params(MenuWeights([0, 0, 0]), Measure(mu))
+        assert aggregation._lane_width(params, 1 << 16) == 32
+        self.assert_table_matches_terms(params, prof((1 << 16, (3, 1, 4, 2))))
+        result = aggregate_exact(params, prof((70000, (3, 1, 4, 2))))
+        assert len(result.minimizers) == 24
+
     def test_bench_presets_take_one_word_lanes(self):
         # the perf harness's exact requests: n = 10 and 30 to 50 ballots of
         # one to three voters each
