@@ -9,7 +9,9 @@ argmin set, and how the myopic scheme minimises its truncated window.  The
 exact solver keeps that set as the DAG of tight edges of its cost-to-go
 table: path counting gives its size and the edges out of the empty set its
 winners, and the rankings themselves are listed, in lexicographic order,
-only when a caller reads them (``ConsensusSet``).
+only when a caller reads them (``ConsensusSet``).  Printed, the set is one
+string built from one text block per DAG node, so no ranking becomes an
+object or a string of its own.
 
 The exact solver reads every term from one integer table built per
 (parameters, profile) by two subset zeta transforms (Yates' algorithm, as in
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, repeat
-from math import comb
+from math import ceil, comb, log
 from operator import add, getitem, lshift, mul
 from typing import Callable, Literal
 
@@ -394,15 +396,40 @@ def _walk(dag: dict[int, tuple[int, ...]], mask: int, tokens: list, memo: dict) 
     return done
 
 
+def _text_block(dag: dict[int, tuple[int, ...]], mask: int, tokens: list, memo: dict) -> str:
+    """Every path from ``mask`` through ``dag`` as one block of text lines,
+    each line its candidates' tokens, in lexicographic order of the
+    candidates; the full mask's block is ``""``, seeded in ``memo``.
+
+    A mask's block joins, for each tight edge c, the block below c with
+    ``tokens[c]`` put at the head of its every line: one ``replace`` of its
+    newlines and one concatenation.  Every copy of a line happens inside
+    ``str.replace`` and ``str.join``, in C, and no per-line string is built
+    in Python.  Memoised per mask.
+
+    It stays a module-level function, like ``_walk``: a nested closure that
+    recursed through its own name would be a reference cycle, holding every
+    block of the memo until the cyclic garbage collector ran.
+    """
+    done = memo.get(mask)
+    if done is None:
+        done = memo[mask] = "\n".join([
+            tokens[c] + _text_block(dag, mask | 1 << c, tokens, memo).replace("\n", "\n" + tokens[c])
+            for c in dag[mask]
+        ])
+    return done
+
+
 class ConsensusSet(Sequence):
     """The exact consensus set, kept as the DP's tight-edge DAG.
 
     A read-only sequence of ``Permutation``s in lexicographic order.  ``len``
     is the number of optimal paths, counted without listing them; iterating
-    or indexing builds the rankings once and keeps them.  It equals, and
-    hashes like, the tuple of its rankings.  The DAG is a canonical form of
-    the set (every edge in it lies on an optimal path), so two views compare
-    without building either.
+    or indexing builds the rankings once and keeps them.  ``text`` prints
+    the set as one string of lines, one text block per DAG node, without
+    building a ranking.  It equals, and hashes like, the tuple of its
+    rankings.  The DAG is a canonical form of the set (every edge in it lies
+    on an optimal path), so two views compare without building either.
     """
 
     __slots__ = ("_n", "_dag", "_count", "_rankings")
@@ -413,20 +440,28 @@ class ConsensusSet(Sequence):
         self._count = count
         self._rankings: tuple[Permutation, ...] | None = None
 
-    def _sums(self, tokens: list, empty) -> list:
-        return _walk(self._dag, 0, tokens, {(1 << self._n) - 1: [empty]})
-
     def _items(self) -> tuple[Permutation, ...]:
         if self._rankings is None:
-            orders = self._sums([(c,) for c in range(1, self._n + 1)], ())
+            tokens = [(c,) for c in range(1, self._n + 1)]
+            orders = _walk(self._dag, 0, tokens, {(1 << self._n) - 1: [()]})
             # bijections by construction: no need for the checked constructor
             self._rankings = tuple(map(Permutation._trusted, orders))
         return self._rankings
 
-    def texts(self) -> list[str]:
-        """Each ranking as text, a space before every label (`` 2 3 1``), in
-        order; read off the DAG without building a ``Permutation``."""
-        return self._sums([f" {c}" for c in range(1, self._n + 1)], "")
+    def text(self, indent: str = "") -> str:
+        """The rankings as one block of lines, in order, each ``indent`` and
+        then ``str`` of the ranking (``indent + "2 3 1"``), with no final
+        newline; read off the DAG without building a ``Permutation`` or a
+        string per ranking."""
+        dag = self._dag
+        labels = range(1, self._n + 1)
+        tokens = [f" {c}" for c in labels]
+        memo = {(1 << self._n) - 1: ""}
+        # the blocks below the empty set first, then its own edges, where
+        # every line starts: they alone take the indent and no space
+        for c in dag[0]:
+            _text_block(dag, 1 << c, tokens, memo)
+        return _text_block(dag, 0, [f"{indent}{c}" for c in labels], memo)
 
     def __len__(self) -> int:
         return self._count
@@ -728,12 +763,25 @@ def truncation_ratio(weights: MenuWeights, t: int, depth: int) -> Fraction:
 
 
 def _ceil_log(base: Fraction, x: Fraction) -> int:
-    """Smallest integer k >= 0 with base^k >= x (base > 1)."""
-    k = 0
-    power = Fraction(1)
-    while power < x:
-        power *= base
-        k += 1
+    """Smallest integer k >= 0 with base^k >= x (base > 1).
+
+    A float estimate of log x / log base, settled exactly: with base = p/q
+    and x = a/b, base^k >= x is p^k b >= a q^k, and k steps up or down from
+    the estimate until it is the smallest that holds.  The estimate is
+    close, so a base near 1 costs two big powers and a few products, not k
+    Fraction products.
+    """
+    if x <= 1:
+        return 0
+    p, q = base.numerator, base.denominator
+    a, b = x.numerator, x.denominator
+    k = max(0, ceil((log(a) - log(b)) / (log(p) - log(q))))
+    lhs, rhs = p**k * b, a * q**k
+    while lhs < rhs:
+        lhs, rhs, k = lhs * p, rhs * q, k + 1
+    # base^(k-1) >= x is lhs q >= rhs p; lhs and rhs hold p^k and q^k
+    while k > 0 and lhs * q >= rhs * p:
+        lhs, rhs, k = lhs // p, rhs // q, k - 1
     return k
 
 

@@ -187,10 +187,9 @@ def _cmd_aggregate(args) -> tuple[int, list[str]]:
     # the rankings as one block of "  1 2 3" lines; the exact method's come
     # straight from its DAG, without building a Permutation
     if isinstance(rankings, ConsensusSet):
-        texts = rankings.texts()
+        lines.append(rankings.text("  "))
     else:
-        texts = [" " + str(p) for p in rankings]
-    lines.append(" " + "\n ".join(texts))
+        lines.append("\n".join(["  " + str(p) for p in rankings]))
     lines.append(f"objective: {fmt(result.optimum)}")
     lines.append(f"cost: {fmt(result.certificate)}")
     lines.append(f"winners: {fmt(result.winners)}")

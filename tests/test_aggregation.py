@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
 import random
 from fractions import Fraction as F
@@ -262,11 +263,29 @@ class TestConsensusSet:
             assert view == public and public == view and not view != public
             assert len(public) < 2 or (view != public[::-1] and view != public[:-1])
             assert hash(view) == hash(public)
-            assert view.texts() == [" " + str(p) for p in public]
+            for indent in ("", "  "):
+                assert view.text(indent).split("\n") == [indent + str(p) for p in public]
             for clone in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
                 assert clone == res and clone.minimizers == public
                 assert hash(clone.minimizers) == hash(public)
         assert seen == {True, False}
+
+    def test_exact_path_leaves_no_cyclic_garbage(self):
+        # the memos of the text and tuple walks hold every block and tuple
+        # of a request; reference counting must free them, with no cycle
+        # left for the collector (a self-recursive closure walker is one)
+        ballot = (3, 1, 4, 7, 5, 2, 6)
+        params = make_params(*preset("kendall", 7))
+        gc.collect()
+        gc.disable()
+        try:
+            res = aggregate_exact(params, prof((3, ballot), (3, ballot[::-1])))
+            assert res.minimizers.text().count("\n") == 5039
+            assert sum(1 for _ in res.minimizers) == 5040
+            del res
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_views_compare_by_their_dags(self, monkeypatch):
         params = make_params(*preset("kendall", 4))
@@ -561,6 +580,26 @@ class TestPtasDepth:
             ptas_depth("exponential", 4)
         with pytest.raises(ValueError, match="alpha"):
             ptas_depth("exponential", 4, alpha=1)
+
+    def test_exponential_depth_settles_the_float_estimate(self):
+        def loop(base, x):
+            # the referee: k Fraction products, which hang for alpha near 1
+            k, power = 0, F(1)
+            while power < x:
+                power *= base
+                k += 1
+            return k
+
+        bases = [F(p, q) for q in range(1, 7) for p in range(q + 1, 4 * q + 1)]
+        for base in bases:
+            # exact powers of the base, and a hair either side of them
+            for x in (F(1, 3), F(1), base, base**3, base**3 - F(1, 10**9), base**3 + F(1, 10**9)):
+                assert aggregation._ceil_log(base, x) == loop(base, x)
+            for inv_eps in (F(1, 2), 1, 2, 3, 4, 10, F(40, 3)):
+                eps = 1 / F(inv_eps)
+                expected = max(1, loop(base, base**2 / ((base - 1) ** 2 * eps)))
+                assert ptas_depth("exponential", inv_eps, alpha=base) == expected
+        assert ptas_depth("exponential", 4, alpha=F(10001, 10000)) == 198082
 
     def test_custom_agrees_with_closed_forms_at_finite_horizon(self):
         for inv_eps in (2, 4):

@@ -7,7 +7,8 @@ more than eight candidates, recorded before the window was priced from
 packed down-set counts; and exact consensus at n = 10 under the four bench
 presets and under a weight numerator near 2^60 (lanes of two 64-bit
 words), recorded before the term table sized its lanes from the overlap
-bound."""
+bound; and ties over two-digit labels, recorded before the consensus set
+was printed as one text block per DAG node."""
 
 from __future__ import annotations
 
@@ -45,6 +46,8 @@ FILES = {
         "10 8\n2: 7 1 10 2 5 9 8 6 3 4\n1: 1 7 5 4 3 8 10 6 2 9\n1: 4 6 5 10 7 9 2 1 8 3\n"
         "3: 3 4 9 5 1 10 7 6 8 2\n1: 9 1 4 5 10 3 2 6 8 7\n"
     ),
+    # the two ballots differ on 7..10 alone: ties whose lines mix label widths
+    "two_digit_n10.prof": "10 2\n1: 1 2 3 4 5 6 7 8 9 10\n1: 1 2 3 4 5 6 10 9 8 7\n",
     # a measure with a zero and a negative entry
     "signed_mu_n10.params": "beta: 1 2 0 1/2 3 1 0 2 1\nmu: 1 0 2 -1 3 1 1/2 2 1 -3/2\n",
     # the term table's row values reach about 2^68: lanes wider than 64 bits
@@ -83,6 +86,11 @@ CASES.update({
     f"n10/exact-{token}": ("aggregate", "--method", "exact", "--params", token,
                            "--profile", "{n10.prof}")
     for token in ("kendall", "ok-nishimura", "linear", "binomial:1/3")
+})
+CASES.update({
+    f"two-digit-n10/{token}": ("aggregate", "--method", "exact", "--params", token,
+                               "--profile", "{two_digit_n10.prof}")
+    for token in ("kendall", "ok-nishimura", "linear")
 })
 # the audits read the consensus sets too, and print them in their witnesses
 CASES.update({
@@ -169,6 +177,9 @@ DIGESTS = {
     "n6/myopic": (0, "cbf9d2043f61b9c6388cc90d2a8f098ffbd7c9251b0dd8ef301edec70717756d"),
     "n6/zero-measure": (0, "6a94d74e1ca860207840e5e194919f2b92a7e8df20621d8eb434ff810dd42d83"),
     "two-bloc-n7/kendall": (0, "a274ad738187edb6e67405c61c38ba0f475dd894450c4111ed453e4480317b6e"),
+    "two-digit-n10/kendall": (0, "5a9fdbf699d32f7bf8ba0fd58ffb8ac1cd4a61c6e209be9031bf323265cc9f58"),
+    "two-digit-n10/linear": (0, "3452355a55f8c46ed28760238ac0d1c67a585f9adf9ac4ab1ef3a165e77ba748"),
+    "two-digit-n10/ok-nishimura": (0, "ba8458251b3e85538daa905b8fbc5d5003671513db2a5d2e3fd81ae2c54dd380"),
 }
 
 DEMO_DIGESTS = {
@@ -203,7 +214,9 @@ def test_cli_output_is_byte_identical(files, name):
 
 
 def test_tie_heavy_cases_print_every_ranking(files):
-    for name, count in (("two-bloc-n7/kendall", 5040), ("n6/zero-measure", 720)):
+    for name, count in (("two-bloc-n7/kendall", 5040), ("n6/zero-measure", 720),
+                        ("two-digit-n10/kendall", 24), ("two-digit-n10/linear", 8),
+                        ("two-digit-n10/ok-nishimura", 8)):
         lines = cli_output(CASES[name], files)[1].decode().splitlines()
         assert lines[1] == f"minimizers ({count}):"
         assert len(set(lines[2:2 + count])) == count
