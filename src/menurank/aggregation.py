@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, repeat
-from math import ceil, comb, log
+from math import ceil, comb, log, log1p
 from operator import add, getitem, lshift, mul
 from typing import Callable, Literal
 
@@ -765,17 +765,36 @@ def truncation_ratio(weights: MenuWeights, t: int, depth: int) -> Fraction:
 def _ceil_log(base: Fraction, x: Fraction) -> int:
     """Smallest integer k >= 0 with base^k >= x (base > 1).
 
-    A float estimate of log x / log base, settled exactly: with base = p/q
-    and x = a/b, base^k >= x is p^k b >= a q^k, and k steps up or down from
-    the estimate until it is the smallest that holds.  The estimate is
-    close, so a base near 1 costs two big powers and a few products, not k
-    Fraction products.
+    k is the ceiling of y = log x / log base, estimated in floats as
+    log1p(x - 1) / log1p(base - 1).  With x = a/b, each ``(a - b) / b`` is
+    one correctly rounded division of integers, so when both are normal
+    floats the estimate carries five roundings of at most one ulp each (two
+    divisions, two ``log1p``, the quotient; a ``log1p`` input off by a
+    relative d moves its output by at most d), well inside a relative
+    2^-40 of y.  When no integer lies within that margin of the estimate,
+    its ceiling is k.  Otherwise (y within 2^-40 |y| of an integer, as at an
+    exact power, or y past 2^40, or a base or x too close to 1 or too large
+    for a normal float) k steps up or down from the estimate until it is the
+    smallest with p^k b >= a q^k, for base = p/q: those inputs still cost
+    two powers of about k log2(p) bits.
     """
     if x <= 1:
         return 0
     p, q = base.numerator, base.denominator
     a, b = x.numerator, x.denominator
-    k = max(0, ceil((log(a) - log(b)) / (log(p) - log(q))))
+    try:
+        excess = ((a - b) / b, (p - q) / q)
+    except OverflowError:
+        excess = None
+    if excess and min(excess) >= sys.float_info.min:
+        y = log1p(excess[0]) / log1p(excess[1])
+        margin = y * 2**-40
+        k = ceil(y - margin)
+        if k == ceil(y + margin):
+            return k
+        k = ceil(y)
+    else:
+        k = max(0, ceil((log(a) - log(b)) / (log(p) - log(q))))
     lhs, rhs = p**k * b, a * q**k
     while lhs < rhs:
         lhs, rhs, k = lhs * p, rhs * q, k + 1

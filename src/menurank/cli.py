@@ -129,8 +129,9 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _emit(lines: Iterable[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(output: Iterable[str] | str, out: str | None) -> None:
+    """Write a command's lines, or its whole text when it built one itself."""
+    text = output if isinstance(output, str) else "\n".join(output) + "\n"
     if out:
         try:
             with open(out, "w", encoding="utf-8") as handle:
@@ -214,12 +215,11 @@ def _cmd_ptas_depth(args) -> tuple[int, list[str]]:
     return 0, [str(depth)]
 
 
-def _cmd_ilp_export(args) -> tuple[int, list[str]]:
+def _cmd_ilp_export(args) -> tuple[int, str]:
     profile = _load_profile(args.profile)
     params = _load_params(args.params, profile.n)
-    model = build_ilp(params, profile)
-    # the text as one "line": _emit adds back the final newline it drops
-    return 0, [model.to_lp_text()[:-1]]
+    # the whole file, final newline included, handed to _emit as it is
+    return 0, build_ilp(params, profile).to_lp_text()
 
 
 def _describe_witness(witness) -> list[str]:
@@ -407,8 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        code, lines = args.run(args)
-        _emit(lines, getattr(args, "out", None))
+        code, output = args.run(args)
+        _emit(output, getattr(args, "out", None))
     except (CliError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

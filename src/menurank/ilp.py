@@ -19,15 +19,29 @@ t = 0..2n-2 times ``weights_scale`` and the integer measure ``int_mu``; it
 divides the prices and S by their gcd, and what is left of S (the lcm of
 the prices' reduced denominators) is the objective's scale, recorded in a
 leading comment.  The text serialisation is the CPLEX
-LP dialect.  ``to_lp_text`` writes each row whole from the ballots' down-set
-masks (the selector rows are cleared of their 1/n factor by scaling through
-n), so any solver reads the file exactly.
+LP dialect, with the selector rows cleared of their 1/n factor by scaling
+through n, so any solver reads the file exactly.
+
+Almost all of the text depends on n alone, and ``_layout(n)`` lays it out
+once per n (cached; it holds no profile data): the diag, complete and
+transitive rows, the P binaries, the constant segments of one (ballot v,
+candidate i) block of 4 n^2 selector rows, and the block's Q binaries split
+at its name stem ``v_i_``.  ``to_lp_text`` writes a block as one join of
+those segments with their slots filled: the stem, twice a row, and one of
+four down-set fragments, i's P terms outside or inside the ballot's
+down-set of i, with a minus or a plus sign.  A block's pick row is a
+template split at the stem, one per (n, stem length), since its line
+breaks depend on nothing else.  Per program only the objective, wrapped by
+``_wrap``, and the fragments are formatted, and the few blocks whose rows
+pass the line width (from n = 18) are wrapped term by term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
 from math import gcd
 from typing import Sequence
 
@@ -63,86 +77,137 @@ class IlpModel:
 
     def to_lp_text(self) -> str:
         n, m = self.n, self.m
-        # each cell "r_s" with the right-hand sides of its four selector rows
-        targets = [(f"{r}_{s}", n - r, n + r, n - s, n + s) for r in range(n) for s in range(n)]
-        cells = [cell for cell, *_ in targets]
-        lines = [
-            f"\\ consensus ranking program: n={n}, m={m}",
-            f"\\ objective scaled by {self.scale}",
-            "Minimize",
-        ]
+        layout = _layout(n)
+        stems = [f"{v}_{i}_" for v in range(1, m + 1) for i in range(1, n + 1)]
         terms = []
         coefficients = iter(self.coefficients)
-        for v in range(1, m + 1):
-            for i in range(1, n + 1):
-                for cell, c in zip(cells, coefficients):
-                    if c > 0:
-                        terms.append(f"+ {c} Q_{v}_{i}_{cell}")
-                    elif c < 0:
-                        terms.append(f"- {-c} Q_{v}_{i}_{cell}")
+        for stem in stems:
+            terms += [
+                f"+ {c} Q_{stem}{cell}" if c > 0 else f"- {-c} Q_{stem}{cell}"
+                for cell, c in zip(layout.cells, coefficients)
+                if c
+            ]
         if terms:
             # the first term carries its sign on the number: "3 Q", "-3 Q"
             first = terms[0]
             terms[0] = first[2:] if first[0] == "+" else "-" + first[2:]
         else:
             terms = ["0 P_1_1"]
-        lines.extend(_wrap(" obj:", terms))
+        parts = [
+            f"\\ consensus ranking program: n={n}, m={m}\n"
+            f"\\ objective scaled by {self.scale}\nMinimize\n",
+            "\n".join(_wrap(" obj:", terms)),
+            "\n",
+            layout.constraints,
+        ]
+        block = list(layout.selectors)
+        masks = (mask for row in self.below for mask in row)
+        for stem, minus, plus, mask in zip(stems, layout.minus * m, layout.plus * m, masks):
+            # i's P terms outside and inside the ballot's down-set of i
+            inside = [mask >> j & 1 for j in range(n)]
+            outside = [not bit for bit in inside]
+            fragments = [
+                list(compress(minus, outside)),
+                list(compress(plus, outside)),
+                list(compress(minus, inside)),
+                list(compress(plus, inside)),
+            ]
+            out_minus, out_plus, in_minus, in_plus = (" ".join(["", *fragment]) for fragment in fragments)
+            # a narrow row ends by column LINE_WIDTH + 1, where _wrap leaves it
+            # whole; the last cell's rows, with the longest names, are widest
+            if layout.widest + 2 * len(stem) + max(len(out_minus), len(in_minus)) > LINE_WIDTH + 1:
+                parts.append("\n".join(_wide_selectors(stem, n, layout.targets, fragments)))
+                parts.append("\n")
+            else:
+                block[1::2] = [
+                    stem, stem, out_minus, stem, stem, out_plus,
+                    stem, stem, in_minus, stem, stem, in_plus,
+                ] * (n * n)
+                parts.append("".join(block))
+            parts.append(f" pick_{stem[:-1]}:")
+            parts.append(stem.join(_pick_row(n, len(stem))))
+        parts.append(layout.binaries)
+        parts += [stem.join(layout.q_binaries) for stem in stems]
+        parts.append("End\n")
+        return "".join(parts)
 
-        lines.append("Subject To")
-        lines.extend(f" diag_{i}: 1 P_{i}_{i} = 0" for i in range(1, n + 1))
-        lines.extend(
+
+@dataclass(frozen=True)
+class _Layout:
+    """The text of an n-candidate program that holds no profile data.
+
+    ``selectors`` holds one (ballot, candidate) block of selector rows with
+    its slots left empty: every odd entry is a slot, and the slots of each
+    cell are the stem ``v_i_`` twice and a down-set fragment, once for each
+    of its four rows (outside minus, outside plus, inside minus, inside
+    plus).  ``q_binaries`` is the block's Binary lines split at the stem.
+    """
+
+    cells: tuple[str, ...]
+    targets: tuple[tuple[str, int, int, int, int], ...]
+    minus: tuple[tuple[str, ...], ...]  # minus[i - 1][j - 1] == "- 1 P_i_j"
+    plus: tuple[tuple[str, ...], ...]
+    selectors: tuple[str, ...]
+    widest: int  # width of the last cell's rows, less the two stems and the fragment
+    constraints: str
+    binaries: str
+    q_binaries: tuple[str, ...]
+
+
+@lru_cache(maxsize=32)
+def _layout(n: int) -> _Layout:
+    """The layout for n candidates, shared by every program over n."""
+    candidates = range(1, n + 1)
+    # each cell "r_s" with the right-hand sides of its four selector rows:
+    # q <= 1 + (count - target) / n and its mirror image, scaled through n,
+    # where count runs over i's P variables outside / inside the down-set
+    targets = tuple((f"{r}_{s}", n - r, n + r, n - s, n + s) for r in range(n) for s in range(n))
+    cells = tuple(cell for cell, *_ in targets)
+    selectors = [""]
+    for cell, *bounds in targets:
+        for kind, bound in zip(("rlo", "rhi", "slo", "shi"), bounds):
+            selectors[-1] += f" sel_{kind}_"
+            selectors += ["", f"{cell}: {n} Q_", "", cell, "", f" <= {bound}\n"]
+    constraints = [
+        "Subject To",
+        *(f" diag_{i}: 1 P_{i}_{i} = 0" for i in candidates),
+        *(
             f" complete_{i}_{j}: 1 P_{i}_{j} + 1 P_{j}_{i} = 1"
-            for i in range(1, n + 1)
+            for i in candidates
             for j in range(i + 1, n + 1)
-        )
-        lines.extend(
+        ),
+        *(
             f" transitive_{i}_{j}_{k}: 1 P_{i}_{j} + 1 P_{j}_{k} - 1 P_{i}_{k} <= 1"
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            for k in range(1, n + 1)
+            for i in candidates
+            for j in candidates
+            for k in candidates
             if i != j != k != i
-        )
-        for v, masks in enumerate(self.below, start=1):
-            for i, mask in enumerate(masks, start=1):
-                # selector rows, scaled through n to integer coefficients:
-                # q <= 1 + (count - target) / n  and  the mirror image, where
-                # count runs over i's P variables outside / inside the ballot's
-                # down-set; the four rows of a cell share these fragments
-                outside = [f"P_{i}_{j}" for j in range(1, n + 1) if not mask >> (j - 1) & 1]
-                inside = [f"P_{i}_{j}" for j in range(1, n + 1) if mask >> (j - 1) & 1]
-                out_minus = "".join(f" - 1 {p}" for p in outside)
-                out_plus = "".join(f" + 1 {p}" for p in outside)
-                in_minus = "".join(f" - 1 {p}" for p in inside)
-                in_plus = "".join(f" + 1 {p}" for p in inside)
-                vi = f"{v}_{i}_"
-                q = f" {n} Q_{vi}"
-                # _wrap leaves a row whole when it ends by column LINE_WIDTH + 1;
-                # the rows of the last cell, with the longest name, are widest
-                longest = max(len(out_minus), len(in_minus))
-                if len(f" sel_rlo_{vi}{cells[-1]}:{q}{cells[-1]}") + longest > LINE_WIDTH + 1:
-                    lines.extend(_wide_selectors(vi, q, targets, outside, inside))
-                else:
-                    lines += [
-                        f" sel_rlo_{vi}{cell}:{q}{cell}{out_minus} <= {r_lo}\n"
-                        f" sel_rhi_{vi}{cell}:{q}{cell}{out_plus} <= {r_hi}\n"
-                        f" sel_slo_{vi}{cell}:{q}{cell}{in_minus} <= {s_lo}\n"
-                        f" sel_shi_{vi}{cell}:{q}{cell}{in_plus} <= {s_hi}"
-                        for cell, r_lo, r_hi, s_lo, s_hi in targets
-                    ]
-                picks = [f"+ 1 Q_{vi}{cell}" for cell in cells]
-                picks[0] = picks[0][2:]
-                lines.extend(_wrap(f" pick_{v}_{i}:", picks, " = 1"))
+        ),
+    ]
+    binaries = ["Binary", *(f" P_{i}_{j}" for i in candidates for j in candidates)]
+    return _Layout(
+        cells=cells,
+        targets=targets,
+        minus=tuple(tuple(f"- 1 P_{i}_{j}" for j in candidates) for i in candidates),
+        plus=tuple(tuple(f"+ 1 P_{i}_{j}" for j in candidates) for i in candidates),
+        selectors=tuple(selectors),
+        widest=len(f" sel_rlo_{cells[-1]}: {n} Q_{cells[-1]}"),
+        constraints="\n".join(constraints) + "\n",
+        binaries="\n".join(binaries) + "\n",
+        q_binaries=(" Q_", *(f"{cell}\n Q_" for cell in cells[:-1]), f"{cells[-1]}\n"),
+    )
 
-        lines.append("Binary")
-        lines.extend(f" P_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1))
-        lines.extend(
-            f" Q_{v}_{i}_{cell}"
-            for v in range(1, m + 1)
-            for i in range(1, n + 1)
-            for cell in cells
-        )
-        lines.append("End")
-        return "\n".join(lines) + "\n"
+
+@lru_cache(maxsize=64)
+def _pick_row(n: int, width: int) -> tuple[str, ...]:
+    """The pick row of a block after its name, split at the stem: its breaks
+    depend on n and on the stem's length ``width`` alone."""
+    cells = _layout(n).cells
+    stem = "\0" * width
+    head = " pick_" + stem[:-1] + ":"
+    terms = [f"+ 1 Q_{stem}{cell}" for cell in cells]
+    terms[0] = terms[0][2:]
+    return tuple(("\n".join(_wrap(head, terms, " = 1")) + "\n")[len(head) :].split(stem))
 
 
 def _wrap(head: str, terms: Sequence[str], suffix: str = "") -> list[str]:
@@ -160,16 +225,17 @@ def _wrap(head: str, terms: Sequence[str], suffix: str = "") -> list[str]:
 
 
 def _wide_selectors(
-    vi: str, q: str, targets: list[tuple], outside: list[str], inside: list[str]
+    stem: str, n: int, targets: tuple[tuple, ...], fragments: list[list[str]]
 ) -> list[str]:
     """The selector rows of one (ballot, candidate) when they pass the line
-    width (n >= 17), each wrapped term by term."""
+    width (from n = 18; at n = 17 only from ballot 10^6 on), each wrapped
+    term by term; ``fragments`` holds the P terms of a cell's four rows, in
+    row order."""
     lines = []
-    for cell, r_lo, r_hi, s_lo, s_hi in targets:
-        q_term = q[1:] + cell
-        for tag, count, lo, hi in (("r", outside, r_lo, r_hi), ("s", inside, s_lo, s_hi)):
-            lines += _wrap(f" sel_{tag}lo_{vi}{cell}:", [q_term, *(f"- 1 {p}" for p in count)], f" <= {lo}")
-            lines += _wrap(f" sel_{tag}hi_{vi}{cell}:", [q_term, *(f"+ 1 {p}" for p in count)], f" <= {hi}")
+    for cell, *bounds in targets:
+        q_term = f"{n} Q_{stem}{cell}"
+        for kind, terms, bound in zip(("rlo", "rhi", "slo", "shi"), fragments, bounds):
+            lines += _wrap(f" sel_{kind}_{stem}{cell}:", [q_term, *terms], f" <= {bound}")
     return lines
 
 

@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations, permutations as it_perms
 from math import comb, factorial
@@ -600,6 +601,21 @@ class TestPtasDepth:
                 expected = max(1, loop(base, base**2 / ((base - 1) ** 2 * eps)))
                 assert ptas_depth("exponential", inv_eps, alpha=base) == expected
         assert ptas_depth("exponential", 4, alpha=F(10001, 10000)) == 198082
+
+    def test_exponential_depth_trusts_an_estimate_far_from_an_integer(self):
+        # settling this depth exactly builds p^k with k = 2,441,229 (over 30 s
+        # on a 2-core VM); the float estimate, 2441228.735..., is far from an
+        # integer, outside its margin
+        start = time.perf_counter()
+        assert ptas_depth("exponential", 4, alpha=F(100001, 100000)) == 2441229
+        assert time.perf_counter() - start < 0.5
+        # within the margin of an integer the answer is still settled exactly:
+        # an exact power, and a hair either side of it, far below float resolution
+        base, k = F(1001, 1000), 3000
+        hair = F(1, 10**40)
+        assert aggregation._ceil_log(base, base**k) == k
+        assert aggregation._ceil_log(base, base**k - hair) == k
+        assert aggregation._ceil_log(base, base**k + hair) == k + 1
 
     def test_custom_agrees_with_closed_forms_at_finite_horizon(self):
         for inv_eps in (2, 4):

@@ -183,6 +183,18 @@ class TestModelShape:
         assert _wrap(" r:", ["a" * 100, "b" * 136]) == [" r: " + "a" * 100 + " " + "b" * 136]
         assert _wrap(" r:", ["a" * 100, "b" * 137]) == [" r: " + "a" * 100, "    " + "b" * 137]
 
+    def test_rows_break_on_continuation_lines_at_the_same_column(self):
+        # a continuation line ("    " and its terms) may end at column 240 or
+        # 241, and breaks before a term that would end at 242
+        first = " r: " + "a" * 237
+        assert _wrap(" r:", ["a" * 237, "b" * 234, "c"]) == [first, "    " + "b" * 234 + " c"]
+        assert _wrap(" r:", ["a" * 237, "b" * 234, "cc"]) == [first, "    " + "b" * 234 + " cc"]
+        assert _wrap(" r:", ["a" * 237, "b" * 234, "ccc"]) == [first, "    " + "b" * 234, "    ccc"]
+        # the head alone when its first term does not fit beside it; an
+        # oversized term takes a continuation line to itself, past the width
+        assert _wrap(" r:", ["a" * 300, "b"], " = 1") == [" r:", "    " + "a" * 300, "    b = 1"]
+        assert _wrap(" r:", ["a", "b" * 300, "c"]) == [" r: a", "    " + "b" * 300, "    c"]
+
     def test_row_count_in_text_matches_model(self):
         params = make_params(*preset("kendall", 4))
         V = prof((1, (1, 2, 3, 4)), (2, (4, 3, 2, 1)))
@@ -263,6 +275,22 @@ def _digest_cases():
     yield "n5m10", make_params(*preset("ok-nishimura", 5)), prof(*ballots)
     # candidate 18 is last on the ballot, so its selector rows pass the width
     yield "n18-wide-selectors", make_params(*preset("kendall", 18)), prof((1, tuple(range(1, 19))))
+    # two-digit candidate names and cells, every selector row narrow
+    rng = random.Random(12)
+    ballots = [(rng.randint(1, 3), tuple(rng.sample(range(1, 13), 12))) for _ in range(3)]
+    yield "n12m3", make_params(*preset("linear", 12)), prof(*ballots)
+    # the widest n whose rows all stay narrow: candidate 16 is last, so its
+    # rows carry all 16 P terms in one fragment
+    yield "n16-narrow-selectors", make_params(*preset("kendall", 16)), prof((1, tuple(range(1, 17))))
+    # ballots 10 to 12 have two-digit stems, which move the pick rows' breaks;
+    # mixed signs and a zero in the measure give negative and zero prices
+    rng = random.Random(13)
+    ballots = [(rng.randint(1, 3), tuple(rng.sample(range(1, 6), 5))) for _ in range(12)]
+    yield (
+        "n5m12-mixed-sign",
+        make_params([F(5, 2), F(-4, 3), F(1, 6), -1], [1, F(-3, 2), 0, F(2, 7), 4]),
+        prof(*ballots),
+    )
 
 
 # SHA-256 of to_lp_text per case, recorded from the Fraction-based export
@@ -282,6 +310,10 @@ LP_DIGESTS = {
     "n2": "4de9e29d7c56f5f5a1a6978bba3c4fb1121bffacec73a3c4f3ce4e4c2a98a35b",
     "n5m10": "834892ad633fcb291f52aad7cdacfcb9ec7e682fcbbceee27005cf88b91debfe",
     "n18-wide-selectors": "eac9869356432b9b49f05425aed7359adcfa97ec77481995059f744a9b025cbb",
+    # recorded from the row-by-row writer the segment layout replaced
+    "n12m3": "ff32c32d2105a4b7ce69fcbd3532c2556fa7ae0586938d83ae3e7a58db899e03",
+    "n16-narrow-selectors": "346203bce45041398e0eabacb971b913b95ba4bb5a8a7b35a97ec5402fe382f5",
+    "n5m12-mixed-sign": "d1e632c6b21167756d7812fb98bea0a4f3df70ec3b9b85193578b5b33e3f451b",
 }
 
 
@@ -302,11 +334,138 @@ def test_lp_text_is_byte_identical_to_the_recorded_digests():
         seen[name] = hashlib.sha256(text.encode()).hexdigest()
         if name == "zero-weights":
             assert text.splitlines()[1:4] == ["\\ objective scaled by 1", "Minimize", " obj: 0 P_1_1"]
-        if name == "n5m10":
+        if name in ("n5m10", "n16-narrow-selectors"):
             assert _wrapped_row_kinds(text) == {"obj", "pick"}
         if name == "n18-wide-selectors":
             assert _wrapped_row_kinds(text) == {"obj", "pick", "sel"}
     assert seen == LP_DIGESTS
+
+
+def _reference_wrap(head, terms, suffix=""):
+    lines = []
+    current = head
+    for term in terms:
+        if len(current) + len(term) > 240:
+            lines.append(current)
+            current = "   "
+        current += " " + term
+    lines.append(current + suffix)
+    return lines
+
+
+def _reference_lp_text(model) -> str:
+    """The row-by-row writer the segment layout replaced, each row an
+    f-string of its own and every wrapped row through ``_reference_wrap``."""
+    n, m = model.n, model.m
+    targets = [(f"{r}_{s}", n - r, n + r, n - s, n + s) for r in range(n) for s in range(n)]
+    cells = [cell for cell, *_ in targets]
+    lines = [
+        f"\\ consensus ranking program: n={n}, m={m}",
+        f"\\ objective scaled by {model.scale}",
+        "Minimize",
+    ]
+    terms = []
+    coefficients = iter(model.coefficients)
+    for v in range(1, m + 1):
+        for i in range(1, n + 1):
+            for cell, c in zip(cells, coefficients):
+                if c > 0:
+                    terms.append(f"+ {c} Q_{v}_{i}_{cell}")
+                elif c < 0:
+                    terms.append(f"- {-c} Q_{v}_{i}_{cell}")
+    if terms:
+        first = terms[0]
+        terms[0] = first[2:] if first[0] == "+" else "-" + first[2:]
+    else:
+        terms = ["0 P_1_1"]
+    lines.extend(_reference_wrap(" obj:", terms))
+    lines.append("Subject To")
+    lines.extend(f" diag_{i}: 1 P_{i}_{i} = 0" for i in range(1, n + 1))
+    lines.extend(
+        f" complete_{i}_{j}: 1 P_{i}_{j} + 1 P_{j}_{i} = 1"
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    )
+    lines.extend(
+        f" transitive_{i}_{j}_{k}: 1 P_{i}_{j} + 1 P_{j}_{k} - 1 P_{i}_{k} <= 1"
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        for k in range(1, n + 1)
+        if i != j != k != i
+    )
+    for v, masks in enumerate(model.below, start=1):
+        for i, mask in enumerate(masks, start=1):
+            outside = [f"P_{i}_{j}" for j in range(1, n + 1) if not mask >> (j - 1) & 1]
+            inside = [f"P_{i}_{j}" for j in range(1, n + 1) if mask >> (j - 1) & 1]
+            out_minus = "".join(f" - 1 {p}" for p in outside)
+            out_plus = "".join(f" + 1 {p}" for p in outside)
+            in_minus = "".join(f" - 1 {p}" for p in inside)
+            in_plus = "".join(f" + 1 {p}" for p in inside)
+            vi = f"{v}_{i}_"
+            q = f" {n} Q_{vi}"
+            longest = max(len(out_minus), len(in_minus))
+            if len(f" sel_rlo_{vi}{cells[-1]}:{q}{cells[-1]}") + longest > 241:
+                for cell, r_lo, r_hi, s_lo, s_hi in targets:
+                    q_term = q[1:] + cell
+                    for tag, count, lo, hi in (("r", outside, r_lo, r_hi), ("s", inside, s_lo, s_hi)):
+                        lines += _reference_wrap(
+                            f" sel_{tag}lo_{vi}{cell}:", [q_term, *(f"- 1 {p}" for p in count)], f" <= {lo}"
+                        )
+                        lines += _reference_wrap(
+                            f" sel_{tag}hi_{vi}{cell}:", [q_term, *(f"+ 1 {p}" for p in count)], f" <= {hi}"
+                        )
+            else:
+                lines += [
+                    f" sel_rlo_{vi}{cell}:{q}{cell}{out_minus} <= {r_lo}\n"
+                    f" sel_rhi_{vi}{cell}:{q}{cell}{out_plus} <= {r_hi}\n"
+                    f" sel_slo_{vi}{cell}:{q}{cell}{in_minus} <= {s_lo}\n"
+                    f" sel_shi_{vi}{cell}:{q}{cell}{in_plus} <= {s_hi}"
+                    for cell, r_lo, r_hi, s_lo, s_hi in targets
+                ]
+            picks = [f"+ 1 Q_{vi}{cell}" for cell in cells]
+            picks[0] = picks[0][2:]
+            lines.extend(_reference_wrap(f" pick_{v}_{i}:", picks, " = 1"))
+    lines.append("Binary")
+    lines.extend(f" P_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1))
+    lines.extend(
+        f" Q_{v}_{i}_{cell}" for v in range(1, m + 1) for i in range(1, n + 1) for cell in cells
+    )
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+def test_segment_writer_matches_the_row_by_row_writer():
+    # seeded programs over n = 2..18 and m = 1..12 (m capped so that m n^3
+    # stays near 3000 cells), mixed-sign weights and measures with zeros
+    rng = random.Random(1515)
+    seen = set()
+    for n in range(2, 19):
+        cap = max(1, min(12, 3000 // n**3))
+        for trial in range(3):
+            m = cap if trial == 0 else rng.randint(1, cap)
+            weights = rand_weights(rng, n, nonneg=trial == 2)
+            if (n + trial) % 5 == 0:
+                weights = [0] * (n - 1)
+            mu = Measure([0 if rng.random() < 0.2 else rand_fraction(rng, nonneg=False) for _ in range(n)])
+            V = Profile(tuple((rng.randint(1, 3), rand_ranking(rng, n)) for _ in range(m)), n)
+            model = build_ilp(make_params(weights, mu), V)
+            text = model.to_lp_text()
+            assert text == _reference_lp_text(model), (n, m, trial)
+            prices = [c for c in model.coefficients if c]
+            seen |= {
+                *(f"wrapped {kind}" for kind in _wrapped_row_kinds(text)),
+                f"{len(str(m))}-digit ballots",
+                f"{len(str(n))}-digit candidates",
+                "first price negative" if prices and prices[0] < 0 else "first price positive",
+                "negative price" if any(c < 0 for c in prices) else "no negative price",
+                "no objective" if not prices else "objective",
+            }
+    assert seen == {
+        "wrapped obj", "wrapped pick", "wrapped sel",
+        "1-digit ballots", "2-digit ballots", "1-digit candidates", "2-digit candidates",
+        "first price negative", "first price positive", "negative price", "no negative price",
+        "no objective", "objective",
+    }
 
 
 @pytest.mark.parametrize("name", ["kendall", "ok-nishimura"])
