@@ -8,7 +8,9 @@ rankings, into rows indexed by rank, and test betweenness on the rankings'
 pair masks.  ``check_property`` evaluates social-choice properties
 of the induced consensus correspondence against the exact solver;
 ``neutrality_P`` solves the profile once per relabelling, n! times, so it is
-guarded to n <= 7 (about 3 s at n = 7).
+guarded to n <= 7 (about 3 s at n = 7).  ``condorcet_P``, ``reinforcing``
+and the two Pareto properties list the whole consensus set; they read its
+size from ``len`` first and refuse more than 8! = 40,320 tied rankings.
 
 Axiom catalogue (d a distance on rankings, t_a the swap at positions a,a+1):
 
@@ -53,6 +55,9 @@ from .weights import DistanceParams, ParamLabel
 
 AXIOM_CANDIDATE_LIMIT = 5
 NEUTRALITY_CANDIDATE_LIMIT = 7
+# the audits that list a consensus set refuse more tied rankings than 8!:
+# listing 8! took 0.4 s and 71 MB, 9! took 3 s and 530 MB (condorcet_P)
+LISTED_CONSENSUS_LIMIT = 40_320
 
 DistanceFn = Callable[[Permutation, Permutation], Fraction]
 
@@ -458,6 +463,18 @@ def check_property(
     return checker(params, profile)
 
 
+def _listed_consensus(params, profile, prop: str):
+    """The exact consensus set, refused before it is listed when it holds
+    more than ``LISTED_CONSENSUS_LIMIT`` rankings (its ``len`` lists nothing)."""
+    consensus = aggregate_exact(params, profile).minimizers
+    if len(consensus) > LISTED_CONSENSUS_LIMIT:
+        raise ValueError(
+            f"the {prop} audit lists the consensus set, and {len(consensus)} rankings "
+            f"tie; the audit is capped at {LISTED_CONSENSUS_LIMIT}"
+        )
+    return consensus
+
+
 def _check_neutrality(params, profile) -> AuditReport:
     # one exact solve per relabelling: 0.28 s at n = 6, 3.1 s at n = 7 and
     # 43 s at n = 8 on a 2-core VM with Python 3.11
@@ -495,7 +512,7 @@ def _check_majority(params, profile) -> AuditReport:
 
 
 def _check_condorcet_p(params, profile) -> AuditReport:
-    consensus = aggregate_exact(params, profile).minimizers
+    consensus = _listed_consensus(params, profile, "condorcet_P")
     margins = net_preference_matrix(profile)
     adjacency = [
         {(p.order[k], p.order[k + 1]) for k in range(profile.n - 1)}
@@ -536,12 +553,12 @@ def _check_condorcet_w(params, profile) -> AuditReport:
 
 
 def _check_reinforcing(params, one, two) -> AuditReport:
-    first = set(aggregate_exact(params, one).minimizers)
-    second = set(aggregate_exact(params, two).minimizers)
+    first = set(_listed_consensus(params, one, "reinforcing"))
+    second = set(_listed_consensus(params, two, "reinforcing"))
     common = first & second
     if not common:
         return _holds("reinforcing", "consensus sets are disjoint; nothing to require")
-    merged = set(aggregate_exact(params, one.concat(two)).minimizers)
+    merged = set(_listed_consensus(params, one.concat(two), "reinforcing"))
     if merged != common:
         return _fails(
             "reinforcing",
@@ -587,7 +604,7 @@ def _agreed_prefix_sizes(profile: Profile) -> list[int]:
 
 def _check_blockwise(params, profile) -> AuditReport:
     """Shared top-k sets (equivalently bottom-(n-k) sets) must be preserved."""
-    consensus = aggregate_exact(params, profile).minimizers
+    consensus = _listed_consensus(params, profile, "blockwise_pareto")
     first = profile.entries[0][1]
     for k in _agreed_prefix_sizes(profile):
         top = frozenset(first.order[:k])
@@ -606,7 +623,7 @@ def _check_partitionwise(params, profile) -> AuditReport:
     Cutting at every agreed size gives the finest admissible partition;
     coarser cut sequences follow from it by unions of blocks.
     """
-    consensus = aggregate_exact(params, profile).minimizers
+    consensus = _listed_consensus(params, profile, "partitionwise_pareto")
     first = profile.entries[0][1]
     cuts = [0] + _agreed_prefix_sizes(profile)  # final agreed size is always n
     for lo, hi in zip(cuts, cuts[1:]):

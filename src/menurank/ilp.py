@@ -31,9 +31,18 @@ those segments with their slots filled: the stem, twice a row, and one of
 four down-set fragments, i's P terms outside or inside the ballot's
 down-set of i, with a minus or a plus sign.  A block's pick row is a
 template split at the stem, one per (n, stem length), since its line
-breaks depend on nothing else.  Per program only the objective, wrapped by
-``_wrap``, and the fragments are formatted, and the few blocks whose rows
-pass the line width (from n = 18) are wrapped term by term.
+breaks depend on nothing else.  Per program only the objective and the
+fragments are formatted, and the few blocks whose rows pass the line width
+(from n = 18) are wrapped row by row.
+
+The objective is formatted once per distinct block of coefficients: a
+(ballot, candidate) block's n^2 coefficients key a template of its nonzero
+terms, separated by "\0" and split at the stem, and the block's terms are
+the stem joined into that template (blocks differ only by multiplicity
+times measure, so under the counting measure a few templates serve every
+block).  ``_wrap_text`` breaks the "\0"-joined body into lines with one
+``rfind`` a line and writes the separators left as spaces; it is the one
+break finder, and ``_wrap`` is its front for a list of terms.
 """
 
 from __future__ import annotations
@@ -79,24 +88,33 @@ class IlpModel:
         n, m = self.n, self.m
         layout = _layout(n)
         stems = [f"{v}_{i}_" for v in range(1, m + 1) for i in range(1, n + 1)]
-        terms = []
-        coefficients = iter(self.coefficients)
-        for stem in stems:
-            terms += [
-                f"+ {c} Q_{stem}{cell}" if c > 0 else f"- {-c} Q_{stem}{cell}"
-                for cell, c in zip(layout.cells, coefficients)
-                if c
-            ]
-        if terms:
+        # a block's objective terms, "\0"-separated, from one template per
+        # distinct slice of coefficients, split at the stem
+        size = n * n
+        coefficients = self.coefficients
+        templates: dict[tuple[int, ...], list[str]] = {}
+        blocks = []
+        for start, stem in zip(range(0, len(coefficients), size), stems):
+            key = coefficients[start : start + size]
+            template = templates.get(key)
+            if template is None:
+                template = templates[key] = "\0".join([
+                    f"+ {c} Q_\1{cell}" if c > 0 else f"- {-c} Q_\1{cell}"
+                    for cell, c in zip(layout.cells, key)
+                    if c
+                ]).split("\1")
+            if len(template) > 1:  # an all-zero block has no terms
+                blocks.append(stem.join(template))
+        if blocks:
             # the first term carries its sign on the number: "3 Q", "-3 Q"
-            first = terms[0]
-            terms[0] = first[2:] if first[0] == "+" else "-" + first[2:]
+            body = "\0".join(blocks)
+            body = body[2:] if body[0] == "+" else "-" + body[2:]
         else:
-            terms = ["0 P_1_1"]
+            body = "0 P_1_1"
         parts = [
             f"\\ consensus ranking program: n={n}, m={m}\n"
             f"\\ objective scaled by {self.scale}\nMinimize\n",
-            "\n".join(_wrap(" obj:", terms)),
+            _wrap_text(" obj:", body),
             "\n",
             layout.constraints,
         ]
@@ -203,7 +221,7 @@ def _pick_row(n: int, width: int) -> tuple[str, ...]:
     """The pick row of a block after its name, split at the stem: its breaks
     depend on n and on the stem's length ``width`` alone."""
     cells = _layout(n).cells
-    stem = "\0" * width
+    stem = "\1" * width
     head = " pick_" + stem[:-1] + ":"
     terms = [f"+ 1 Q_{stem}{cell}" for cell in cells]
     terms[0] = terms[0][2:]
@@ -211,17 +229,41 @@ def _pick_row(n: int, width: int) -> tuple[str, ...]:
 
 
 def _wrap(head: str, terms: Sequence[str], suffix: str = "") -> list[str]:
-    """``head`` and ``terms`` on one line, broken before any term that would
-    take the line past ``LINE_WIDTH``; continuation lines are indented."""
-    lines = []
-    current = head
-    for term in terms:
-        if len(current) + len(term) > LINE_WIDTH:
-            lines.append(current)
-            current = "   "
-        current += " " + term
-    lines.append(current + suffix)
-    return lines
+    """The lines of ``_wrap_text`` for a list of (non-empty) terms."""
+    return _wrap_text(head, "\0".join(terms), suffix).split("\n")
+
+
+def _wrap_text(head: str, body: str, suffix: str = "") -> str:
+    """``head`` and the terms of ``body``, separated by "\\0", as one row
+    broken before any term that would take a line past ``LINE_WIDTH``, with
+    the separators left written as spaces.
+
+    Continuation lines are indented; the head stays alone on its line when
+    its first term does not fit beside it, and a term too wide for any line
+    takes a continuation line of its own.  Each line is found by one
+    ``rfind`` for the last separator within its room.
+    """
+    parts = [head]
+    pos, end = 0, len(body)
+    # the line's " " and terms end by column LINE_WIDTH + 1; a negative room
+    # would count back from the end of the body
+    room = max(LINE_WIDTH - len(head), 0)
+    while end - pos > room:
+        cut = body.rfind("\0", pos, pos + room + 1)
+        if cut < 0:
+            if len(parts) == 1:
+                # the first term does not fit beside the head
+                parts.append("\n   ")
+                room = LINE_WIDTH - 3
+                continue
+            cut = body.find("\0", pos)  # an oversized term, alone on its line
+            if cut < 0:
+                break
+        parts += [" ", body[pos:cut], "\n   "]
+        pos = cut + 1
+        room = LINE_WIDTH - 3
+    parts += [" ", body[pos:], suffix]
+    return "".join(parts).replace("\0", " ")
 
 
 def _wide_selectors(
@@ -229,7 +271,7 @@ def _wide_selectors(
 ) -> list[str]:
     """The selector rows of one (ballot, candidate) when they pass the line
     width (from n = 18; at n = 17 only from ballot 10^6 on), each wrapped
-    term by term; ``fragments`` holds the P terms of a cell's four rows, in
+    by ``_wrap``; ``fragments`` holds the P terms of a cell's four rows, in
     row order."""
     lines = []
     for cell, *bounds in targets:
@@ -292,11 +334,13 @@ def build_ilp(params: DistanceParams, profile: Profile) -> IlpModel:
     # g = gcd(S, every c), and S / g is the lcm of the reduced denominators
     scale = params.scale
     common = gcd(scale, *coefficients)
+    if common != 1:
+        coefficients = [c // common for c in coefficients]
     return IlpModel(
         n=n,
         m=len(profile.entries),
         scale=scale // common,
-        coefficients=tuple(c // common for c in coefficients),
+        coefficients=tuple(coefficients),
         below=tuple(v._below for _, v in profile.entries),
     )
 

@@ -201,6 +201,50 @@ def test_neutrality_over_eight_candidates_exits_2_before_solving(capsys, tmp_pat
               "--profile", str(seven)])
 
 
+LISTING_AUDITS = ("condorcet_P", "reinforcing", "blockwise_pareto", "partitionwise_pareto")
+
+
+def _zero_measure_check(tmp_path, prop, n):
+    # a zero measure ties all n! rankings; the ballots agree on {1, 2} first
+    labels = " ".join(str(c) for c in range(3, n + 1))
+    profile = tmp_path / f"zero{n}.prof"
+    profile.write_text(f"{n} 3\n1: 1 2 {labels}\n2: 2 1 {labels}\n")
+    params = tmp_path / f"zero{n}.params"
+    params.write_text(f"beta: 1{' 0' * (n - 2)}\nmu: {' '.join(['0'] * n)}\n")
+    argv = ["check", "--property", prop, "--profile", str(profile), "--params", str(params)]
+    return argv + ["--profile2", str(profile)] if prop == "reinforcing" else argv
+
+
+@pytest.mark.parametrize("prop", LISTING_AUDITS)
+def test_listing_audits_past_8_factorial_ties_exit_2_before_listing(capsys, tmp_path, monkeypatch, prop):
+    # listing the 9! = 362,880 ties for condorcet_P took 3 s and 530 MB
+    def refuse(self):
+        raise AssertionError("a consensus set was listed")
+
+    monkeypatch.setattr(aggregation.ConsensusSet, "_items", refuse)
+    code = main(_zero_measure_check(tmp_path, prop, 9))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "362880" in captured.err and "40320" in captured.err
+
+
+@pytest.mark.parametrize(
+    "prop, expected",
+    [
+        ("condorcet_P", (1, "condorcet_P: Fails\n  i: 1\n  j: 3\n  margin: 3\n"
+                           "  ranking: 2 3 1 4 5 6 7 8\n")),
+        ("reinforcing", (0, "reinforcing: Holds\n")),
+        ("blockwise_pareto", (1, "blockwise_pareto: Fails\n  k: 2\n  shared_top_set: [1, 2]\n"
+                                 "  ranking: 1 3 2 4 5 6 7 8\n")),
+        ("partitionwise_pareto", (1, "partitionwise_pareto: Fails\n  block: (1, 2)\n"
+                                     "  shared_set: [1, 2]\n  ranking: 1 3 2 4 5 6 7 8\n")),
+    ],
+)
+def test_listing_audits_at_8_factorial_ties_keep_their_verdicts(capsys, tmp_path, prop, expected):
+    # all 8! = 40,320 rankings tie: the cap itself, so the audit still runs
+    assert run(capsys, *_zero_measure_check(tmp_path, prop, 8)) == expected
+
+
 def test_custom_depth_with_zero_n_reports_the_preset_limit(capsys):
     # --n 0 was given: the error is about its value, not a missing flag
     code = main(["ptas-depth", "--rule", "custom", "--epsilon", "1/2", "--params", "kendall",

@@ -10,6 +10,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menurank import (
     Measure,
@@ -291,6 +293,30 @@ def _digest_cases():
         make_params([F(5, 2), F(-4, 3), F(1, 6), -1], [1, F(-3, 2), 0, F(2, 7), 4]),
         prof(*ballots),
     )
+    # a weight with a 224-digit numerator: the objective's terms run 236 to
+    # 238 characters, so their lines end at columns 240, 241 and 242 (an
+    # oversized term alone), the first term, which is negative, leaves the
+    # head alone, and the cells with r = s, where the big weight cancels,
+    # stay narrow
+    yield (
+        "oversized-terms",
+        make_params([F(10**223 + 7, 3), F(-2, 3), F(1, 5)], [1, F(-5, 2), 0, 2]),
+        prof((2, (1, 2, 3, 4)), (1, (4, 1, 3, 2)), (3, (2, 4, 1, 3))),
+    )
+    # multiplicities 1..10 times a measure of ±11^k for distinct k: no two
+    # (ballot, candidate) blocks share their coefficients
+    rng = random.Random(16)
+    ballots = [(mult, tuple(rng.sample(range(1, 6), 5))) for mult in range(1, 11)]
+    yield (
+        "all-blocks-distinct",
+        make_params([1, F(1, 2), 2, F(1, 3)], [1, 11, F(1, 121), 1331, F(-1, 14641)]),
+        prof(*ballots),
+    )
+
+
+def _objective_lines(text: str) -> list[str]:
+    lines = text.splitlines()
+    return lines[lines.index("Minimize") + 1 : lines.index("Subject To")]
 
 
 # SHA-256 of to_lp_text per case, recorded from the Fraction-based export
@@ -314,6 +340,9 @@ LP_DIGESTS = {
     "n12m3": "ff32c32d2105a4b7ce69fcbd3532c2556fa7ae0586938d83ae3e7a58db899e03",
     "n16-narrow-selectors": "346203bce45041398e0eabacb971b913b95ba4bb5a8a7b35a97ec5402fe382f5",
     "n5m12-mixed-sign": "d1e632c6b21167756d7812fb98bea0a4f3df70ec3b9b85193578b5b33e3f451b",
+    # recorded from the term-by-term objective the per-block templates replaced
+    "oversized-terms": "cdf02d927c371e3cd6a99b255dbbb4604db3c11c50ab5898d6a347f9568bb096",
+    "all-blocks-distinct": "db50f28ffd2e4013979fb48051a3a264d36891e46424f287e5c4ebaf2f42e691",
 }
 
 
@@ -338,6 +367,16 @@ def test_lp_text_is_byte_identical_to_the_recorded_digests():
             assert _wrapped_row_kinds(text) == {"obj", "pick"}
         if name == "n18-wide-selectors":
             assert _wrapped_row_kinds(text) == {"obj", "pick", "sel"}
+        if name == "oversized-terms":
+            widths = {len(line) for line in _objective_lines(text)}
+            assert {5, 240, 241, 242} <= widths and max(widths) == 242
+            head, first = _objective_lines(text)[:2]
+            assert head == " obj:" and first.startswith("    -2") and first.endswith("0 Q_1_1_0_1")
+        if name == "all-blocks-distinct":
+            model = build_ilp(params, V)
+            size = model.n**2
+            blocks = {model.coefficients[k : k + size] for k in range(0, len(model.coefficients), size)}
+            assert len(blocks) == model.m * model.n
     assert seen == LP_DIGESTS
 
 
@@ -351,6 +390,25 @@ def _reference_wrap(head, terms, suffix=""):
         current += " " + term
     lines.append(current + suffix)
     return lines
+
+
+# term widths clustered where a line fills up: a term alone near the 237
+# columns a continuation line has room for, and short terms that top a line
+# up to column 240 or 241
+_term_widths = st.one_of(st.integers(1, 300), st.integers(228, 245), st.integers(1, 8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    head=st.sampled_from([" obj:", " r:", " pick_12_3:", " " + "h" * 200, " " + "h" * 236,
+                          " " + "h" * 239, " " + "h" * 240, " " + "h" * 250]),
+    widths=st.lists(_term_widths, min_size=1, max_size=12),
+    suffix=st.sampled_from(["", " = 1", " <= 17"]),
+)
+def test_wrap_matches_the_term_by_term_reference(head, widths, suffix):
+    # each term its own letter, so a term moved across a break shows
+    terms = [chr(97 + k % 26) * width for k, width in enumerate(widths)]
+    assert _wrap(head, terms, suffix) == _reference_wrap(head, terms, suffix)
 
 
 def _reference_lp_text(model) -> str:
