@@ -8,7 +8,9 @@ packed down-set counts; and exact consensus at n = 10 under the four bench
 presets and under a weight numerator near 2^60 (lanes of two 64-bit
 words), recorded before the term table sized its lanes from the overlap
 bound; and ties over two-digit labels, recorded before the consensus set
-was printed as one text block per DAG node."""
+was printed as one text block per DAG node; and neutrality audits and
+mixed-sign classifications, recorded while both still enumerated
+relabellings."""
 
 from __future__ import annotations
 
@@ -54,6 +56,21 @@ FILES = {
     "wide_lanes_n10.params": (
         "beta: 1152921504606846975 -3 1/2 0 1 2 0 1 5\nmu: 1 2 0 1 3 1 1/2 2 1 1\n"
     ),
+    # neutrality first fails at tau = 1 3 2 4 5, the seventh relabelling,
+    # after an earlier one has repeated the measure
+    "orbit_n5.prof": "5 7\n3: 3 5 1 4 2\n1: 1 2 4 5 3\n3: 5 2 1 3 4\n",
+    "orbit_n5.params": "beta: 1 1 0 0\nmu: 1 1 2 2 3\n",
+    # a ballot and its reversal: the witness prints sets of 16 and 36 rankings
+    "reversal_n5.prof": "5 2\n1: 2 3 5 1 4\n1: 4 1 5 3 2\n",
+    "reversal_n5.params": "beta: 1 2 2 1\nmu: 3 2 2 0 2\n",
+    "n7.prof": (
+        "7 6\n1: 3 2 4 1 5 7 6\n1: 5 1 7 2 6 3 4\n1: 4 1 2 6 3 5 7\n1: 7 5 1 2 3 6 4\n"
+        "1: 1 2 7 6 4 3 5\n1: 5 1 7 3 4 6 2\n"
+    ),
+    # mixed-sign weights that pass both price screens: a metric, and a
+    # vector whose triangle inequality fails
+    "mixed_inside_n6.params": "beta: 1 1 1 1 -1/10\n",
+    "mixed_outside_n6.params": "beta: 4 4 0 -3/2 -1\n",
 }
 
 CASES = {
@@ -104,6 +121,21 @@ CASES.update({
         ("ex_condorcet", "ex_condorcet", "ok-nishimura"),
     )
 })
+CASES.update({
+    "check/neutrality_P/orbit-n5": ("check", "--property", "neutrality_P",
+                                    "--params", "{orbit_n5.params}", "--profile", "{orbit_n5.prof}"),
+    "check/neutrality_P/reversal-n5": ("check", "--property", "neutrality_P",
+                                       "--params", "{reversal_n5.params}",
+                                       "--profile", "{reversal_n5.prof}"),
+    "check/neutrality_P/n7-counting": ("check", "--property", "neutrality_P",
+                                       "--params", "ok-nishimura", "--profile", "{n7.prof}"),
+    "check/majority/n6-mixed-inside": ("check", "--property", "majority",
+                                       "--params", "{mixed_inside_n6.params}",
+                                       "--profile", "{n6.prof}"),
+    "check/majority/n6-mixed-outside": ("check", "--property", "majority",
+                                        "--params", "{mixed_outside_n6.params}",
+                                        "--profile", "{n6.prof}"),
+})
 # every axiom at n = 4, under presets and a non-counting measure
 CASES.update({
     f"check/{axiom}/{name}": ("check", "--axiom", axiom, "--n", "4", "--params", token)
@@ -145,10 +177,15 @@ DIGESTS = {
     "check/condorcet_W/ex_neutrality": (0, "ff97a650a17e10392b8234173f2790f038bc0719ee81b5a29d63b79ab052d45a"),
     "check/majority/ex_condorcet": (0, "ba4e9f73a4a042cf2e1d4e86b692b504479e3f2b431391bf017dac3c34508c39"),
     "check/majority/ex_neutrality": (0, "ba4e9f73a4a042cf2e1d4e86b692b504479e3f2b431391bf017dac3c34508c39"),
+    "check/majority/n6-mixed-inside": (0, "ba4e9f73a4a042cf2e1d4e86b692b504479e3f2b431391bf017dac3c34508c39"),
+    "check/majority/n6-mixed-outside": (0, "73b774e9ca3ede7b30c26894712e4b1a397ac6c1c2a8ca8d903b96ef2485593e"),
     "check/monotonicity/ex_condorcet": (0, "91ce204a0151a1a1119313ee1a6562acf43515107a7a96bfe34a5703a2d4bcd9"),
     "check/monotonicity/ex_neutrality": (0, "91ce204a0151a1a1119313ee1a6562acf43515107a7a96bfe34a5703a2d4bcd9"),
     "check/neutrality_P/ex_condorcet": (0, "20a649845c36879c526304a9f304539b6e065a36251e1dc7a3437340d87a9682"),
     "check/neutrality_P/ex_neutrality": (1, "e13185f1adae8288c8913596336706c9d0e4b9a8aa85b317872c4ef5ec51668c"),
+    "check/neutrality_P/n7-counting": (0, "20a649845c36879c526304a9f304539b6e065a36251e1dc7a3437340d87a9682"),
+    "check/neutrality_P/orbit-n5": (1, "72469798144043084159671113ddc008b63c8679ef92f7aed29f1ee4b45d5e8d"),
+    "check/neutrality_P/reversal-n5": (1, "89147fab2b9d36c11237a4945028c331d26b349d74e751bccaed6350ffb9f120"),
     "check/partitionwise_pareto/ex_condorcet": (0, "0a0ec708619a9aeecaf24fd2428cfadd7afe7efc3d7dbcfd856e6e33e62b98a5"),
     "check/partitionwise_pareto/ex_neutrality": (0, "0a0ec708619a9aeecaf24fd2428cfadd7afe7efc3d7dbcfd856e6e33e62b98a5"),
     "check/reinforcing/ex_condorcet": (0, "52f391aefb5e121714f1bbf552d6cd909bcbe3e5f96d9114183645561050f1e7"),
