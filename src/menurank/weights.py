@@ -20,7 +20,7 @@ with an explicit alternating-sum inverse.  ``classify`` places a parameter
 pair into one of four regions (metric / semimetric only / trivially zero /
 not a semimetric): measure conditions are sign patterns and pairwise sums,
 while the weight-side region is closed-form for nonnegative, nonpositive or
-pairwise-only weights and decided by exact enumeration otherwise.
+pairwise-only weights and decided otherwise by exact consensus solves.
 
 Every result is an exact ``fractions.Fraction``.  One integer kernel,
 ``_scaled_mass``, evaluates the mass over the weights' common denominator as
@@ -284,7 +284,7 @@ class ParamLabel(Enum):
     NOT_SEMIMETRIC = "NotSemimetric"
 
 
-MIXED_SIGN_REGION_LIMIT = 6
+MIXED_SIGN_REGION_LIMIT = 7
 
 
 @lru_cache(maxsize=None)
@@ -296,9 +296,9 @@ def neutral_region(weights: MenuWeights) -> tuple[bool, bool]:
     Weights of mixed sign have no closed-form region: after two cheap
     necessary screens (position prices nonnegative, and no price below the
     last one, from the triangle through an adjacent swap towards the
-    antipode) the membership is decided by exact enumeration, using
-    relabelling invariance to pin one endpoint.  That enumeration is guarded
-    to n <= 6.
+    antipode) every d(id, q) must be >= 0, and (by relabelling) no ranking
+    may cost less than d(id, q) against the two-ballot profile {id, q}: one
+    exact solve per q, guarded to n <= 7.
     """
     if weights.is_nonnegative():
         return True, weights.values[0] > 0
@@ -313,26 +313,20 @@ def neutral_region(weights: MenuWeights) -> tuple[bool, bool]:
             "mixed-sign menu weights have no closed-form region; exact "
             f"classification is supported for n <= {MIXED_SIGN_REGION_LIMIT}"
         )
+    from .aggregation import aggregate_exact
     from .distances import distance
     from .permutations import all_rankings
+    from .profiles import Profile
 
     params = make_params(weights)
-    perms = all_rankings(n)  # lexicographic: perms[0] is the identity
-    index = {p.order: i for i, p in enumerate(perms)}
-    # the counting measure has scale 1, so distance * weights_scale is an integer
-    from_identity = [
-        int(distance(params, perms[0], p) * params.weights_scale) for p in perms
-    ]
+    identity, *others = all_rankings(n)
+    from_identity = [distance(params, identity, q) for q in others]
     if any(v < 0 for v in from_identity):
         return False, False
-    # relabelling invariance: d(w, q) = d(identity, w^-1 q)
-    for w, base in zip(perms, from_identity):
-        inv_w = w._pos
-        for q, direct in zip(perms, from_identity):
-            relative = tuple(inv_w[c - 1] for c in q.order)
-            if direct > base + from_identity[index[relative]]:
-                return False, False
-    return True, all(v > 0 for v in from_identity[1:])
+    for q, direct in zip(others, from_identity):
+        if aggregate_exact(params, Profile(((1, identity), (1, q)), n)).optimum < direct:
+            return False, False
+    return True, all(v > 0 for v in from_identity)
 
 
 def _positive_branch(weights: MenuWeights, mu: Measure) -> str | None:
@@ -411,7 +405,7 @@ class DistanceParams:
     run their inner loops over ``int_table`` and ``int_mu`` and divide once
     by ``scale``.  The classification label is also derived on first
     access: distances are well defined for any signs, while classifying
-    mixed-sign weights needs the exact-region machinery (guarded to n <= 6).
+    mixed-sign weights needs the exact-region machinery (guarded to n <= 7).
     """
 
     weights: MenuWeights

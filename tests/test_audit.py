@@ -4,11 +4,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menurank import (
     MenuWeights,
     Measure,
     Permutation,
+    Profile,
     aggregate_exact,
     all_rankings,
     audit_axiom,
@@ -26,7 +29,7 @@ from menurank import (
 )
 from menurank.audit import AXIOMS, params_distance
 
-from conftest import prof, rand_measure, rand_profile, rand_weights
+from conftest import prof, rand_measure, rand_profile, rand_ranking, rand_weights
 
 CYCLE = prof((1, (1, 2, 3)), (1, (2, 3, 1)), (1, (3, 1, 2)))
 CONDORCET_PROFILE = prof((5, (1, 2, 3, 4)), (4, (3, 2, 1, 4)), (1, (2, 3, 1, 4)))
@@ -306,3 +309,86 @@ class TestProperties:
         params = make_params(*preset("kendall", 3))
         with pytest.raises(ValueError, match="two profiles"):
             check_property(params, CYCLE, "reinforcing")
+
+
+def _reference_neutrality(params, profile):
+    """The neutrality audit by its definition: one exact solve per
+    relabelling, each against the sorted relabelled base set."""
+    base = aggregate_exact(params, profile).minimizers
+    for tau in all_rankings(profile.n):
+        relabeled = aggregate_exact(params, profile.relabel(tau)).minimizers
+        expected = tuple(sorted(tau.compose(p) for p in base))
+        if relabeled != expected:
+            return "Fails", {
+                "tau": tau,
+                "consensus": base,
+                "relabeled_consensus": relabeled,
+                "expected": expected,
+            }
+    return "Holds", None
+
+
+def _orbit_cases(rng, count):
+    """Measures with zeros, repeated values, all-distinct values or all ones,
+    over random or tie-heavy profiles (a ballot and its reversal)."""
+    for i in range(count):
+        # a holding case at n = 6 takes 720 solves by the referee, 0.2 s
+        n = 6 if i % 40 == 2 else rng.choice((2, 3, 3, 4, 4, 4, 5))
+        mu = (
+            [rng.choice((0, 0, 1, 5, F(1, 2))) for _ in range(n)],
+            [rng.choice((1, 5)) for _ in range(n)],
+            rng.sample(range(1, 30), n),
+        )[i % 3] if i % 10 != 9 else [1] * n
+        if rng.random() < 0.5:
+            ballot = rand_ranking(rng, n)
+            reversal = Permutation(ballot.order[::-1])
+            mult = rng.randint(1, 3)
+            entries = [(mult, ballot), (rng.choice((mult, mult + 1)), reversal)]
+            if rng.random() < 0.3:
+                entries.append((1, rand_ranking(rng, n)))
+            profile = Profile(tuple(entries), n)
+        else:
+            profile = rand_profile(rng, n)
+        yield make_params(rand_weights(rng, n), mu), profile
+
+
+class TestNeutralityOrbits:
+    def test_orbit_check_matches_the_per_relabelling_referee(self):
+        failures = non_involutions = 0
+        for params, V in _orbit_cases(random.Random(61), 240):
+            report = check_property(params, V, "neutrality_P")
+            verdict, witness = _reference_neutrality(params, V)
+            assert report.verdict == verdict
+            if witness is None:
+                assert report.witness is None
+                continue
+            failures += 1
+            tau = witness["tau"]
+            non_involutions += tau.compose(tau) != all_rankings(V.n)[0]
+            assert report.witness.keys() == witness.keys()
+            assert report.witness["tau"] == tau
+            for key in ("consensus", "relabeled_consensus", "expected"):
+                assert tuple(report.witness[key]) == tuple(witness[key])
+        # enough failures to compare witnesses, some first failing at a
+        # relabelling that is not its own inverse
+        assert failures >= 40 and non_involutions >= 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_relabelled_profile_solves_as_the_relabelled_measure(self, data):
+        # P_mu(tau V) = tau P_{mu o tau}(V), for weights and measures of any sign
+        n = data.draw(st.integers(min_value=2, max_value=5))
+        value = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        weights = data.draw(st.lists(value, min_size=n - 1, max_size=n - 1))
+        mu = data.draw(st.lists(value, min_size=n, max_size=n))
+        ranking = st.permutations(range(1, n + 1)).map(Permutation)
+        tau = data.draw(ranking)
+        entries = data.draw(
+            st.lists(st.tuples(st.integers(1, 3), ranking), min_size=1, max_size=4)
+        )
+        V = Profile(tuple(entries), n)
+        moved = aggregate_exact(make_params(weights, mu), V.relabel(tau)).minimizers
+        image = aggregate_exact(
+            make_params(weights, [mu[t - 1] for t in tau.order]), V
+        ).minimizers
+        assert moved == tuple(sorted(tau.compose(p) for p in image))

@@ -32,6 +32,7 @@ from menurank.weights import (
     DistanceParams,
     ParamsFormatError,
     as_fraction,
+    neutral_region,
     parse_params_text,
     scaled_downset_table,
 )
@@ -200,6 +201,43 @@ def _brute_force_region(params, n):
     return "metric" if metric else "semimetric"
 
 
+def _reference_region(weights):
+    """``neutral_region`` for mixed-sign weights by its definition: both
+    price screens, then d(id, q) >= 0 and the triangle inequality over all
+    (n!)^2 pairs (w, q), with relabelling pinning the third ranking to the
+    identity: d(w, q) = d(id, w^-1 q)."""
+    phi = menu_to_position_weights(weights).values
+    if any(v < 0 for v in phi) or any(v < phi[-1] for v in phi):
+        return False, False
+    params = make_params(weights)
+    perms = all_rankings(weights.n)
+    index = {p.order: i for i, p in enumerate(perms)}
+    # the counting measure has scale 1, so distance * weights_scale is an integer
+    from_identity = [
+        int(distance(params, perms[0], p) * params.weights_scale) for p in perms
+    ]
+    if any(v < 0 for v in from_identity):
+        return False, False
+    for w, base in zip(perms, from_identity):
+        for q, direct in zip(perms, from_identity):
+            relative = tuple(w._pos[c - 1] for c in q.order)
+            if direct > base + from_identity[index[relative]]:
+                return False, False
+    return True, all(v > 0 for v in from_identity[1:])
+
+
+def _screened_mixed_signs(rng, n):
+    """Weights of both signs that pass both price screens, so the region
+    comes from the exact check; zero entries are common."""
+    while True:
+        w = MenuWeights([F(rng.randint(-3, 4), rng.randint(1, 2)) for _ in range(n - 1)])
+        if w.is_nonnegative() or all(v <= 0 for v in w.values):
+            continue
+        phi = menu_to_position_weights(w).values
+        if all(v >= phi[-1] >= 0 for v in phi):
+            return w
+
+
 class TestClassification:
     def test_named_examples(self):
         assert classify(MenuWeights([1, 0, 0]), counting_measure(4)) is ParamLabel.METRIC
@@ -259,8 +297,42 @@ class TestClassification:
         params = make_params(weights, counting_measure(8))
         # evaluation is fine; only the label needs the exact region
         assert distance(params, identity(8), identity(8)) == 0
-        with pytest.raises(ValueError, match="n <= 6"):
+        with pytest.raises(ValueError, match="n <= 7"):
             params.label
+
+    def test_mixed_sign_region_matches_the_enumeration(self):
+        rng = random.Random(17)
+        regions = []
+        # the enumeration takes about 0.6 s for a vector inside the region at n = 6
+        for n, count in ((4, 14), (5, 14), (6, 4)):
+            for _ in range(count):
+                weights = _screened_mixed_signs(rng, n)
+                region = neutral_region.__wrapped__(weights)
+                assert region == _reference_region(weights), weights
+                regions.append((region, 0 in weights.values))
+        inside = [zero for (semimetric, _), zero in regions if semimetric]
+        assert len(inside) >= 8 and any(inside)
+        assert {region for region, _ in regions} == {
+            (True, True), (True, False), (False, False)
+        }
+
+    def test_mixed_sign_region_guard_raises_before_any_solve(self, monkeypatch):
+        from menurank import aggregation
+
+        def refuse(params, profile):
+            raise AssertionError("an exact solve ran")
+
+        monkeypatch.setattr(aggregation, "aggregate_exact", refuse)
+        # a vector no other test classifies, so the cache cannot answer
+        weights = MenuWeights([1, 1, 1, 1, 1, 1, F(-1, 11)])
+        with pytest.raises(ValueError, match="n <= 7"):
+            neutral_region(weights)
+
+    def test_mixed_signs_at_n7_classify_by_consensus(self):
+        # the (n!)^2 enumeration, run once with its guard lifted, also says
+        # metric here (45 s against 2 s)
+        label = classify(MenuWeights([1, 1, 1, 1, 1, F(-1, 10)]), counting_measure(7))
+        assert label is ParamLabel.METRIC
 
     def test_labels_match_brute_force(self):
         rng = random.Random(10)
