@@ -396,6 +396,29 @@ def _walk(dag: dict[int, tuple[int, ...]], mask: int, tokens: list, memo: dict) 
     return done
 
 
+def _first(dag: dict[int, tuple[int, ...]], mask: int, last: int, breaks, memo: dict):
+    """The lexicographically first path on from ``mask``, reached by placing
+    ``last``, with a step ``breaks`` accepts, as labels, or None; after that
+    step it takes the lowest edges.  Memoised per (mask, last)."""
+    key = mask, last
+    if key not in memo:
+        memo[key] = None
+        for c in dag.get(mask, ()):  # the full mask has no entry
+            step = mask | 1 << c
+            if breaks(last, mask, c + 1):
+                rest = []
+                while step in dag:  # every edge lies on an optimal path
+                    low = dag[step][0]
+                    rest.append(low + 1)
+                    step |= 1 << low
+            else:
+                rest = _first(dag, step, c + 1, breaks, memo)
+            if rest is not None:
+                memo[key] = (c + 1, *rest)
+                break
+    return memo[key]
+
+
 def _text_block(dag: dict[int, tuple[int, ...]], mask: int, tokens: list, memo: dict) -> str:
     """Every path from ``mask`` through ``dag`` as one block of text lines,
     each line its candidates' tokens, in lexicographic order of the
@@ -429,7 +452,8 @@ class ConsensusSet(Sequence):
     the set as one string of lines, one text block per DAG node, without
     building a ranking.  It equals, and hashes like, the tuple of its
     rankings.  The DAG is a canonical form of the set (every edge in it lies
-    on an optimal path), so two views compare without building either.
+    on an optimal path), so two views compare (``==``, and ``<=`` for
+    inclusion), and ``first`` and ``adjacent_pairs`` answer, from the DAGs.
     """
 
     __slots__ = ("_n", "_dag", "_count", "_rankings")
@@ -462,6 +486,29 @@ class ConsensusSet(Sequence):
         for c in dag[0]:
             _text_block(dag, 1 << c, tokens, memo)
         return _text_block(dag, 0, [f"{indent}{c}" for c in labels], memo)
+
+    def first(self, breaks) -> Permutation | None:
+        """The lexicographically first ranking here with a step that
+        ``breaks(last, placed, c)`` accepts, or None: the step places label
+        ``c`` right after label ``last`` (0 at the top), with the labels in
+        bitmask ``placed`` (bit c - 1 for label c) already placed."""
+        order = _first(self._dag, 0, 0, breaks, {})
+        return None if order is None else Permutation._trusted(order)
+
+    def adjacent_pairs(self) -> set[tuple[int, int]]:
+        """Every label pair (a, b) with b right after a in some ranking here."""
+        dag = self._dag
+        return {(a + 1, b + 1) for mask, edges in dag.items() for a in edges
+                for b in dag.get(mask | 1 << a, ())}
+
+    def __le__(self, other) -> bool:
+        # inclusion: as both DAGs are canonical, every edge here is one there
+        if not isinstance(other, ConsensusSet):
+            return NotImplemented
+        theirs = other._dag
+        return self._n == other._n and all(
+            set(edges).issubset(theirs.get(mask, ())) for mask, edges in self._dag.items()
+        )
 
     def __len__(self) -> int:
         return self._count

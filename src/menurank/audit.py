@@ -9,8 +9,8 @@ pair masks.  ``check_property`` evaluates social-choice properties
 of the induced consensus correspondence against the exact solver;
 ``neutrality_P`` solves once per distinct relabelled measure, up to n! times,
 so it is guarded to n <= 7.  ``condorcet_P``, ``reinforcing``
-and the two Pareto properties list the whole consensus set; they read its
-size from ``len`` first and refuse more than 8! = 40,320 tied rankings.
+and the two Pareto properties query the consensus set's DAG and list no
+ranking, so they run at every n the exact solver takes.
 
 Axiom catalogue (d a distance on rankings, t_a the swap at positions a,a+1):
 
@@ -55,9 +55,6 @@ from .weights import DistanceParams, Measure, ParamLabel
 
 AXIOM_CANDIDATE_LIMIT = 5
 NEUTRALITY_CANDIDATE_LIMIT = 7
-# the audits that list a consensus set refuse more tied rankings than 8!:
-# listing 8! took 0.4 s and 71 MB, 9! took 3 s and 530 MB (condorcet_P)
-LISTED_CONSENSUS_LIMIT = 40_320
 
 DistanceFn = Callable[[Permutation, Permutation], Fraction]
 
@@ -451,28 +448,16 @@ def check_property(
         if other is None:
             raise ValueError("reinforcing compares two profiles; pass `other`")
         return _check_reinforcing(params, profile, other)
+    if prop.endswith("_pareto"):
+        return _check_pareto(params, profile, prop)
     checker = {
         "neutrality_P": _check_neutrality,
         "majority": _check_majority,
         "condorcet_P": _check_condorcet_p,
         "condorcet_W": _check_condorcet_w,
         "monotonicity": _check_monotonicity,
-        "blockwise_pareto": _check_blockwise,
-        "partitionwise_pareto": _check_partitionwise,
     }[prop]
     return checker(params, profile)
-
-
-def _listed_consensus(params, profile, prop: str):
-    """The exact consensus set, refused before it is listed when it holds
-    more than ``LISTED_CONSENSUS_LIMIT`` rankings (its ``len`` lists nothing)."""
-    consensus = aggregate_exact(params, profile).minimizers
-    if len(consensus) > LISTED_CONSENSUS_LIMIT:
-        raise ValueError(
-            f"the {prop} audit lists the consensus set, and {len(consensus)} rankings "
-            f"tie; the audit is capped at {LISTED_CONSENSUS_LIMIT}"
-        )
-    return consensus
 
 
 def _check_neutrality(params, profile) -> AuditReport:
@@ -518,31 +503,20 @@ def _check_majority(params, profile) -> AuditReport:
 
 
 def _check_condorcet_p(params, profile) -> AuditReport:
-    consensus = _listed_consensus(params, profile, "condorcet_P")
+    consensus = aggregate_exact(params, profile).minimizers
+    adjacent = consensus.adjacent_pairs()
     margins = net_preference_matrix(profile)
-    adjacency = [
-        {(p.order[k], p.order[k + 1]) for k in range(profile.n - 1)}
-        for p in consensus
-    ]
     for i in range(1, profile.n + 1):
         for j in range(1, profile.n + 1):
             if i == j:
                 continue
-            if margins[i][j] > 0:
-                for p, adj in zip(consensus, adjacency):
-                    if (j, i) in adj:
-                        return _fails(
-                            "condorcet_P",
-                            {"i": i, "j": j, "margin": margins[i][j], "ranking": p},
-                        )
-            elif margins[i][j] == 0:
-                has_ij = any((i, j) in adj for adj in adjacency)
-                has_ji = any((j, i) in adj for adj in adjacency)
-                if has_ij != has_ji:
-                    return _fails(
-                        "condorcet_P",
-                        {"i": i, "j": j, "margin": 0, "consensus": consensus},
-                    )
+            if margins[i][j] > 0 and (j, i) in adjacent:
+                ranking = consensus.first(lambda last, placed, c: (last, c) == (j, i))
+                return _fails(
+                    "condorcet_P", {"i": i, "j": j, "margin": margins[i][j], "ranking": ranking}
+                )
+            if margins[i][j] == 0 and ((i, j) in adjacent) != ((j, i) in adjacent):
+                return _fails("condorcet_P", {"i": i, "j": j, "margin": 0, "consensus": consensus})
     return _holds("condorcet_P")
 
 
@@ -559,16 +533,17 @@ def _check_condorcet_w(params, profile) -> AuditReport:
 
 
 def _check_reinforcing(params, one, two) -> AuditReport:
-    first = set(_listed_consensus(params, one, "reinforcing"))
-    second = set(_listed_consensus(params, two, "reinforcing"))
-    common = first & second
-    if not common:
+    # costs add over ballots, so the merged optimum is the sum of the two
+    # exactly when the sets meet, and then every shared ranking attains it
+    first = aggregate_exact(params, one)
+    second = aggregate_exact(params, two)
+    merged = aggregate_exact(params, one.concat(two))
+    if merged.optimum != first.optimum + second.optimum:
         return _holds("reinforcing", "consensus sets are disjoint; nothing to require")
-    merged = set(_listed_consensus(params, one.concat(two), "reinforcing"))
-    if merged != common:
+    if not (merged.minimizers <= first.minimizers and merged.minimizers <= second.minimizers):
         return _fails(
             "reinforcing",
-            {"P(V1)": sorted(first), "P(V2)": sorted(second), "P(V1+V2)": sorted(merged)},
+            {"P(V1)": first.minimizers, "P(V2)": second.minimizers, "P(V1+V2)": merged.minimizers},
         )
     return _holds("reinforcing")
 
@@ -598,46 +573,28 @@ def _check_monotonicity(params, profile) -> AuditReport:
     return _holds("monotonicity")
 
 
-def _agreed_prefix_sizes(profile: Profile) -> list[int]:
-    first = profile.entries[0][1]
-    sizes = []
-    for k in range(1, profile.n + 1):
-        top = frozenset(first.order[:k])
-        if all(frozenset(v.order[:k]) == top for v in profile.ballots()):
-            sizes.append(k)
-    return sizes
-
-
-def _check_blockwise(params, profile) -> AuditReport:
-    """Shared top-k sets (equivalently bottom-(n-k) sets) must be preserved."""
-    consensus = _listed_consensus(params, profile, "blockwise_pareto")
-    first = profile.entries[0][1]
-    for k in _agreed_prefix_sizes(profile):
-        top = frozenset(first.order[:k])
-        for p in consensus:
-            if frozenset(p.order[:k]) != top:
-                return _fails(
-                    "blockwise_pareto",
-                    {"k": k, "shared_top_set": sorted(top), "ranking": p},
-                )
-    return _holds("blockwise_pareto")
-
-
-def _check_partitionwise(params, profile) -> AuditReport:
-    """Blocks cut at every agreed prefix size must be preserved as sets.
-
-    Cutting at every agreed size gives the finest admissible partition;
-    coarser cut sequences follow from it by unions of blocks.
-    """
-    consensus = _listed_consensus(params, profile, "partitionwise_pareto")
-    first = profile.entries[0][1]
-    cuts = [0] + _agreed_prefix_sizes(profile)  # final agreed size is always n
-    for lo, hi in zip(cuts, cuts[1:]):
-        block = frozenset(first.order[lo:hi])
-        for p in consensus:
-            if frozenset(p.order[lo:hi]) != block:
-                return _fails(
-                    "partitionwise_pareto",
-                    {"block": (lo + 1, hi), "shared_set": sorted(block), "ranking": p},
-                )
-    return _holds("partitionwise_pareto")
+def _check_pareto(params, profile, prop: str) -> AuditReport:
+    """Top sets every ballot shares must stay on top (blockwise), and the
+    blocks between them, the finest partition they cut (coarser ones are
+    unions of its blocks), in place (partitionwise).  While the top sets up
+    to one cut hold in every ranking, the next block holds where the next
+    top set does: both forms first fail at the same cut, on the same ranking."""
+    order = profile.entries[0][1].order
+    full = (1 << profile.n) - 1
+    shared = set.intersection(*(set(v._below) for v in profile.ballots()))
+    consensus = aggregate_exact(params, profile).minimizers
+    cut = 0
+    for below in sorted(shared, reverse=True):  # nested down-sets, largest first
+        top = full ^ below
+        k = top.bit_count()
+        ranking = consensus.first(
+            lambda last, placed, c: placed.bit_count() == k - 1 and placed | 1 << (c - 1) != top
+        )
+        if ranking is not None:
+            if prop == "blockwise_pareto":
+                witness = {"k": k, "shared_top_set": sorted(order[:k]), "ranking": ranking}
+            else:
+                witness = {"block": (cut + 1, k), "shared_set": sorted(order[cut:k]), "ranking": ranking}
+            return _fails(prop, witness)
+        cut = k
+    return _holds(prop)

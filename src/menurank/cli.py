@@ -124,7 +124,9 @@ def fmt(value) -> str:
         return str(value)
     if isinstance(value, (frozenset, set)):
         return "{" + " ".join(fmt(v) for v in sorted(value)) + "}"
-    if isinstance(value, (tuple, ConsensusSet)):
+    if isinstance(value, ConsensusSet):
+        return "(" + value.text().replace("\n", ", ") + ")"
+    if isinstance(value, tuple):
         return "(" + ", ".join(fmt(v) for v in value) + ")"
     return str(value)
 

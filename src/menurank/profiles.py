@@ -46,7 +46,8 @@ class Profile:
         return sum(mult for mult, _ in self.entries)
 
     def ballots(self) -> Iterator[Permutation]:
-        """The distinct ballots, multiplicities ignored."""
+        """The ballots, one per entry, multiplicities ignored: a ranking
+        given on two lines is yielded twice."""
         for _, ranking in self.entries:
             yield ranking
 

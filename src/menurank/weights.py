@@ -293,12 +293,12 @@ def neutral_region(weights: MenuWeights) -> tuple[bool, bool]:
 
     Nonnegative weights always give a semimetric, a metric exactly when the
     size-2 weight is positive (a disagreeing pair always contributes it).
-    Weights of mixed sign have no closed-form region: after two cheap
-    necessary screens (position prices nonnegative, and no price below the
-    last one, from the triangle through an adjacent swap towards the
-    antipode) every d(id, q) must be >= 0, and (by relabelling) no ranking
-    may cost less than d(id, q) against the two-ballot profile {id, q}: one
-    exact solve per q, guarded to n <= 7.
+    Weights of mixed sign have no closed-form region.  Two cheap necessary
+    screens come first: position prices nonnegative (so every d(id, q) >= 0)
+    and no price below the last one (the triangle through an adjacent swap
+    towards the antipode).  Then, by relabelling, no ranking may cost less
+    than d(id, q) against the two-ballot profile {id, q}: one exact solve
+    per q, guarded to n <= 7.
     """
     if weights.is_nonnegative():
         return True, weights.values[0] > 0
@@ -321,8 +321,6 @@ def neutral_region(weights: MenuWeights) -> tuple[bool, bool]:
     params = make_params(weights)
     identity, *others = all_rankings(n)
     from_identity = [distance(params, identity, q) for q in others]
-    if any(v < 0 for v in from_identity):
-        return False, False
     for q, direct in zip(others, from_identity):
         if aggregate_exact(params, Profile(((1, identity), (1, q)), n)).optimum < direct:
             return False, False

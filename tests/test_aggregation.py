@@ -301,6 +301,36 @@ class TestConsensusSet:
         with pytest.raises(AssertionError, match="enumerated"):
             three[0]
 
+    def test_dag_queries_match_the_listing(self):
+        rng = random.Random(29)
+        inclusions = set()
+        for _ in range(80):
+            n = rng.randint(2, 5)
+            params = make_params(rand_weights(rng, n), [rng.choice((0, 0, 1, 2)) for _ in range(n)])
+            one = aggregate_exact(params, rand_profile(rng, n)).minimizers
+            two = aggregate_exact(params, rand_profile(rng, n)).minimizers
+            listed = list(one)
+            for other in (one, two):
+                assert (one <= other) == set(listed).issubset(other)
+                assert (other <= one) == set(other).issubset(listed)
+                inclusions.add((one <= other, other <= one))
+            assert one.adjacent_pairs() == {
+                p.order[k : k + 2] for p in listed for k in range(n - 1)
+            }
+            a, b = rng.sample(range(1, n + 1), 2)
+            k = rng.randint(1, n)
+            top = set(rng.sample(range(1, n + 1), k))
+            for breaks, holds in (
+                (lambda last, placed, c: (last, c) == (a, b), lambda p: (a, b) in zip(p.order, p.order[1:])),
+                (
+                    lambda last, placed, c: placed.bit_count() == k - 1
+                    and placed | 1 << (c - 1) != sum(1 << (t - 1) for t in top),
+                    lambda p: set(p.order[:k]) != top,
+                ),
+            ):
+                assert one.first(breaks) == next((p for p in listed if holds(p)), None)
+        assert inclusions == {(True, True), (True, False), (False, True), (False, False)}
+
     def test_counting_never_enumerates(self, monkeypatch):
         # a zero measure ties all 10! rankings; the count and the winners
         # come from the DAG alone

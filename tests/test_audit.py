@@ -28,6 +28,7 @@ from menurank import (
     top_choice_margins,
 )
 from menurank.audit import AXIOMS, params_distance
+from menurank.cli import _describe_witness
 
 from conftest import prof, rand_measure, rand_profile, rand_ranking, rand_weights
 
@@ -392,3 +393,148 @@ class TestNeutralityOrbits:
             make_params(weights, [mu[t - 1] for t in tau.order]), V
         ).minimizers
         assert moved == tuple(sorted(tau.compose(p) for p in image))
+
+
+def _reference_condorcet_p(params, profile):
+    """The strong Condorcet audit over the listed consensus set."""
+    consensus = aggregate_exact(params, profile).minimizers
+    margins = net_preference_matrix(profile)
+    adjacency = [
+        {(p.order[k], p.order[k + 1]) for k in range(profile.n - 1)} for p in consensus
+    ]
+    for i in range(1, profile.n + 1):
+        for j in range(1, profile.n + 1):
+            if i == j:
+                continue
+            if margins[i][j] > 0:
+                for p, adj in zip(consensus, adjacency):
+                    if (j, i) in adj:
+                        return "Fails", "", {"i": i, "j": j, "margin": margins[i][j], "ranking": p}
+            elif margins[i][j] == 0:
+                has_ij = any((i, j) in adj for adj in adjacency)
+                has_ji = any((j, i) in adj for adj in adjacency)
+                if has_ij != has_ji:
+                    return "Fails", "", {"i": i, "j": j, "margin": 0, "consensus": consensus}
+    return "Holds", "", None
+
+
+def _reference_reinforcing(params, one, two):
+    """Reinforcement by intersecting the listed consensus sets."""
+    first = set(aggregate_exact(params, one).minimizers)
+    second = set(aggregate_exact(params, two).minimizers)
+    common = first & second
+    if not common:
+        return "Holds", "consensus sets are disjoint; nothing to require", None
+    merged = set(aggregate_exact(params, one.concat(two)).minimizers)
+    if merged != common:
+        return "Fails", "", {
+            "P(V1)": tuple(sorted(first)),
+            "P(V2)": tuple(sorted(second)),
+            "P(V1+V2)": tuple(sorted(merged)),
+        }
+    return "Holds", "", None
+
+
+def _agreed_prefix_sizes(profile):
+    first = profile.entries[0][1]
+    return [
+        k
+        for k in range(1, profile.n + 1)
+        if all(set(v.order[:k]) == set(first.order[:k]) for v in profile.ballots())
+    ]
+
+
+def _reference_blockwise(params, profile):
+    """Every agreed top-k set, checked on every listed consensus ranking."""
+    consensus = aggregate_exact(params, profile).minimizers
+    first = profile.entries[0][1]
+    for k in _agreed_prefix_sizes(profile):
+        top = frozenset(first.order[:k])
+        for p in consensus:
+            if frozenset(p.order[:k]) != top:
+                return "Fails", "", {"k": k, "shared_top_set": sorted(top), "ranking": p}
+    return "Holds", "", None
+
+
+def _reference_partitionwise(params, profile):
+    """Every block between agreed cuts, checked on every listed ranking."""
+    consensus = aggregate_exact(params, profile).minimizers
+    first = profile.entries[0][1]
+    cuts = [0] + _agreed_prefix_sizes(profile)
+    for lo, hi in zip(cuts, cuts[1:]):
+        block = frozenset(first.order[lo:hi])
+        for p in consensus:
+            if frozenset(p.order[lo:hi]) != block:
+                return "Fails", "", {"block": (lo + 1, hi), "shared_set": sorted(block), "ranking": p}
+    return "Holds", "", None
+
+
+def _blocked_profile(rng, n):
+    """Ballots that each shuffle the blocks of one ranking cut at random
+    places, so they agree on every cut."""
+    base = rand_ranking(rng, n).order
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    blocks = [base[lo:hi] for lo, hi in zip([0] + cuts, cuts + [n])]
+    entries = []
+    for _ in range(rng.randint(1, 3)):
+        order = [c for block in blocks for c in rng.sample(block, len(block))]
+        entries.append((rng.randint(1, 3), Permutation(order)))
+    return Profile(tuple(entries), n)
+
+
+def _listing_cases(rng, count):
+    """Tie-heavy profiles (a ballot and its reversal), profiles agreed on
+    blocks and random ones, under measures with zero or repeated entries,
+    distinct entries or all ones; each with a second profile that repeats
+    it, shares a ballot with it or is drawn afresh."""
+    for i in range(count):
+        n = rng.choice((2, 3, 4, 4, 5, 5, 6, 7))
+        mu = (
+            [rng.choice((0, 0, 1, 2, F(1, 2))) for _ in range(n)],
+            [1] * n,
+            rng.sample(range(1, 20), n),
+        )[i % 3]
+        kind = i % 4
+        if kind in (0, 1):
+            ballot = rand_ranking(rng, n)
+            entries = [(rng.randint(1, 2), ballot), (rng.randint(1, 2), Permutation(ballot.order[::-1]))]
+            if rng.random() < 0.3:
+                entries.append((1, rand_ranking(rng, n)))
+            one = Profile(tuple(entries), n)
+        elif kind == 2:
+            one = _blocked_profile(rng, n)
+        else:
+            one = rand_profile(rng, n)
+        two = (
+            one,
+            Profile((one.entries[0], (1, rand_ranking(rng, n))), n),
+            rand_profile(rng, n),
+            _blocked_profile(rng, n),
+        )[rng.randrange(4)]
+        yield make_params(rand_weights(rng, n), mu), one, two
+
+
+class TestListingReferees:
+    def test_dag_audits_match_the_listing_referees(self):
+        def shown(verdict, note, witness):
+            return verdict, note, _describe_witness(witness)
+
+        fails = margin_zero = disjoint = overlapping = 0
+        for params, V, W in _listing_cases(random.Random(71), 420):
+            for prop, reference in (
+                ("condorcet_P", _reference_condorcet_p),
+                ("blockwise_pareto", _reference_blockwise),
+                ("partitionwise_pareto", _reference_partitionwise),
+            ):
+                report = check_property(params, V, prop)
+                got = shown(report.verdict, report.note, report.witness)
+                assert got == shown(*reference(params, V)), (prop, V)
+                fails += report.verdict == "Fails"
+                margin_zero += report.verdict == "Fails" and "consensus" in report.witness
+            report = check_property(params, V, "reinforcing", other=W)
+            got = shown(report.verdict, report.note, report.witness)
+            assert got == shown(*_reference_reinforcing(params, V, W)), V
+            disjoint += bool(report.note)
+            overlapping += not report.note
+        assert fails >= 50 and margin_zero >= 5
+        assert disjoint >= 20 and overlapping >= 20

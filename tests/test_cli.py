@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import gc
 import io
 import random
 import time
@@ -215,17 +217,64 @@ def _zero_measure_check(tmp_path, prop, n):
     return argv + ["--profile2", str(profile)] if prop == "reinforcing" else argv
 
 
+# the n = 8 verdicts below, with the labels after 3 running on to n
+PAST_CAP_VERDICTS = {
+    "condorcet_P": (1, "condorcet_P: Fails\n  i: 1\n  j: 3\n  margin: 3\n  ranking: 2 3 1 {}\n"),
+    "reinforcing": (0, "reinforcing: Holds\n"),
+    "blockwise_pareto": (1, "blockwise_pareto: Fails\n  k: 2\n  shared_top_set: [1, 2]\n"
+                            "  ranking: 1 3 2 {}\n"),
+    "partitionwise_pareto": (1, "partitionwise_pareto: Fails\n  block: (1, 2)\n"
+                                "  shared_set: [1, 2]\n  ranking: 1 3 2 {}\n"),
+}
+
+
+@pytest.mark.parametrize("n", (9, 10))
 @pytest.mark.parametrize("prop", LISTING_AUDITS)
-def test_listing_audits_past_8_factorial_ties_exit_2_before_listing(capsys, tmp_path, monkeypatch, prop):
-    # listing the 9! = 362,880 ties for condorcet_P took 3 s and 530 MB
+def test_listing_audits_past_8_factorial_ties_give_verdicts(capsys, tmp_path, monkeypatch, prop, n):
+    # all n! rankings tie (3,628,800 at n = 10); the audits read the DAG alone
     def refuse(self):
         raise AssertionError("a consensus set was listed")
 
     monkeypatch.setattr(aggregation.ConsensusSet, "_items", refuse)
-    code = main(_zero_measure_check(tmp_path, prop, 9))
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: ") and "362880" in captured.err and "40320" in captured.err
+    code, text = PAST_CAP_VERDICTS[prop]
+    labels = " ".join(str(c) for c in range(4, n + 1))
+    assert run(capsys, *_zero_measure_check(tmp_path, prop, n)) == (code, text.format(labels))
+
+
+def test_failing_dag_audits_leave_no_cyclic_garbage(tmp_path):
+    # the first-ranking search keeps a memo per call; it must be freed by
+    # reference counting alone, as the printing walks are
+    gc.collect()
+    gc.disable()
+    try:
+        for prop in ("condorcet_P", "blockwise_pareto"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(_zero_measure_check(tmp_path, prop, 8)) == 1
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_reinforcing_witness_prints_the_three_sets(capsys, tmp_path, monkeypatch):
+    # unreachable with a correct solver: the merged profile's set is made
+    # the first profile's {1 2 3, 2 1 3}, which is not inside {1 2 3}
+    real = audit.aggregate_exact
+    calls = []
+
+    def merged_as_first(params, profile):
+        calls.append(real(params, profile))
+        if len(calls) == 3:
+            return dataclasses.replace(calls[2], minimizers=calls[0].minimizers)
+        return calls[-1]
+
+    monkeypatch.setattr(audit, "aggregate_exact", merged_as_first)
+    one, two = tmp_path / "one.prof", tmp_path / "two.prof"
+    one.write_text("3 2\n1: 1 2 3\n1: 2 1 3\n")
+    two.write_text("3 1\n1: 1 2 3\n")
+    assert run(capsys, "check", "--params", "kendall", "--property", "reinforcing",
+               "--profile", str(one), "--profile2", str(two)) == (
+        1, "reinforcing: Fails\n  P(V1): (1 2 3, 2 1 3)\n  P(V2): (1 2 3)\n"
+           "  P(V1+V2): (1 2 3, 2 1 3)\n")
 
 
 @pytest.mark.parametrize(

@@ -316,6 +316,16 @@ class TestClassification:
             (True, True), (True, False), (False, False)
         }
 
+    def test_screened_mixed_signs_are_nonnegative_from_the_identity(self):
+        # why neutral_region checks no d(id, q) >= 0: the first price screen
+        # makes f nondecreasing, so every counting-measure term is >= 0
+        rng = random.Random(23)
+        for n, count in ((4, 12), (5, 12), (6, 6)):
+            for _ in range(count):
+                params = make_params(_screened_mixed_signs(rng, n))
+                identity, *others = all_rankings(n)
+                assert all(distance(params, identity, q) >= 0 for q in others)
+
     def test_mixed_sign_region_guard_raises_before_any_solve(self, monkeypatch):
         from menurank import aggregation
 
