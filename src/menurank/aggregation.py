@@ -43,15 +43,15 @@ Approximation routes:
 
 from __future__ import annotations
 
+import struct
 import sys
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, repeat
 from math import ceil, comb, log, log1p
-from operator import add, getitem, lshift, mul
+from operator import add, getitem, mul
 from typing import Callable, Literal
 
 from .assignment import min_cost_assignment
@@ -159,9 +159,9 @@ def _lane_masks(
     )
 
 
-# array typecodes by item size in bytes, so no letter's width is assumed
-_SIGNED = {array(code).itemsize: code for code in "hilq"}
-_UNSIGNED = {array(code).itemsize: code for code in "HILQ"}
+# struct codes of the signed lanes one struct format reads: "<" fixes both
+# the size and the byte order
+_LANE_CODES = {16: "h", 32: "i", 64: "q"}
 
 
 def _lane_width(params: DistanceParams, voters: int) -> int:
@@ -191,35 +191,30 @@ def _lane_width(params: DistanceParams, voters: int) -> int:
     return 64 * -(-bits // 64)
 
 
-def _lane_words(width: int) -> tuple[int, int]:
-    """(bytes per machine word, words per lane) for lanes of ``width`` bits:
-    one word of the lane's own size up to 64 bits, 64-bit words above."""
-    itemsize = min(width, 64) // 8
-    return itemsize, width // 8 // itemsize
+def _pack_lanes(values: Sequence[int], width: int) -> int:
+    """``values`` as signed lanes of ``width`` bits each in one integer:
+    lane i holds ``values[i]`` in two's complement in bits ``width i``
+    upward.  Lanes of 16, 32 or 64 bits are written by one struct format, a
+    wider lane (64 k bits) by its own ``int.to_bytes``."""
+    if width in _LANE_CODES:
+        data = struct.pack(f"<{len(values)}{_LANE_CODES[width]}", *values)
+    else:
+        data = b"".join([value.to_bytes(width // 8, "little", signed=True) for value in values])
+    return int.from_bytes(data, "little")
 
 
 def _unpack_lanes(packed: int, lanes: int, width: int) -> list[int]:
-    """The ``lanes`` signed lanes of ``width`` bits each in ``packed``.
-
-    Lane i holds a two's complement value in bits ``width i`` onwards.  A
-    lane of 16, 32 or 64 bits is one machine word, read by one array; a
-    wider lane is 64-bit words whose top word carries the sign and whose
-    lower words are unsigned.
-    """
-    itemsize, words = _lane_words(width)
-    data = packed.to_bytes(width // 8 * lanes, "little")
-    tops = array(_SIGNED[itemsize], data)
-    if sys.byteorder == "big":
-        tops.byteswap()
-    if words == 1:
-        return tops.tolist()
-    chunks = array(_UNSIGNED[itemsize], data)
-    if sys.byteorder == "big":
-        chunks.byteswap()
-    values = tops[words - 1 :: words].tolist()
-    for k in range(words - 2, -1, -1):
-        values = list(map(add, map(lshift, values, repeat(64)), chunks[k::words]))
-    return values
+    """The ``lanes`` signed lanes of ``width`` bits each in ``packed``, the
+    inverse of ``_pack_lanes``: lanes of 16, 32 or 64 bits are read by one
+    struct format, a wider lane by its own ``int.from_bytes``."""
+    size = width // 8
+    data = packed.to_bytes(size * lanes, "little")
+    if width in _LANE_CODES:
+        return list(struct.unpack(f"<{lanes}{_LANE_CODES[width]}", data))
+    return [
+        int.from_bytes(data[i : i + size], "little", signed=True)
+        for i in range(0, len(data), size)
+    ]
 
 
 def _term_table(
@@ -251,9 +246,9 @@ def _term_table(
     The lanes are as narrow as the bounds in ``_lane_width`` allow: 16 bits
     for the Kendall distance and 32 for the other presets at n = 10 with up
     to 150 voters.  Each pass costs time linear in the packed length, so a
-    lane half as wide halves it.  The histogram is written into one zeroed
-    array of lane-sized machine words (64-bit words, lowest first, in a
-    wider lane), and each candidate's part is read as one integer.
+    lane half as wide halves it.  Each candidate's histogram is one list of
+    2^(n-1) counts, packed into one integer by ``_pack_lanes``; its row
+    values are read back by ``_unpack_lanes``.
     """
     n = params.n
     f = params.int_table
@@ -274,28 +269,19 @@ def _term_table(
     # the constants, lane by lane: a placed set without c has the lane's size
     base = sum(map(mul, position, ones))
     base_slope = sum(map(mul, spread, ones))
-
-    # the histogram, candidate-major, one count per lane
-    counts: dict[int, int] = {}
-    for mult, v in profile.entries:
-        for c, below in enumerate(v._below):
-            low = (1 << c) - 1
-            slot = c * lanes + (lanes - 1 - (below & low | below >> 1 & ~low))
-            counts[slot] = counts.get(slot, 0) + mult
-    itemsize, words = _lane_words(width)
-    stride = width // 8 * lanes
-    histogram = array(_UNSIGNED[itemsize], bytes(stride * n))
-    for slot, count in counts.items():
-        for k in range(words):
-            histogram[slot * words + k] = count >> 64 * k & (1 << 64) - 1
-    if sys.byteorder == "big":
-        histogram.byteswap()
-    view = memoryview(histogram).cast("B")
+    ballots = [(mult, v._below) for mult, v in profile.entries]
 
     size = 1 << n
     rows = []
     for c in range(n):
-        x = int.from_bytes(view[c * stride : (c + 1) * stride], "little")
+        # candidate c's histogram: each down-set counted at its complement,
+        # indexed by sets of the other candidates
+        low = (1 << c) - 1
+        counts = [0] * lanes
+        for mult, belows in ballots:
+            below = belows[c]
+            counts[lanes - 1 - (below & low | below >> 1 & ~low)] += mult
+        x = _pack_lanes(counts, width)
         for j in range(bits):
             x += (x & lack[j]) << (width << j)
         plus = minus = 0

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations as _it_perms
+from itertools import combinations, permutations as _it_perms
 from typing import Callable, Mapping, Sequence
 
 from .aggregation import aggregate_exact
@@ -292,8 +292,7 @@ def _check_a4(dist: DistanceFn, perms) -> AuditReport:
 
 def _check_a5(dist: DistanceFn, perms, n: int) -> AuditReport:
     swaps = _swap_realisations(dist, perms)
-    candidates = range(1, n + 1)
-    pairs = sorted({frozenset(t) for t in _it_perms(candidates, 2)}, key=sorted)
+    pairs = [frozenset(p) for p in combinations(range(1, n + 1), 2)]
     for a in range(1, n):
         for b in range(1, n):
             if a == b:
@@ -326,10 +325,7 @@ def _check_a5(dist: DistanceFn, perms, n: int) -> AuditReport:
 
 def _check_a6(dist: DistanceFn, perms, n: int) -> AuditReport:
     swaps = _swap_realisations(dist, perms)
-    candidates = range(1, n + 1)
-    pairs = sorted(
-        {frozenset(t) for t in _it_perms(candidates, 2)}, key=sorted
-    )
+    pairs = [frozenset(p) for p in combinations(range(1, n + 1), 2)]
     for a in range(1, n):
         for idx, pair_one in enumerate(pairs):
             for pair_two in pairs[idx + 1 :]:
@@ -469,13 +465,16 @@ def _check_neutrality(params, profile) -> AuditReport:
             f"n is capped at {NEUTRALITY_CANDIDATE_LIMIT}"
         )
     mu = params.mu.values
+    int_mu = params.int_mu
     base = aggregate_exact(params, profile).minimizers
-    matched = {mu}  # measures whose consensus is the base set; the sets are not kept
+    # measures whose consensus is the base set, keyed by their scaled
+    # integers (a relabelling of mu is one of int_mu); the sets are not kept
+    matched = {int_mu}
     for tau in all_rankings(profile.n):
-        key = tuple(mu[t - 1] for t in tau.order)
+        key = tuple(int_mu[t - 1] for t in tau.order)
         if key in matched:
             continue
-        permuted = DistanceParams(params.weights, Measure(key))
+        permuted = DistanceParams(params.weights, Measure(mu[t - 1] for t in tau.order))
         if aggregate_exact(permuted, profile).minimizers != base:
             relabeled = aggregate_exact(params, profile.relabel(tau)).minimizers
             return _fails(

@@ -490,6 +490,8 @@ def preset(
     """
     if n < 2:
         raise ValueError("presets need n >= 2")
+    if param is not None and name in ("kendall", "ok-nishimura", "linear"):
+        raise ValueError(f"{name} takes no parameter, got {param}")
     sizes = range(2, n + 1)
     if name == "kendall":
         values: list[Fraction] = [Fraction(int(k == 2)) for k in sizes]
@@ -561,6 +563,10 @@ def parse_params_text(text: str, n: int | None = None) -> tuple[MenuWeights, Mea
             elif key == "preset":
                 if not tokens:
                     raise ParamsFormatError("preset line names no preset")
+                if len(tokens) > 2:
+                    raise ParamsFormatError(
+                        f"preset line {line!r} has more than a name and one parameter"
+                    )
                 if n is None:
                     raise ParamsFormatError(
                         "a preset line needs the candidate count from context"

@@ -146,6 +146,18 @@ class TestExact:
             zero_mu = Measure([0] * n)
             self.assert_table_matches_terms(make_params(rand_weights(rng, n), zero_mu), V)
 
+    @pytest.mark.parametrize("width", (16, 32, 64, 128, 192))
+    def test_lane_codec_round_trips_in_twos_complement(self, width):
+        # lane i holds its value in two's complement (v mod 2^width) in bits
+        # width i upward, and reads back signed, at both ends of the range
+        top = (1 << width - 1) - 1
+        rng = random.Random(width)
+        values = [top, -top, -top - 1, 0, 1, -1] + [rng.randint(-top - 1, top) for _ in range(9)]
+        pack, unpack = aggregation._pack_lanes, aggregation._unpack_lanes
+        packed = pack(values, width)
+        assert packed == sum((v % (1 << width)) << width * i for i, v in enumerate(values))
+        assert unpack(packed, len(values), width) == values
+
     def test_term_table_cold_equals_warm(self):
         # the lane masks are cached per (bits, width): the first call builds
         # them, and later calls must read the same table

@@ -183,6 +183,33 @@ def test_zero_denominators_exit_2_naming_the_token(capsys, tmp_path, argv, messa
     assert captured.err == message.format(params=params) + "\n"
 
 
+@pytest.mark.parametrize(
+    "token, fragment",
+    [
+        ("kendall:7", "kendall takes no parameter"),
+        ("ok-nishimura:2", "ok-nishimura takes no parameter"),
+        ("linear:1/2", "linear takes no parameter"),
+        ("{kendall}", "more than a name and one parameter"),
+        ("{gilbert}", "more than a name and one parameter"),
+        ("{linear}", "linear takes no parameter"),
+    ],
+    ids=["kendall-token", "ok-nishimura-token", "linear-token", "kendall-line",
+         "gilbert-line", "linear-line"],
+)
+def test_preset_parameters_are_not_dropped(capsys, tmp_path, token, fragment):
+    # a parameter a preset does not take, or a token after the one it does,
+    # used to be ignored and the command exited 0
+    files = {}
+    for name, line in (("kendall", "preset: kendall 7 junk"),
+                       ("gilbert", "preset: gilbert 3 junk"), ("linear", "preset: linear 3")):
+        files[name] = tmp_path / f"{name}.params"
+        files[name].write_text(line + "\n")
+    code = main(["gamma", "--params", token.format(**files), "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: invalid parameters") and fragment in captured.err
+
+
 def test_neutrality_over_eight_candidates_exits_2_before_solving(capsys, tmp_path, monkeypatch):
     def refuse(params, profile):
         raise AssertionError("an exact solve ran")

@@ -411,6 +411,12 @@ class TestPresets:
         with pytest.raises(ValueError, match="unknown preset"):
             preset("borda", 3)
 
+    @pytest.mark.parametrize("name", ["kendall", "ok-nishimura", "linear"])
+    def test_parameterless_presets_refuse_a_parameter(self, name):
+        for param in (7, F(1, 2), "3"):
+            with pytest.raises(ValueError, match=f"{name} takes no parameter"):
+                preset(name, 4, param)
+
 
 class TestApproximationFactor:
     def test_pairwise_weights(self):
@@ -491,6 +497,18 @@ class TestParamsFile:
     def test_errors(self, text, fragment):
         with pytest.raises(ParamsFormatError, match=fragment):
             parse_params_text(text)
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("preset: gilbert 3 junk\n", "more than a name and one parameter"),
+            ("preset: kendall 7 junk\n", "more than a name and one parameter"),
+            ("preset: kendall 7\n", "kendall takes no parameter"),
+        ],
+    )
+    def test_preset_line_refuses_unused_tokens(self, text, fragment):
+        with pytest.raises(ParamsFormatError, match=fragment):
+            parse_params_text(text, n=4)
 
 
 class TestRationalTokens:
