@@ -481,6 +481,18 @@ class ConsensusSet(Sequence):
         order = _first(self._dag, 0, 0, breaks, {})
         return None if order is None else Permutation._trusted(order)
 
+    def relabel(self, tau: Permutation) -> "ConsensusSet":
+        """The rankings ``tau.compose(p)``, label c renamed ``tau[c]`` in every
+        mask and edge: the canonical DAG of the relabelled problem."""
+        if tau.n != self._n:
+            raise ValueError(f"dimension mismatch: {tau.n} vs {self._n}")
+        image = [t - 1 for t in tau.order]
+        dag = {}
+        for mask, edges in self._dag.items():
+            moved = sum(1 << image[c] for c in range(self._n) if mask >> c & 1)
+            dag[moved] = tuple(sorted([image[c] for c in edges]))
+        return ConsensusSet(self._n, dag, self._count)
+
     def adjacent_pairs(self) -> set[tuple[int, int]]:
         """Every label pair (a, b) with b right after a in some ranking here."""
         dag = self._dag
@@ -697,78 +709,74 @@ def aggregate_myopic(
         )
     start = len(prefix) + 1
 
+    pool = tuple(sorted(remaining))
+    layers = _masks_by_size(pool, span)
+    f = params.int_table
+    mu = params.int_mu
+    voters = profile.voters
+    position_const = _position_constants(params, profile)
+    # one slot per (pool candidate c, ballot v), c-major: B_v(c), what v
+    # ranks below c, within the pool; the free set beside a placed window
+    # M is pool \ M, so the term's overlap at v is mult_v f(d - k) with
+    # d = |B_v(c)| and k = |B_v(c) & M| < span
+    ballots = len(profile.entries)
+    pool_mask = sum(1 << (c - 1) for c in pool)
+    belows = [v._below[c - 1] & pool_mask for c in pool for _, v in profile.entries]
+    counts = _window_counts(n, belows, pool)
+    prices: dict[tuple[int, int], tuple[int, ...]] = {}
+    candidates = []
+    for i, c in enumerate(pool):
+        lo, hi = i * ballots, (i + 1) * ballots
+        row = []
+        for (mult, _), below in zip(profile.entries, belows[lo:hi]):
+            d = below.bit_count()
+            price = prices.get((mult, d))
+            if price is None:
+                price = prices[mult, d] = tuple(
+                    mult * f[d - k] for k in range(min(d, span - 1) + 1)
+                )
+            row.append(price)
+        candidates.append((c, 1 << (c - 1), mu[c - 1], row, lo, hi))
+    # completion[mask]: cheapest way to extend the placed window ``mask``
+    # to a full span, built bottom-up from the deepest layer; choice[mask]:
+    # the lowest pool label that reaches it
+    completion: dict[int, int] = dict.fromkeys(layers[span], 0)
+    choice: dict[int, int] = {}
+    for size in range(span - 1, -1, -1):
+        const = position_const[start + size]
+        spread = f[n - start - size] * voters
+        for mask in layers[size]:
+            placed = 0
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                placed += counts[bit]
+            # byte j: k at slot j (|M| <= span - 1 <= 15 under the guard)
+            ks = placed.to_bytes(len(belows), "little")
+            value = None
+            for c, bit, mu_c, row, lo, hi in candidates:
+                if mask & bit:
+                    continue
+                overlap = sum(map(getitem, row, ks[lo:hi]))
+                cur = const + mu_c * (spread - 2 * overlap) + completion[mask | bit]
+                if value is None or cur < value:
+                    value = cur
+                    choice[mask] = c
+            completion[mask] = value
     window: list[int] = []
-    window_value = Fraction(0)
-    if span > 0:
-        pool = tuple(sorted(remaining))
-        layers = _masks_by_size(pool, span)
-        f = params.int_table
-        mu = params.int_mu
-        voters = profile.voters
-        position_const = _position_constants(params, profile)
-        # one slot per (pool candidate c, ballot v), c-major: B_v(c), what v
-        # ranks below c, within the pool; the free set beside a placed window
-        # M is pool \ M, so the term's overlap at v is mult_v f(d - k) with
-        # d = |B_v(c)| and k = |B_v(c) & M| < span
-        ballots = len(profile.entries)
-        pool_mask = sum(1 << (c - 1) for c in pool)
-        belows = [v._below[c - 1] & pool_mask for c in pool for _, v in profile.entries]
-        # a window of one position prices the empty placed set alone
-        counts = _window_counts(n, belows, pool) if span > 1 else {}
-        prices: dict[tuple[int, int], tuple[int, ...]] = {}
-        candidates = []
-        for i, c in enumerate(pool):
-            lo, hi = i * ballots, (i + 1) * ballots
-            row = []
-            for (mult, _), below in zip(profile.entries, belows[lo:hi]):
-                d = below.bit_count()
-                price = prices.get((mult, d))
-                if price is None:
-                    price = prices[mult, d] = tuple(
-                        mult * f[d - k] for k in range(min(d, span - 1) + 1)
-                    )
-                row.append(price)
-            candidates.append((c, 1 << (c - 1), mu[c - 1], row, lo, hi))
-        # completion[mask]: cheapest way to extend the placed window ``mask``
-        # to a full span, built bottom-up from the deepest layer; choice[mask]:
-        # the lowest pool label that reaches it
-        completion: dict[int, int] = dict.fromkeys(layers[span], 0)
-        choice: dict[int, int] = {}
-        for size in range(span - 1, -1, -1):
-            const = position_const[start + size]
-            spread = f[n - start - size] * voters
-            for mask in layers[size]:
-                placed = 0
-                rest = mask
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    placed += counts[bit]
-                # byte j: k at slot j (|M| <= span - 1 <= 15 under the guard)
-                ks = placed.to_bytes(len(belows), "little")
-                value = None
-                for c, bit, mu_c, row, lo, hi in candidates:
-                    if mask & bit:
-                        continue
-                    overlap = sum(map(getitem, row, ks[lo:hi]))
-                    cur = const + mu_c * (spread - 2 * overlap) + completion[mask | bit]
-                    if value is None or cur < value:
-                        value = cur
-                        choice[mask] = c
-                completion[mask] = value
-        window_value = Fraction(completion[0], params.scale)
-        mask = 0
-        while len(window) < span:
-            c = choice[mask]
-            window.append(c)
-            mask |= 1 << (c - 1)
+    mask = 0
+    while len(window) < span:
+        c = choice[mask]
+        window.append(c)
+        mask |= 1 << (c - 1)
 
     tail = sorted(remaining - set(window))
     ranking = Permutation(prefix + window + tail)
     return AggregationResult(
         method="myopic",
         minimizers=(ranking,),
-        optimum=window_value,
+        optimum=Fraction(completion[0], params.scale),
         winners=frozenset({ranking.order[0]}),
         certificate=profile_cost(params, ranking, profile),
     )
@@ -872,6 +880,8 @@ def ptas_depth(
     if rule == "custom":
         if weights is None or n is None:
             raise ValueError("the custom rule needs explicit weights and a horizon n")
+        if n < 2:
+            raise ValueError(f"the custom rule needs a horizon n >= 2, got {n}")
         if not weights.is_nonnegative() or weights.values[0] <= 0:
             raise ValueError("custom depths need nonnegative weights with w_2 > 0")
         # truncation_ratio(weights, t, depth) is prefix[t - depth] over

@@ -475,15 +475,15 @@ def _check_neutrality(params, profile) -> AuditReport:
         if key in matched:
             continue
         permuted = DistanceParams(params.weights, Measure(mu[t - 1] for t in tau.order))
-        if aggregate_exact(permuted, profile).minimizers != base:
-            relabeled = aggregate_exact(params, profile.relabel(tau)).minimizers
+        found = aggregate_exact(permuted, profile).minimizers
+        if found != base:  # the witness: both solved sets, relabelled by tau
             return _fails(
                 "neutrality_P",
                 {
                     "tau": tau,
                     "consensus": base,
-                    "relabeled_consensus": relabeled,
-                    "expected": tuple(sorted(tau.compose(p) for p in base)),
+                    "relabeled_consensus": found.relabel(tau),
+                    "expected": base.relabel(tau),
                 },
             )
         matched.add(key)

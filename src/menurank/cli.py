@@ -244,6 +244,8 @@ def _cmd_check(args) -> tuple[int, list[str]]:
             raise CliError("--property needs --profile")
         profile = _load_profile(args.profile)
         params = _load_params(args.params, profile.n)
+        if args.property == "reinforcing" and not args.profile2:
+            raise CliError("--property reinforcing compares two profiles; give --profile2")
         other = _load_profile(args.profile2) if args.profile2 else None
         report = audit_mod.check_property(params, profile, args.property, other)
     lines = [f"{report.property}: {report.verdict}"]

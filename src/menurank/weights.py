@@ -296,14 +296,13 @@ def neutral_region(weights: MenuWeights) -> tuple[bool, bool]:
     Weights of mixed sign have no closed-form region.  Two cheap necessary
     screens come first: position prices nonnegative (so every d(id, q) >= 0)
     and no price below the last one (the triangle through an adjacent swap
-    towards the antipode).  Then, by relabelling, no ranking may cost less
-    than d(id, q) against the two-ballot profile {id, q}: one exact solve
-    per q, guarded to n <= 7.
+    towards the antipode); nonzero nonpositive weights fail the first.  Then,
+    by relabelling, no ranking may cost less than d(id, q) against the
+    two-ballot profile {id, q}: one exact solve per pair {q, q^-1}, which
+    relabelling by q^-1 makes one question, guarded to n <= 7.
     """
     if weights.is_nonnegative():
         return True, weights.values[0] > 0
-    if all(v <= 0 for v in weights.values):
-        return False, False  # nonzero and nonpositive: swap distances go negative
     phi = menu_to_position_weights(weights).values
     if any(v < 0 for v in phi) or any(v < phi[-1] for v in phi):
         return False, False
@@ -322,6 +321,8 @@ def neutral_region(weights: MenuWeights) -> tuple[bool, bool]:
     identity, *others = all_rankings(n)
     from_identity = [distance(params, identity, q) for q in others]
     for q, direct in zip(others, from_identity):
+        if q.order > q._pos:  # q^-1 (in one-line form q._pos) came first
+            continue
         if aggregate_exact(params, Profile(((1, identity), (1, q)), n)).optimum < direct:
             return False, False
     return True, all(v > 0 for v in from_identity)
@@ -351,30 +352,20 @@ def classify(weights: MenuWeights, mu: Measure) -> ParamLabel:
 
     The distance is identically zero when either vector vanishes.  Otherwise,
     up to negating both vectors at once (which leaves the distance
-    unchanged), for n >= 3:
+    unchanged):
 
-    * weights supported on menu size 2 pair with any measure whose pairwise
-      sums are nonnegative (positive and with a positive size-2 weight for a
-      metric);
+    * weights supported on menu size 2, as every vector is at n = 2, pair
+      with any measure whose pairwise sums are nonnegative (positive and
+      with a positive size-2 weight for a metric);
     * all other weight vectors need a nonnegative measure and a weight
       vector whose neutral distance is itself a semimetric
       (``neutral_region``); the metric additionally needs positive pairwise
       measure sums, which allows at most one candidate of measure zero.
-
-    n = 2 only has the pairwise branch.
     """
     if weights.n != mu.n:
         raise ValueError(f"dimension mismatch: {weights.n} vs {mu.n}")
     if all(v == 0 for v in weights.values) or all(v == 0 for v in mu.values):
         return ParamLabel.TRIVIAL_ZERO
-    if mu.n == 2:
-        w2 = weights.values[0]
-        s = mu.values[0] + mu.values[1]
-        if w2 > 0 and s > 0 or w2 < 0 and s < 0:
-            return ParamLabel.METRIC
-        if s == 0:
-            return ParamLabel.SEMIMETRIC_ONLY
-        return ParamLabel.NOT_SEMIMETRIC
     verdicts = {
         _positive_branch(weights, mu),
         _positive_branch(weights.negate(), mu.negate()),

@@ -354,6 +354,36 @@ class TestConsensusSet:
         assert res.winners == set(range(1, n + 1))
         assert res.optimum == 0 == res.certificate
 
+    def test_relabel_matches_the_listing_and_the_relabelled_solve(self):
+        # P_mu(tau V) = tau P_{mu o tau}(V): the renamed DAG must be the one
+        # the solver builds, not only list the same rankings
+        rng = random.Random(43)
+        sizes = set()
+        for trial in range(40):
+            n = 3 + trial % 5  # 3..7
+            mu = [rng.choice((0, 1, 1, 2, F(1, 2))) for _ in range(n)]
+            params = make_params(rand_weights(rng, n), mu)
+            ballot = rand_ranking(rng, n).order
+            V = prof((2, ballot), (2, ballot[::-1]))
+            if trial % 2:
+                V = V.concat(prof((1, rand_ranking(rng, n).order)))
+            while True:  # a relabelling that is not its own inverse
+                tau = rand_ranking(rng, n)
+                if tau.compose(tau).order != tuple(range(1, n + 1)):
+                    break
+            permuted = make_params(params.weights, [mu[t - 1] for t in tau.order])
+            image = aggregate_exact(permuted, V).minimizers
+            moved = image.relabel(tau)
+            assert isinstance(moved, aggregation.ConsensusSet)
+            assert moved == tuple(sorted(tau.compose(p) for p in image))
+            assert len(moved) == len(image)
+            direct = aggregate_exact(params, V.relabel(tau)).minimizers
+            assert direct == moved and direct.text("  ") == moved.text("  ")
+            sizes.add(len(image) > 1)
+        assert sizes == {True, False}
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            image.relabel(Permutation((2, 1)))
+
 
 def _refuse(order):
     raise AssertionError("enumerated a ranking")
@@ -585,6 +615,28 @@ class TestMyopic:
             seen["wide"] += len(remaining) > 8 and span > 1
         assert min(seen.values()) > 0, seen
 
+    def test_edge_spans_match_the_per_term_reference(self):
+        # a one-position window, and a majority prefix that leaves no pool
+        rng = random.Random(28)
+        seen = {"depth 1": 0, "whole prefix": 0}
+        for trial in range(30):
+            n = rng.randint(2, 9)
+            params = make_params(rand_weights(rng, n), rand_measure(rng, n, nonneg=False))
+            if trial % 2:
+                # three of five voters share a ballot: it is the prefix
+                V = prof((3, rand_ranking(rng, n).order), (2, rand_ranking(rng, n).order))
+                depth = rng.randint(1, n)
+            else:
+                V = rand_profile(rng, n, max_ballots=5)
+                depth = 1
+            res = aggregate_myopic(params, V, depth)
+            assert (res.minimizers[0].order, res.optimum, res.certificate) == (
+                self.reference_myopic(params, V, depth))
+            remaining = _majority_prefix(V)[1]
+            seen["whole prefix"] += not remaining
+            seen["depth 1"] += depth == 1 and len(remaining) > 1
+        assert min(seen.values()) > 0, seen
+
     def test_depth_guard(self):
         params = make_params(*preset("kendall", 3))
         with pytest.raises(ValueError, match="at least 1"):
@@ -719,6 +771,11 @@ class TestPtasDepth:
                         horizon,
                     )
                     assert ptas_depth("custom", inv_eps, n=horizon, weights=w) == expected
+
+    def test_custom_needs_a_horizon_of_two(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="n >= 2"):
+                ptas_depth("custom", 4, n=n, weights=MenuWeights([1, 1]))
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError, match="unknown depth rule"):

@@ -374,6 +374,36 @@ class TestNeutralityOrbits:
         # relabelling that is not its own inverse
         assert failures >= 40 and non_involutions >= 5
 
+    def test_witness_relabels_the_sets_already_solved(self, monkeypatch):
+        from menurank import audit
+        from menurank.aggregation import ConsensusSet
+
+        ballot = (7, 6, 4, 2, 3, 5, 1)
+        V = prof((1, ballot), (1, ballot[::-1]))
+        params = make_params([1, 0, 0, 2, 1, 0], [1, 0, 0, 0, 0, 1, 0])
+        real = audit.aggregate_exact
+        profiles = []
+
+        def record(params, profile):
+            profiles.append(profile)
+            return real(params, profile)
+
+        def refuse(self):
+            raise AssertionError("listed a consensus set")
+
+        monkeypatch.setattr(audit, "aggregate_exact", record)
+        monkeypatch.setattr(ConsensusSet, "_items", refuse)
+        report = check_property(params, V, "neutrality_P")
+        assert report.verdict == "Fails"
+        assert all(profile is V for profile in profiles)
+        monkeypatch.undo()
+        verdict, witness = _reference_neutrality(params, V)
+        assert verdict == "Fails" and report.witness["tau"] == witness["tau"]
+        for key in ("consensus", "relabeled_consensus", "expected"):
+            assert report.witness[key] == witness[key]
+        sizes = {len(report.witness[key]) for key in ("relabeled_consensus", "expected")}
+        assert sizes == {3240, 5040}
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_relabelled_profile_solves_as_the_relabelled_measure(self, data):

@@ -329,6 +329,26 @@ def test_custom_depth_with_zero_n_reports_the_preset_limit(capsys):
         2, "error: invalid parameters 'kendall': presets need n >= 2\n")
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_custom_depth_below_two_candidates_exits_2(capsys, tmp_path, n):
+    # a parameter file passes any --n through; the depth rule refuses it
+    params = tmp_path / "w.params"
+    params.write_text("beta: 1 0\nmu: 1 1 2\n")
+    code = main(["ptas-depth", "--rule", "custom", "--epsilon", "1/2", "--params", str(params),
+                 "--n", n])
+    assert (code, capsys.readouterr()) == (
+        2, ("", f"error: the custom rule needs a horizon n >= 2, got {n}\n"))
+
+
+def test_reinforcing_without_a_second_profile_names_the_flag(capsys, tmp_path):
+    profile = tmp_path / "cyclic.prof"
+    profile.write_text(CYCLIC)
+    code = main(["check", "--params", "kendall", "--property", "reinforcing",
+                 "--profile", str(profile)])
+    assert (code, capsys.readouterr()) == (
+        2, ("", "error: --property reinforcing compares two profiles; give --profile2\n"))
+
+
 def test_myopic_window_too_large_exits_2_before_building_it(capsys, tmp_path, monkeypatch):
     # a ballot and its reversal: no majority favourite, so --k 40 asks for
     # all 2^40 subsets of the 40 candidates

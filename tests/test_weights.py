@@ -238,6 +238,21 @@ def _screened_mixed_signs(rng, n):
             return w
 
 
+def _two_candidate_label(weights, mu):
+    """The closed form at n = 2, where d is w_2 (mu_1 + mu_2) on a
+    disagreeing pair: a metric when the two factors share a strict sign, a
+    semimetric only when the measure sums to 0."""
+    w2 = weights.values[0]
+    s = mu.values[0] + mu.values[1]
+    if all(v == 0 for v in weights.values) or all(v == 0 for v in mu.values):
+        return ParamLabel.TRIVIAL_ZERO
+    if w2 > 0 and s > 0 or w2 < 0 and s < 0:
+        return ParamLabel.METRIC
+    if s == 0:
+        return ParamLabel.SEMIMETRIC_ONLY
+    return ParamLabel.NOT_SEMIMETRIC
+
+
 class TestClassification:
     def test_named_examples(self):
         assert classify(MenuWeights([1, 0, 0]), counting_measure(4)) is ParamLabel.METRIC
@@ -273,6 +288,18 @@ class TestClassification:
         assert classify(MenuWeights([1]), Measure([-1, -1])) is ParamLabel.NOT_SEMIMETRIC
         assert classify(MenuWeights([-1]), Measure([-1, -1])) is ParamLabel.METRIC
         assert classify(MenuWeights([0]), Measure([5, 5])) is ParamLabel.TRIVIAL_ZERO
+
+    def test_two_candidates_match_the_closed_form(self):
+        grid = (-2, -1, F(-1, 2), 0, F(1, 3), 1, 3)
+        seen = set()
+        for w2 in grid:
+            for mu1 in grid:
+                for mu2 in grid:
+                    weights, mu = MenuWeights([w2]), Measure([mu1, mu2])
+                    label = classify(weights, mu)
+                    assert label is _two_candidate_label(weights, mu), (w2, mu1, mu2)
+                    seen.add(label)
+        assert seen == set(ParamLabel)
 
     def test_mixed_sign_weights_can_still_be_metrics(self):
         # a small negative top-size weight keeps every region constraint
@@ -325,6 +352,46 @@ class TestClassification:
                 params = make_params(_screened_mixed_signs(rng, n))
                 identity, *others = all_rankings(n)
                 assert all(distance(params, identity, q) >= 0 for q in others)
+
+    def test_nonpositive_weights_fail_the_first_price_screen(self, monkeypatch):
+        from menurank import aggregation
+
+        def refuse(params, profile):
+            raise AssertionError("an exact solve ran")
+
+        monkeypatch.setattr(aggregation, "aggregate_exact", refuse)
+        rng = random.Random(19)
+        past_the_second = 0
+        for n in range(2, 8):
+            for _ in range(30):
+                values = [F(-rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n - 1)]
+                if not any(values):
+                    values[rng.randrange(n - 1)] = F(-1)
+                phi = menu_to_position_weights(MenuWeights(values)).values
+                assert any(v < 0 for v in phi), values
+                past_the_second += all(v >= phi[-1] for v in phi)
+                assert neutral_region.__wrapped__(MenuWeights(values)) == (False, False)
+        # some vectors only the sign screen stops
+        assert past_the_second > 0
+
+    def test_region_solves_each_ranking_and_its_inverse_once(self, monkeypatch):
+        from menurank import aggregation
+
+        real = aggregation.aggregate_exact
+        solved = []
+
+        def record(params, profile):
+            solved.append(profile.entries[1][1])
+            return real(params, profile)
+
+        monkeypatch.setattr(aggregation, "aggregate_exact", record)
+        for weights in (MenuWeights([1, 1, F(-1, 10)]), MenuWeights([1, 1, 1, F(-1, 10)])):
+            solved.clear()
+            # inside the region, so no q ends the scan early
+            assert neutral_region.__wrapped__(weights) == (True, True)
+            identity, *others = all_rankings(weights.n)
+            pairs = {frozenset((q, q.inverse())) for q in others}
+            assert len(solved) == len(pairs) == len({frozenset((q, q.inverse())) for q in solved})
 
     def test_mixed_sign_region_guard_raises_before_any_solve(self, monkeypatch):
         from menurank import aggregation
