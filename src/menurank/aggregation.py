@@ -7,9 +7,9 @@ placed before it.  That turns the search over n! orders into dynamic
 programming over 2^n subsets, which is how the exact solver finds the full
 argmin set, and how the myopic scheme minimises its truncated window.  The
 exact solver keeps that set as the DAG of tight edges of its cost-to-go
-table: path counting gives its size and the edges out of the empty set its
-winners, and the rankings themselves are listed, in lexicographic order,
-only when a caller reads them (``ConsensusSet``).  Printed, the set is one
+table (``ConsensusSet``): path counting gives its size and the edges out of
+the empty set its winners, the path counts unrank any one ranking in O(n^2),
+and iteration walks the DAG one ranking at a time.  Printed, the set is one
 string built from one text block per DAG node, so no ranking becomes an
 object or a string of its own.
 
@@ -49,9 +49,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations
 from math import ceil, comb, log, log1p
-from operator import add, getitem, mul
+from operator import eq, getitem, index, mul
 from typing import Callable, Literal
 
 from .assignment import min_cost_assignment
@@ -331,16 +331,13 @@ def _window_counts(
     return {1 << (x - 1): int.from_bytes(table[n - x :: n], "little") for x in pool}
 
 
-def _tight_dag(
-    rows: list[list[int]], togo: list[int]
-) -> tuple[dict[int, tuple[int, ...]], int]:
-    """The tight edges out of every placed set on an optimal path, and the
-    number of optimal paths.
+def _tight_dag(rows: list[list[int]], togo: list[int]) -> dict[int, tuple[int, ...]]:
+    """The tight edges out of every placed set on an optimal path, the masks
+    in order of size (the full mask, with no edge, has no entry).
 
     Edge (mask, c), placing candidate c + 1 next, is tight when its term plus
     the cost-to-go after it equals ``togo[mask]``.  The masks are reached
-    from the empty set one size at a time, so each edge is tested once; the
-    paths to the full set are then counted back from the largest masks.
+    from the empty set one size at a time, so each edge is tested once.
     """
     full = len(togo) - 1
     dag: dict[int, tuple[int, ...]] = {}
@@ -360,26 +357,22 @@ def _tight_dag(
                     reached[mask | bit] = None
             dag[mask] = tuple(tight)
         frontier = list(reached)
-    paths = {full: 1}
-    for mask in reversed(dag):  # filled by size, so read from the largest
-        paths[mask] = sum(paths[mask | 1 << c] for c in dag[mask])
-    return dag, paths[0]
+    return dag
 
 
-def _walk(dag: dict[int, tuple[int, ...]], mask: int, tokens: list, memo: dict) -> list:
-    """Every path from ``mask`` through ``dag`` as the sum of its candidates'
-    tokens, in lexicographic order of the candidates.
-
-    Memoised per mask in ``memo`` (seeded with the full mask's empty sum).
-    Candidates are tried in ascending order, so no sort is needed.
-    """
-    done = memo.get(mask)
-    if done is None:
-        done = []
-        for c in dag[mask]:
-            done.extend(map(add, repeat(tokens[c]), _walk(dag, mask | 1 << c, tokens, memo)))
-        memo[mask] = done
-    return done
+def _orders(dag: dict[int, tuple[int, ...]], mask: int, head: tuple[int, ...]):
+    """Every path on from ``mask`` through ``dag`` as ``head`` and then its
+    labels, in lexicographic order, one tuple at a time.  Module-level, like
+    ``_text_block``, so that its recursion forms no reference cycle."""
+    for c in dag.get(mask, ()):
+        step = mask | 1 << c
+        edges = dag.get(step)
+        if edges is None:
+            yield head + (c + 1,)
+        elif step | 1 << edges[0] in dag:
+            yield from _orders(dag, step, head + (c + 1,))
+        else:  # one label left: its edge is the last, so no generator for it
+            yield head + (c + 1, edges[0] + 1)
 
 
 def _first(dag: dict[int, tuple[int, ...]], mask: int, last: int, breaks, memo: dict):
@@ -392,11 +385,7 @@ def _first(dag: dict[int, tuple[int, ...]], mask: int, last: int, breaks, memo: 
         for c in dag.get(mask, ()):  # the full mask has no entry
             step = mask | 1 << c
             if breaks(last, mask, c + 1):
-                rest = []
-                while step in dag:  # every edge lies on an optimal path
-                    low = dag[step][0]
-                    rest.append(low + 1)
-                    step |= 1 << low
+                rest = next(_orders(dag, step, ()), ())  # the lowest edges on
             else:
                 rest = _first(dag, step, c + 1, breaks, memo)
             if rest is not None:
@@ -416,9 +405,9 @@ def _text_block(dag: dict[int, tuple[int, ...]], mask: int, tokens: list, memo: 
     ``str.replace`` and ``str.join``, in C, and no per-line string is built
     in Python.  Memoised per mask.
 
-    It stays a module-level function, like ``_walk``: a nested closure that
-    recursed through its own name would be a reference cycle, holding every
-    block of the memo until the cyclic garbage collector ran.
+    It stays a module-level function: a nested closure that recursed through
+    its own name would be a reference cycle, holding every block of the memo
+    until the cyclic garbage collector ran.
     """
     done = memo.get(mask)
     if done is None:
@@ -432,9 +421,10 @@ def _text_block(dag: dict[int, tuple[int, ...]], mask: int, tokens: list, memo: 
 class ConsensusSet(Sequence):
     """The exact consensus set, kept as the DP's tight-edge DAG.
 
-    A read-only sequence of ``Permutation``s in lexicographic order.  ``len``
-    is the number of optimal paths, counted without listing them; iterating
-    or indexing builds the rankings once and keeps them.  ``text`` prints
+    A read-only sequence of ``Permutation``s in lexicographic order, none
+    kept: ``len`` counts the optimal paths, indexing unranks a ranking from
+    the path counts in O(n^2), and iterating (as ``hash``, ``repr`` and ``==``
+    against a tuple do) walks the DAG one ranking at a time.  ``text`` prints
     the set as one string of lines, one text block per DAG node, without
     building a ranking.  It equals, and hashes like, the tuple of its
     rankings.  The DAG is a canonical form of the set (every edge in it lies
@@ -442,21 +432,15 @@ class ConsensusSet(Sequence):
     inclusion), and ``first`` and ``adjacent_pairs`` answer, from the DAGs.
     """
 
-    __slots__ = ("_n", "_dag", "_count", "_rankings")
+    __slots__ = ("_n", "_dag", "_paths")
 
-    def __init__(self, n: int, dag: dict[int, tuple[int, ...]], count: int):
+    def __init__(self, n: int, dag: dict[int, tuple[int, ...]]):
         self._n = n
         self._dag = dag
-        self._count = count
-        self._rankings: tuple[Permutation, ...] | None = None
-
-    def _items(self) -> tuple[Permutation, ...]:
-        if self._rankings is None:
-            tokens = [(c,) for c in range(1, self._n + 1)]
-            orders = _walk(self._dag, 0, tokens, {(1 << self._n) - 1: [()]})
-            # bijections by construction: no need for the checked constructor
-            self._rankings = tuple(map(Permutation._trusted, orders))
-        return self._rankings
+        # the optimal paths on from each mask, counted back from the largest
+        self._paths = paths = {(1 << n) - 1: 1}
+        for mask in reversed(dag):
+            paths[mask] = sum(paths[mask | 1 << c] for c in dag[mask])
 
     def text(self, indent: str = "") -> str:
         """The rankings as one block of lines, in order, each ``indent`` and
@@ -491,7 +475,7 @@ class ConsensusSet(Sequence):
         for mask, edges in self._dag.items():
             moved = sum(1 << image[c] for c in range(self._n) if mask >> c & 1)
             dag[moved] = tuple(sorted([image[c] for c in edges]))
-        return ConsensusSet(self._n, dag, self._count)
+        return ConsensusSet(self._n, dag)
 
     def adjacent_pairs(self) -> set[tuple[int, int]]:
         """Every label pair (a, b) with b right after a in some ranking here."""
@@ -509,29 +493,45 @@ class ConsensusSet(Sequence):
         )
 
     def __len__(self) -> int:
-        return self._count
+        return self._paths[0]
 
-    def __getitem__(self, index):
-        return self._items()[index]
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(self[i] for i in range(*key.indices(len(self))))
+        i = index(key)
+        if not -len(self) <= i < len(self):
+            raise IndexError("ConsensusSet index out of range")
+        i %= len(self)
+        # unrank: at each mask, skip the paths through the lower tight edges
+        dag, paths, order, mask = self._dag, self._paths, [], 0
+        while mask in dag:
+            for c in dag[mask]:
+                if i < paths[mask | 1 << c]:
+                    break
+                i -= paths[mask | 1 << c]
+            order.append(c + 1)
+            mask |= 1 << c
+        # bijections by construction: no need for the checked constructor
+        return Permutation._trusted(tuple(order))
 
     def __iter__(self):
-        return iter(self._items())
+        return map(Permutation._trusted, _orders(self._dag, 0, ()))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ConsensusSet):
             return self._n == other._n and self._dag == other._dag
         if isinstance(other, tuple):
-            return len(other) == self._count and self._items() == other
+            return len(other) == len(self) and all(map(eq, self, other))
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._items())
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return f"ConsensusSet({self._items()!r})"
+        return f"ConsensusSet({tuple(self)!r})"
 
     def __reduce__(self):
-        return ConsensusSet, (self._n, self._dag, self._count)
+        return ConsensusSet, (self._n, self._dag)
 
 
 def aggregate_exact(params: DistanceParams, profile: Profile) -> AggregationResult:
@@ -544,9 +544,9 @@ def aggregate_exact(params: DistanceParams, profile: Profile) -> AggregationResu
     The consensus set is the DAG of tight edges out of the masks on optimal
     paths; its size comes from counting paths and its winners are the tight
     edges out of the empty set, so neither lists a ranking.  The minimizers
-    are a ``ConsensusSet`` view that lists them, in lexicographic order, only
-    when read.  Guarded to n <= 10, since a caller that reads every tied
-    minimiser still gets them all (a zero measure ties all n! rankings).
+    are a ``ConsensusSet`` view that builds a ranking only when it is read.
+    Guarded to n <= 10: printing the set or iterating it to the end still
+    costs a line or a ranking per tie, and a zero measure ties all n!.
     """
     n = params.n
     if profile.n != n:
@@ -573,10 +573,10 @@ def aggregate_exact(params: DistanceParams, profile: Profile) -> AggregationResu
         togo[mask] = value
 
     optimum = Fraction(togo[0], scale)
-    dag, count = _tight_dag(rows, togo)
+    dag = _tight_dag(rows, togo)
     return AggregationResult(
         method="exact",
-        minimizers=ConsensusSet(n, dag, count),
+        minimizers=ConsensusSet(n, dag),
         optimum=optimum,
         winners=frozenset(c + 1 for c in dag[0]),
         certificate=optimum,

@@ -5,6 +5,7 @@ import gc
 import pickle
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, permutations as it_perms
 from math import comb, factorial
@@ -260,18 +261,35 @@ class TestConsensusSet:
 
     def test_view_matches_brute_force(self):
         seen = set()
+        rng = random.Random(47)
         for params, V in self.cases():
             res = aggregate_exact(params, V)
             view = res.minimizers
             best, argmin = brute_consensus(params, V)
             public = tuple(Permutation(q) for q in sorted(argmin))
-            seen.add(len(argmin) == factorial(V.n))
+            size = len(public)
+            seen.add(size == factorial(V.n))
             assert res.optimum == best
-            assert len(view) == len(argmin)
+            assert len(view) == size
             assert res.winners == {q[0] for q in argmin}
             assert [p.order for p in view] == sorted(argmin)
-            assert view[0] == public[0] and view[-1] == public[-1]
-            assert view[1:3] == public[1:3]
+            # every index of the sets up to 7!, and both ends and a sample of
+            # the 8! set, unranked one at a time
+            indices = range(-size, size)
+            if size > 5040:
+                indices = [-size, -1, 0, size - 1] + rng.sample(indices, 300)
+            for i in indices:
+                assert view[i] == public[i]
+            for cut in (slice(1, 3), slice(None, None, -1), slice(None, None, 3),
+                        slice(-2, 1, -2), slice(2, 2)):
+                assert view[cut] == public[cut]
+            assert tuple(reversed(view)) == public[::-1]
+            assert view.index(public[-1]) == size - 1
+            assert size < 2 or view[True] == public[1]
+            for key, error in ((size, IndexError), (-size - 1, IndexError),
+                               (1.0, TypeError), ("0", TypeError)):
+                with pytest.raises(error):
+                    view[key]
             assert public[-1] in view
             assert view == public and public == view and not view != public
             assert len(public) < 2 or (view != public[::-1] and view != public[:-1])
@@ -284,9 +302,10 @@ class TestConsensusSet:
         assert seen == {True, False}
 
     def test_exact_path_leaves_no_cyclic_garbage(self):
-        # the memos of the text and tuple walks hold every block and tuple
-        # of a request; reference counting must free them, with no cycle
-        # left for the collector (a self-recursive closure walker is one)
+        # the text walk's memo holds every block of a request, and the ranking
+        # walk a generator per placed label; reference counting must free
+        # them, even when a walk is dropped halfway, with no cycle left for
+        # the collector (a self-recursive closure or generator is one)
         ballot = (3, 1, 4, 7, 5, 2, 6)
         params = make_params(*preset("kendall", 7))
         gc.collect()
@@ -296,6 +315,13 @@ class TestConsensusSet:
             assert res.minimizers.text().count("\n") == 5039
             assert sum(1 for _ in res.minimizers) == 5040
             del res
+            assert gc.collect() == 0
+            view = aggregate_exact(params, prof((3, ballot), (3, ballot[::-1]))).minimizers
+            assert view[2520].order == _nth_ranking(7, 2520)
+            assert gc.collect() == 0
+            walk = iter(view)
+            assert [next(walk).order for _ in range(721)][-1] == _nth_ranking(7, 720)
+            del walk, view
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -354,6 +380,25 @@ class TestConsensusSet:
         assert res.winners == set(range(1, n + 1))
         assert res.optimum == 0 == res.certificate
 
+    def test_reading_a_tie_of_ten_factorial_lists_none(self):
+        # a zero measure ties all 10! rankings; after the solve, reading one
+        # by index or the first of an iteration builds that ranking alone
+        n = 10
+        params = make_params(preset("linear", n)[0], Measure([0] * n))
+        view = aggregate_exact(params, prof((1, tuple(range(1, n + 1))))).minimizers
+        size = len(view)
+        tracemalloc.start()
+        try:
+            reads = [view[0], view[-1], view[size // 2], next(iter(view))]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+        identity = tuple(range(1, n + 1))
+        middle = _nth_ranking(n, size // 2)
+        assert middle == (6, 1, 2, 3, 4, 5, 7, 8, 9, 10)
+        assert [p.order for p in reads] == [identity, identity[::-1], middle, identity]
+
     def test_relabel_matches_the_listing_and_the_relabelled_solve(self):
         # P_mu(tau V) = tau P_{mu o tau}(V): the renamed DAG must be the one
         # the solver builds, not only list the same rankings
@@ -387,6 +432,17 @@ class TestConsensusSet:
 
 def _refuse(order):
     raise AssertionError("enumerated a ranking")
+
+
+def _nth_ranking(n, k):
+    """Ranking k (from 0) of 1..n in lexicographic order, by its digits in
+    the factorial number system."""
+    labels = list(range(1, n + 1))
+    order = []
+    for left in range(n - 1, -1, -1):
+        digit, k = divmod(k, factorial(left))
+        order.append(labels.pop(digit))
+    return tuple(order)
 
 
 class TestFootruleAggregation:

@@ -388,11 +388,13 @@ class TestNeutralityOrbits:
             profiles.append(profile)
             return real(params, profile)
 
-        def refuse(self):
+        def refuse(self, *key):
             raise AssertionError("listed a consensus set")
 
         monkeypatch.setattr(audit, "aggregate_exact", record)
-        monkeypatch.setattr(ConsensusSet, "_items", refuse)
+        # every ranking a set yields comes through one of these two
+        monkeypatch.setattr(ConsensusSet, "__getitem__", refuse)
+        monkeypatch.setattr(ConsensusSet, "__iter__", refuse)
         report = check_property(params, V, "neutrality_P")
         assert report.verdict == "Fails"
         assert all(profile is V for profile in profiles)

@@ -259,10 +259,12 @@ PAST_CAP_VERDICTS = {
 @pytest.mark.parametrize("prop", LISTING_AUDITS)
 def test_listing_audits_past_8_factorial_ties_give_verdicts(capsys, tmp_path, monkeypatch, prop, n):
     # all n! rankings tie (3,628,800 at n = 10); the audits read the DAG alone
-    def refuse(self):
+    def refuse(self, *key):
         raise AssertionError("a consensus set was listed")
 
-    monkeypatch.setattr(aggregation.ConsensusSet, "_items", refuse)
+    # every ranking a set yields comes through one of these two
+    monkeypatch.setattr(aggregation.ConsensusSet, "__getitem__", refuse)
+    monkeypatch.setattr(aggregation.ConsensusSet, "__iter__", refuse)
     code, text = PAST_CAP_VERDICTS[prop]
     labels = " ".join(str(c) for c in range(4, n + 1))
     assert run(capsys, *_zero_measure_check(tmp_path, prop, n)) == (code, text.format(labels))
