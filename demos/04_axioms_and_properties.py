@@ -37,7 +37,7 @@ families = [
 ]
 print(f"  {'family':<22}" + "".join(f"{ax:>7}" for ax in AXIOMS))
 for label, params in families:
-    verdicts = [audit_axiom(params, ax, 4).verdict for ax in AXIOMS]
+    verdicts = [audit_axiom(params, ax).verdict for ax in AXIOMS]
     print(f"  {label:<22}" + "".join(f"{v[:5]:>7}" for v in verdicts))
 print("  only pairwise weights decompose over single inversions (A1, A2);")
 print("  every family here is graphic on the swap graph (A3)")

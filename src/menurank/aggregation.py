@@ -49,8 +49,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
-from math import ceil, comb, log, log1p
+from itertools import combinations
+from math import ceil, comb, exp, log, log1p
 from operator import eq, getitem, index, mul
 from typing import Callable, Literal
 
@@ -65,7 +65,6 @@ from .weights import (
     Rational,
     _scaled_mass,
     as_fraction,
-    downset_mass,
     make_params,
 )
 
@@ -81,12 +80,12 @@ class AggregationResult:
     true aggregate distance for the exact method, the footrule objective for
     the matching method, the truncated window objective for the myopic one);
     ``certificate`` is always the true aggregate distance achieved by the
-    returned ranking(s).  ``minimizers`` is a ``ConsensusSet`` for the exact
-    method and a one-ranking tuple for the others.
+    returned ranking(s).  ``minimizers`` is a ``ConsensusSet`` for every
+    method, holding one ranking for the approximate ones.
     """
 
     method: Literal["exact", "footrule", "myopic"]
-    minimizers: Sequence[Permutation]
+    minimizers: ConsensusSet
     optimum: Fraction
     winners: frozenset[int]
     certificate: Fraction
@@ -419,12 +418,13 @@ def _text_block(dag: dict[int, tuple[int, ...]], mask: int, tokens: list, memo: 
 
 
 class ConsensusSet(Sequence):
-    """The exact consensus set, kept as the DP's tight-edge DAG.
+    """A consensus set kept as a DAG: the DP's tight edges, or one path.
 
     A read-only sequence of ``Permutation``s in lexicographic order, none
     kept: ``len`` counts the optimal paths, indexing unranks a ranking from
-    the path counts in O(n^2), and iterating (as ``hash``, ``repr`` and ``==``
-    against a tuple do) walks the DAG one ranking at a time.  ``text`` prints
+    the path counts in O(n^2), ``in``, ``index`` and ``count`` follow the
+    ranking's own path in O(n^2), and iterating (as ``hash``, ``repr`` and
+    ``==`` against a tuple do) walks the DAG one ranking at a time.  ``text`` prints
     the set as one string of lines, one text block per DAG node, without
     building a ranking.  It equals, and hashes like, the tuple of its
     rankings.  The DAG is a canonical form of the set (every edge in it lies
@@ -441,6 +441,16 @@ class ConsensusSet(Sequence):
         self._paths = paths = {(1 << n) - 1: 1}
         for mask in reversed(dag):
             paths[mask] = sum(paths[mask | 1 << c] for c in dag[mask])
+
+    @classmethod
+    def of_ranking(cls, ranking: Permutation) -> "ConsensusSet":
+        """The set holding ``ranking`` alone: one edge out of each of its
+        prefixes, and none out of the full mask."""
+        dag, mask = {}, 0
+        for c in ranking.order:
+            dag[mask] = (c - 1,)
+            mask |= 1 << (c - 1)
+        return cls(ranking.n, dag)
 
     def text(self, indent: str = "") -> str:
         """The rankings as one block of lines, in order, each ``indent`` and
@@ -513,6 +523,33 @@ class ConsensusSet(Sequence):
             mask |= 1 << c
         # bijections by construction: no need for the checked constructor
         return Permutation._trusted(tuple(order))
+
+    def _rank(self, value) -> int | None:
+        """The index of ``value`` here, or None when it is not a member, a
+        full path of tight edges: at each step, the paths through the lower
+        tight edges rank before it (the inverse of the unrank)."""
+        if not isinstance(value, Permutation):
+            return None
+        dag, paths, rank, mask = self._dag, self._paths, 0, 0
+        for c in value.order:
+            edges = dag.get(mask, ())
+            if c - 1 not in edges:
+                return None
+            rank += sum(paths[mask | 1 << e] for e in edges[: edges.index(c - 1)])
+            mask |= 1 << (c - 1)
+        return rank if mask == (1 << self._n) - 1 else None
+
+    def __contains__(self, value) -> bool:
+        return self._rank(value) is not None
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        rank = self._rank(value)
+        if rank is None or rank not in range(*slice(start, stop).indices(len(self))):
+            raise ValueError(f"{value!r} is not in the ConsensusSet")
+        return rank
+
+    def count(self, value) -> int:
+        return int(value in self)
 
     def __iter__(self):
         return map(Permutation._trusted, _orders(self._dag, 0, ()))
@@ -633,7 +670,7 @@ def aggregate_footrule(
     ranking = Permutation(order)
     return AggregationResult(
         method="footrule",
-        minimizers=(ranking,),
+        minimizers=ConsensusSet.of_ranking(ranking),
         optimum=Fraction(total, scale),
         winners=frozenset({ranking.order[0]}),
         certificate=profile_cost(params, ranking, profile),
@@ -641,28 +678,20 @@ def aggregate_footrule(
 
 
 def _majority_prefix(profile: Profile) -> tuple[list[int], set[int]]:
-    """Greedily pull out candidates a strict voter majority ranks top."""
-    n = profile.n
+    """Greedily pull out candidates a strict voter majority ranks top, one
+    tally of the ballots' top remaining candidates a round."""
     total = profile.voters
-    remaining = set(range(1, n + 1))
+    remaining = set(range(1, profile.n + 1))
     prefix: list[int] = []
     while remaining:
-        pool_mask = sum(1 << (c - 1) for c in remaining)
-        placed = None
-        for c in sorted(remaining):
-            rivals = pool_mask & ~(1 << (c - 1))
-            count = sum(
-                mult
-                for mult, v in profile.entries
-                if rivals & ~v._below[c - 1] == 0
-            )
-            if 2 * count > total:
-                placed = c
-                break
-        if placed is None:
+        tally = dict.fromkeys(remaining, 0)
+        for mult, v in profile.entries:
+            tally[next(filter(remaining.__contains__, v.order))] += mult
+        top = max(tally, key=tally.get)
+        if 2 * tally[top] <= total:
             break
-        prefix.append(placed)
-        remaining.remove(placed)
+        prefix.append(top)
+        remaining.remove(top)
     return prefix, remaining
 
 
@@ -775,7 +804,7 @@ def aggregate_myopic(
     ranking = Permutation(prefix + window + tail)
     return AggregationResult(
         method="myopic",
-        minimizers=(ranking,),
+        minimizers=ConsensusSet.of_ranking(ranking),
         optimum=Fraction(completion[0], params.scale),
         winners=frozenset({ranking.order[0]}),
         certificate=profile_cost(params, ranking, profile),
@@ -787,20 +816,42 @@ PTAS_RULES = ("affine", "exponential", "alternating", "custom")
 
 def truncation_ratio(weights: MenuWeights, t: int, depth: int) -> Fraction:
     """Mass the window of size ``depth`` ignores, relative to the top swap price,
-    for a pool of ``t`` candidates.
+    for a pool of ``t >= 2`` candidates.
 
     With f = ``downset_mass`` this is ``sum_{s < t - depth} f(s)`` over the
     price ``f(t - 1) - f(t - 2)``; by the hockey-stick identity the numerator
-    is ``sum_j w_j C(t - depth, j)`` and the denominator
-    ``sum_j w_j C(t - 2, j - 2)``.
+    is ``sum_j w_j C(max(t - depth, 0), j)`` and the denominator
+    ``sum_j w_j C(t - 2, j - 2)``, both evaluated over the integer-scaled
+    weights, whose common scale cancels.
     """
-    numerator = sum(
-        (downset_mass(weights, s) for s in range(t - depth)), Fraction(0)
-    )
-    denominator = downset_mass(weights, t - 1) - downset_mass(weights, t - 2)
+    if t < 2:
+        raise ValueError(f"truncation ratio needs a pool of t >= 2 candidates, got {t}")
+    sizes = list(enumerate(weights.scaled[0], 2))
+    numerator = sum(w * comb(max(t - depth, 0), j) for j, w in sizes)
+    denominator = sum(w * comb(t - 2, j - 2) for j, w in sizes)
     if denominator <= 0:
         raise ValueError("truncation ratio needs a positive size-2 weight")
-    return numerator / denominator
+    return Fraction(numerator, denominator)
+
+
+# the bits of the largest power p^k that _ceil_log builds: both of its powers
+# at this size took 1.2 s on a 2-core VM with Python 3.11
+_POWER_BITS = 1 << 22
+
+
+def _log_log(num: int, den: int) -> float:
+    """``log(log(num / den))`` for num > den > 0, in floats that neither
+    overflow nor underflow: past the float range the inner log is
+    ``log num - log den``, and within 2^-1022 of 1 it is the excess
+    ``(num - den) / den`` to within a relative excess, so its log is
+    ``log(num - den) - log den``."""
+    try:
+        excess = (num - den) / den
+    except OverflowError:
+        return log(log(num) - log(den))
+    if excess < sys.float_info.min:
+        return log(num - den) - log(den)
+    return log(log1p(excess))
 
 
 def _ceil_log(base: Fraction, x: Fraction) -> int:
@@ -815,9 +866,11 @@ def _ceil_log(base: Fraction, x: Fraction) -> int:
     2^-40 of y.  When no integer lies within that margin of the estimate,
     its ceiling is k.  Otherwise (y within 2^-40 |y| of an integer, as at an
     exact power, or y past 2^40, or a base or x too close to 1 or too large
-    for a normal float) k steps up or down from the estimate until it is the
-    smallest with p^k b >= a q^k, for base = p/q: those inputs still cost
-    two powers of about k log2(p) bits.
+    for a normal float) k steps up or down from an estimate made in log
+    space (``_log_log``) until it is the smallest with p^k b >= a q^k, for
+    base = p/q.  Those two powers hold about k log2(p) bits each, so past
+    ``_POWER_BITS`` (as for a base within 10^-10 of 1) the estimate is
+    refused with a ``ValueError`` before either is built.
     """
     if x <= 1:
         return 0
@@ -833,9 +886,13 @@ def _ceil_log(base: Fraction, x: Fraction) -> int:
         k = ceil(y - margin)
         if k == ceil(y + margin):
             return k
-        k = ceil(y)
-    else:
-        k = max(0, ceil((log(a) - log(b)) / (log(p) - log(q))))
+    log_y = _log_log(a, b) - _log_log(p, q)
+    if log_y + log(p.bit_length()) > log(_POWER_BITS):
+        raise ValueError(
+            f"the depth is about 10^{log_y / log(10):.1f}, too large to settle "
+            f"exactly: its powers would pass 2^{_POWER_BITS.bit_length() - 1} bits"
+        )
+    k = ceil(exp(log_y))
     lhs, rhs = p**k * b, a * q**k
     while lhs < rhs:
         lhs, rhs, k = lhs * p, rhs * q, k + 1
@@ -862,8 +919,8 @@ def ptas_depth(
     alternating   w_j = 1 + (-1)^j     -> ceil(log2(4 / eps))
 
     ``custom`` takes an explicit weight vector plus its horizon ``n`` and
-    returns the smallest depth whose truncation ratio stays below eps for
-    every pool size up to ``n``.
+    returns the smallest depth whose ``truncation_ratio`` is at most eps at
+    every pool size t from max(depth, 2) to ``n`` (``n`` if none is).
     """
     eps = 1 / as_fraction(inv_epsilon)
     if eps <= 0:
@@ -884,14 +941,9 @@ def ptas_depth(
             raise ValueError(f"the custom rule needs a horizon n >= 2, got {n}")
         if not weights.is_nonnegative() or weights.values[0] <= 0:
             raise ValueError("custom depths need nonnegative weights with w_2 > 0")
-        # truncation_ratio(weights, t, depth) is prefix[t - depth] over
-        # f(t - 1) - f(t - 2), both scaled alike, with f tabulated up to n - 1
-        int_weights = weights.scaled[0]
-        f = [_scaled_mass(int_weights, t) for t in range(n)]
-        prefix = [0, *accumulate(f)]
         for depth in range(1, n + 1):
             if all(
-                Fraction(prefix[t - depth], f[t - 1] - f[t - 2]) <= eps
+                truncation_ratio(weights, t, depth) <= eps
                 for t in range(max(depth, 2), n + 1)
             ):
                 return depth

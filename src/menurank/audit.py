@@ -350,13 +350,12 @@ def _check_a6(dist: DistanceFn, perms, n: int) -> AuditReport:
     return _holds("A6")
 
 
-def audit_axiom(params: DistanceParams, axiom: str, n: int | None = None) -> AuditReport:
-    """Gate on the parameter classification, then check the axiom."""
-    if n is None:
-        n = params.n
+def audit_axiom(params: DistanceParams, axiom: str) -> AuditReport:
+    """Gate on the parameter classification, then check the axiom over the
+    parameters' ``n`` candidates."""
     if params.label is ParamLabel.NOT_SEMIMETRIC:
         return AuditReport(axiom, "Inapplicable", None, "parameters are not a semimetric")
-    return check_axiom(params_distance(params), n, axiom)
+    return check_axiom(params_distance(params), params.n, axiom)
 
 
 # ---------------------------------------------------------------------------

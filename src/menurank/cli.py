@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 
 from . import audit as audit_mod
 from .aggregation import (
+    PTAS_RULES,
     ConsensusSet,
     aggregate_exact,
     aggregate_footrule,
@@ -186,13 +187,8 @@ def _cmd_aggregate(args) -> tuple[int, list[str]]:
             raise CliError("--method myopic needs a window depth --k")
         result = aggregate_myopic(params, profile, args.k)
     rankings = result.minimizers
-    lines = [f"method: {result.method}", f"minimizers ({len(rankings)}):"]
-    # the rankings as one block of "  1 2 3" lines; the exact method's come
-    # straight from its DAG, without building a Permutation
-    if isinstance(rankings, ConsensusSet):
-        lines.append(rankings.text("  "))
-    else:
-        lines.append("\n".join(["  " + str(p) for p in rankings]))
+    # the rankings as one block of "  1 2 3" lines, straight from the DAG
+    lines = [f"method: {result.method}", f"minimizers ({len(rankings)}):", rankings.text("  ")]
     lines.append(f"objective: {fmt(result.optimum)}")
     lines.append(f"cost: {fmt(result.certificate)}")
     lines.append(f"winners: {fmt(result.winners)}")
@@ -238,7 +234,9 @@ def _cmd_check(args) -> tuple[int, list[str]]:
         if n is None:
             raise CliError("--axiom needs --n")
         params = _load_params(args.params, n)
-        report = audit_mod.audit_axiom(params, args.axiom, n)
+        if params.n != n:
+            raise CliError(f"--n is {n} but the parameters are over {params.n} candidates")
+        report = audit_mod.audit_axiom(params, args.axiom)
     else:
         if not args.profile:
             raise CliError("--property needs --profile")
@@ -367,8 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_aggregate)
 
     p = sub.add_parser("ptas-depth", help="window depth for a target accuracy")
-    p.add_argument("--rule", choices=("affine", "exponential", "alternating", "custom"),
-                   required=True)
+    p.add_argument("--rule", choices=PTAS_RULES, required=True)
     p.add_argument("--epsilon", required=True, help="target accuracy, e.g. 1/4")
     p.add_argument("--alpha", help="base for the exponential rule")
     p.add_argument("--params", help="weights for --rule custom")

@@ -6,8 +6,9 @@ import pickle
 import random
 import time
 import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction as F
-from itertools import combinations, permutations as it_perms
+from itertools import accumulate, combinations, permutations as it_perms
 from math import comb, factorial
 
 import pytest
@@ -33,10 +34,12 @@ from menurank import (
 from menurank import aggregation
 from menurank.aggregation import (
     MYOPIC_SUBSET_LIMIT,
+    ConsensusSet,
     _majority_prefix,
     _position_terms,
     _term_table,
 )
+from menurank.weights import _scaled_mass
 
 from conftest import prof, rand_measure, rand_profile, rand_ranking, rand_weights
 
@@ -399,6 +402,77 @@ class TestConsensusSet:
         assert middle == (6, 1, 2, 3, 4, 5, 7, 8, 9, 10)
         assert [p.order for p in reads] == [identity, identity[::-1], middle, identity]
 
+    def test_membership_and_index_match_the_listing(self):
+        # every ranking at n <= 7 asked of the tie-heavy cases and of one-path
+        # sets, refereed by the listed set; index's start and stop by the
+        # Sequence mixin it replaces
+        rng = random.Random(53)
+        views = [aggregate_exact(params, V).minimizers for params, V in self.cases() if V.n <= 7]
+        views += [ConsensusSet.of_ranking(rand_ranking(rng, n)) for n in (1, 2, 3, 5, 7, 7)]
+        seen = set()
+        for view in views:
+            n = view[0].n
+            listed = tuple(view)
+            where = {p: i for i, p in enumerate(listed)}
+            seen.add((n, len(listed) == 1, len(listed) == factorial(n)))
+            for q in it_perms(range(1, n + 1)):
+                p = Permutation(q)
+                assert (p in view) == (p in where) and view.count(p) == (p in where)
+                if p in where:
+                    assert view.index(p) == where[p]
+                else:
+                    with pytest.raises(ValueError):
+                        view.index(p)
+            size = len(listed)
+            bounds = [(0, None), (1, None), (-1, None), (-size - 3, None), (0, -1),
+                      (2, size + 5), (size, None), (3, 2), (-2, -1)]
+            for p in rng.sample(listed, min(size, 4)) + [rand_ranking(rng, n)]:
+                for start, stop in bounds:
+                    try:
+                        expected = Sequence.index(listed, p, start, *[stop] * (stop is not None))
+                    except ValueError:
+                        expected = None
+                    if expected is None:
+                        with pytest.raises(ValueError):
+                            view.index(p, start, stop)
+                    else:
+                        assert view.index(p, start, stop) == expected
+            # values of another kind, or over other labels, are never members
+            others = [listed[0].order, None, str(listed[0]), Permutation(range(1, n + 2))]
+            others += [Permutation(range(1, n))] if n > 1 else []
+            for other in others:
+                assert other not in view and view.count(other) == 0
+                with pytest.raises(ValueError):
+                    view.index(other)
+        assert {(one, full) for _, one, full in seen} >= {(True, False), (False, True), (False, False)}
+
+    def test_membership_in_a_tie_of_ten_factorial_lists_none(self, monkeypatch):
+        # in, index and count follow the asked ranking's path through the
+        # DAG: neither they nor the refusals build or list any ranking
+        n = 10
+        params = make_params(preset("linear", n)[0], Measure([0] * n))
+        view = aggregate_exact(params, prof((1, tuple(range(1, n + 1))))).minimizers
+        size = len(view)
+        last, middle = view[-1], view[size // 2]
+        short, order = Permutation(range(1, n)), last.order
+        monkeypatch.setattr(Permutation, "_trusted", _refuse)
+        tracemalloc.start()
+        try:
+            answers = [
+                last in view, view.index(last), view.count(last), view.index(middle),
+                view.index(middle, size // 2, size // 2 + 1),
+                order in view, short in view, view.count(order), view.count(short),
+            ]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert answers == [True, size - 1, 1, size // 2, size // 2, False, False, 0, 0]
+        for value, start, stop in ((short, 0, None), (order, 0, None), (last, 0, size - 1),
+                                   (middle, size // 2 + 1, None)):
+            with pytest.raises(ValueError):
+                view.index(value, start, stop)
+
     def test_relabel_matches_the_listing_and_the_relabelled_solve(self):
         # P_mu(tau V) = tau P_{mu o tau}(V): the renamed DAG must be the one
         # the solver builds, not only list the same rankings
@@ -443,6 +517,37 @@ def _nth_ranking(n, k):
         digit, k = divmod(k, factorial(left))
         order.append(labels.pop(digit))
     return tuple(order)
+
+
+def _assert_one_path(view, ranking):
+    """A one-ranking result: a ConsensusSet that stands in for (ranking,)."""
+    assert isinstance(view, ConsensusSet) and len(view) == 1 and view[0] == ranking
+    assert view == (ranking,) and (ranking,) == view and hash(view) == hash((ranking,))
+    assert view.text("  ") == "  " + str(ranking) and ranking in view
+    order = ranking.order
+    assert view.adjacent_pairs() == set(zip(order, order[1:]))
+    assert view.first(lambda last, placed, c: (last, c) == (0, order[0])) == ranking
+    assert view.first(lambda last, placed, c: (last, c) == order[-2:]) == ranking
+    assert view.first(lambda last, placed, c: (last, c) == (order[-1], order[0])) is None
+    tau = Permutation(order[1:] + order[:1])
+    assert view.relabel(tau) == (tau.compose(ranking),)
+    assert view.relabel(tau) == ConsensusSet.of_ranking(tau.compose(ranking))
+
+
+class TestOnePathResults:
+    def test_footrule_and_myopic_return_one_path_sets(self):
+        rng = random.Random(57)
+        for _ in range(30):
+            n = rng.randint(2, 7)
+            weights = rand_weights(rng, n)
+            V = rand_profile(rng, n)
+            for res in (aggregate_footrule(weights, V),
+                        aggregate_myopic(make_params(weights), V, rng.randint(1, n))):
+                (ranking,) = res.minimizers
+                _assert_one_path(res.minimizers, ranking)
+                assert res.winners == {ranking.order[0]}
+                for clone in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
+                    assert clone == res and hash(clone.minimizers) == hash((ranking,))
 
 
 class TestFootruleAggregation:
@@ -693,6 +798,31 @@ class TestMyopic:
             seen["depth 1"] += depth == 1 and len(remaining) > 1
         assert min(seen.values()) > 0, seen
 
+    def test_majority_prefix_matches_the_per_candidate_scan(self):
+        # planted majorities with shared tops, exact half splits (a tally
+        # that placed at 2 count >= voters would place there) and random
+        # profiles, refereed by the scan the tally replaced
+        rng = random.Random(61)
+        seen = {"prefix": 0, "none": 0, "half": 0}
+        for trial in range(200):
+            n = rng.randint(1, 9)
+            V = rand_profile(rng, n, max_ballots=6)
+            top = rng.sample(range(1, n + 1), rng.randint(0, n))
+            a, b = (tuple(top) + tuple(rng.sample(sorted(set(range(1, n + 1)) - set(top)), n - len(top)))
+                    for _ in range(2))
+            if trial % 3 == 0:
+                V = V.concat(prof((V.voters, a), (1, b)))
+            elif trial % 3 == 1 and n > 1:
+                a, b = rand_ranking(rng, n).order, rand_ranking(rng, n).order
+                while a[0] == b[0]:
+                    b = rand_ranking(rng, n).order
+                V = prof((2, a), (2, b)) if trial % 2 else prof((3, a), (1, b), (2, b[::-1]))
+                seen["half"] += 1
+            prefix, remaining = _majority_prefix(V)
+            assert (prefix, remaining) == _majority_prefix_by_scan(V)
+            seen["prefix" if prefix else "none"] += 1
+        assert min(seen.values()) > 0, seen
+
     def test_depth_guard(self):
         params = make_params(*preset("kendall", 3))
         with pytest.raises(ValueError, match="at least 1"):
@@ -828,6 +958,55 @@ class TestPtasDepth:
                     )
                     assert ptas_depth("custom", inv_eps, n=horizon, weights=w) == expected
 
+    def test_custom_depth_matches_the_prefix_sum_search(self):
+        # zero weights, horizons below, at and past the weights' own n
+        rng = random.Random(62)
+        zeros = 0
+        for _ in range(60):
+            n = rng.randint(2, 9)
+            w = rand_weights(rng, n)
+            if w.values[0] == 0:
+                w = MenuWeights((F(rng.randint(1, 4), rng.randint(1, 3)),) + w.values[1:])
+            zeros += 0 in w.values
+            for horizon in sorted({2, max(n - 1, 2), n, n + 4}):
+                for inv_eps in (F(1, 3), 1, 4, 25, F(100, 7)):
+                    assert ptas_depth("custom", inv_eps, n=horizon, weights=w) == (
+                        _custom_depth_by_prefix_sums(w, inv_eps, horizon))
+        assert zeros
+
+    def test_truncation_ratio_needs_a_pool_of_two(self):
+        for t in (-1, 0, 1):
+            with pytest.raises(ValueError, match="t >= 2"):
+                truncation_ratio(MenuWeights([1, 1]), t, 1)
+
+    def test_exponential_depth_past_the_power_budget_is_refused(self):
+        # 1 + 10^-10 estimates a depth near 4.7e11 with an integer inside the
+        # float margin; settling it exactly would build powers of about 1.6e13
+        # bits, so it is refused before either is built.  Within 10^-400 of
+        # 1 the base's excess is no normal float; the same rule refuses it
+        for alpha in (F(10**10 + 1, 10**10), F(10**400 + 1, 10**400)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="too large to settle exactly"):
+                ptas_depth("exponential", 4, alpha=alpha)
+            assert time.perf_counter() - start < 1
+        # depths clear of the margin need no powers, however large
+        assert ptas_depth("exponential", 4, alpha=F(1001, 1000)) == 15212
+        assert ptas_depth("exponential", 4, alpha=F(10**9 + 1, 10**9)) == 42832826059
+        # a base within 10^-400 of 1 still settles a depth within the budget
+        base, hair = F(10**400 + 1, 10**400), F(1, 10**1300)
+        for x, k in ((base**3, 3), (base**3 - hair, 3), (base**3 + hair, 4)):
+            assert aggregation._ceil_log(base, x) == k
+
+    def test_power_budget_counts_the_bits_of_the_base_power(self, monkeypatch):
+        # 1001^3000 has 29,901 bits: settled under a 2^15 budget, refused
+        # under 2^14
+        base, k = F(1001, 1000), 3000
+        monkeypatch.setattr(aggregation, "_POWER_BITS", 1 << 15)
+        assert aggregation._ceil_log(base, base**k) == k
+        monkeypatch.setattr(aggregation, "_POWER_BITS", 1 << 14)
+        with pytest.raises(ValueError, match="about 10\\^3.5"):
+            aggregation._ceil_log(base, base**k)
+
     def test_custom_needs_a_horizon_of_two(self):
         for n in (0, 1):
             with pytest.raises(ValueError, match="n >= 2"):
@@ -855,3 +1034,42 @@ class TestTruncationWindowConsistency:
                 F(0),
             )
             assert total == profile_cost(params, p, V)
+
+
+def _majority_prefix_by_scan(profile):
+    """The majority prefix by testing, each round, every remaining candidate
+    in label order against every ballot: the first that a strict majority
+    ranks above all the other remaining candidates is placed."""
+    total = profile.voters
+    remaining = set(range(1, profile.n + 1))
+    prefix = []
+    while remaining:
+        pool_mask = sum(1 << (c - 1) for c in remaining)
+        placed = None
+        for c in sorted(remaining):
+            rivals = pool_mask & ~(1 << (c - 1))
+            count = sum(mult for mult, v in profile.entries if rivals & ~v._below[c - 1] == 0)
+            if 2 * count > total:
+                placed = c
+                break
+        if placed is None:
+            break
+        prefix.append(placed)
+        remaining.remove(placed)
+    return prefix, remaining
+
+
+def _custom_depth_by_prefix_sums(weights, inv_epsilon, n):
+    """The custom depth from the down-set masses f(t), t < n, over the
+    scaled weights: each truncation ratio is a prefix sum of f over
+    f(t - 1) - f(t - 2)."""
+    eps = 1 / F(inv_epsilon)
+    f = [_scaled_mass(weights.scaled[0], t) for t in range(n)]
+    prefix = [0, *accumulate(f)]
+    for depth in range(1, n + 1):
+        if all(
+            F(prefix[t - depth], f[t - 1] - f[t - 2]) <= eps
+            for t in range(max(depth, 2), n + 1)
+        ):
+            return depth
+    return n

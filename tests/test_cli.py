@@ -342,6 +342,25 @@ def test_custom_depth_below_two_candidates_exits_2(capsys, tmp_path, n):
         2, ("", f"error: the custom rule needs a horizon n >= 2, got {n}\n"))
 
 
+@pytest.mark.parametrize("alpha", ["10000000001/10000000000", f"{10**400 + 1}/{10**400}"],
+                         ids=["1+1e-10", "1+1e-400"])
+def test_exponential_depth_past_the_power_budget_exits_2(capsys, alpha):
+    start = time.perf_counter()
+    code = main(["ptas-depth", "--rule", "exponential", "--epsilon", "1/4", "--alpha", alpha])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: the depth is about 10^")
+    assert "too large to settle exactly" in err and time.perf_counter() - start < 1
+
+
+def test_axiom_check_refuses_parameters_over_another_n(capsys, tmp_path):
+    # an axiom is checked over the parameters' own n, so --n must match it
+    params = tmp_path / "w.params"
+    params.write_text("beta: 1 0\nmu: 1 1 2\n")
+    code = main(["check", "--axiom", "A1", "--params", str(params), "--n", "4"])
+    assert (code, capsys.readouterr()) == (
+        2, ("", "error: --n is 4 but the parameters are over 3 candidates\n"))
+
+
 def test_reinforcing_without_a_second_profile_names_the_flag(capsys, tmp_path):
     profile = tmp_path / "cyclic.prof"
     profile.write_text(CYCLIC)
@@ -617,7 +636,10 @@ def test_exact_report_builds_no_ranking(capsys, tmp_path, monkeypatch):
 # mostly valid and sometimes not; paths are filled in per run
 _FILES = ("{profile}", "{params}", "{dir}", "{missing}")
 _NUMBERS = ("-1", "0", "1", "2", "3", "4", "x")
-_RATIONALS = ("1/4", "0", "-1", "3/2", "1/0", "x")
+# the last two lie within 10^-10 and 10^-400 of 1: an exponential base there
+# has a depth too large to settle exactly
+_RATIONALS = ("1/4", "0", "-1", "3/2", "1/0", "x", "10000000001/10000000000",
+              f"{10**400 + 1}/{10**400}")
 _RANKINGS = ("1 2 3", "3 1 2", "2 1 3 4", "4 3 2 1", "1 2", "2 2 1", "", "a b")
 _PRESETS = ("kendall", "ok-nishimura", "linear", "binomial:1/3", "binomial:2", "gilbert:2",
             "gilbert:9", "unavailable-candidate:3", "kendall:x", "binomial:1/0")
@@ -638,7 +660,7 @@ _VALUES = {
     "--epsilon": _RATIONALS,
     "--alpha": _RATIONALS,
     "--method": ("exact", "footrule", "myopic", "best"),
-    "--rule": ("affine", "exponential", "alternating", "custom"),
+    "--rule": aggregation.PTAS_RULES,
     "--axiom": audit.AXIOMS,
     "--property": audit.PROPERTIES,
 }
