@@ -26,7 +26,8 @@ n = 10), which sets how long each packed integer is.  That costs
 O(n^2 2^n + n m) lane additions for m ballots, against O(n 2^n m) for
 pricing each DP edge ballot by ballot.  The myopic window visits too few
 (candidate, placed set) pairs for a full table to pay; it prices its edges
-from packed per-ballot down-set counts instead (``aggregate_myopic``).
+from packed counts over one slot per distinct down-set within its pool, or
+per label under pairwise-only weights (``aggregate_myopic``).
 ``_position_terms`` prices one term ballot by ballot, and is the tests'
 referee for both routes.
 
@@ -395,14 +396,14 @@ def _first(dag: dict[int, tuple[int, ...]], mask: int, last: int, breaks, memo: 
 
 def _text_block(dag: dict[int, tuple[int, ...]], mask: int, tokens: list, memo: dict) -> str:
     """Every path from ``mask`` through ``dag`` as one block of text lines,
-    each line its candidates' tokens, in lexicographic order of the
-    candidates; the full mask's block is ``""``, seeded in ``memo``.
+    each line its candidates' tokens and each put after a newline, in
+    lexicographic order of the candidates; the full mask's block is one
+    newline, an empty line, seeded in ``memo``.
 
-    A mask's block joins, for each tight edge c, the block below c with
-    ``tokens[c]`` put at the head of its every line: one ``replace`` of its
-    newlines and one concatenation.  Every copy of a line happens inside
-    ``str.replace`` and ``str.join``, in C, and no per-line string is built
-    in Python.  Memoised per mask.
+    A mask's block is one join, over its tight edges c, of the block below c
+    with ``tokens[c]`` put after each of its newlines by one ``replace``.
+    Every copy of a line happens inside ``str.replace`` and ``str.join``, in
+    C, and no per-line string is built in Python.  Memoised per mask.
 
     It stays a module-level function: a nested closure that recursed through
     its own name would be a reference cycle, holding every block of the memo
@@ -410,8 +411,8 @@ def _text_block(dag: dict[int, tuple[int, ...]], mask: int, tokens: list, memo: 
     """
     done = memo.get(mask)
     if done is None:
-        done = memo[mask] = "\n".join([
-            tokens[c] + _text_block(dag, mask | 1 << c, tokens, memo).replace("\n", "\n" + tokens[c])
+        done = memo[mask] = "".join([
+            _text_block(dag, mask | 1 << c, tokens, memo).replace("\n", "\n" + tokens[c])
             for c in dag[mask]
         ])
     return done
@@ -460,12 +461,12 @@ class ConsensusSet(Sequence):
         dag = self._dag
         labels = range(1, self._n + 1)
         tokens = [f" {c}" for c in labels]
-        memo = {(1 << self._n) - 1: ""}
+        memo = {(1 << self._n) - 1: "\n"}
         # the blocks below the empty set first, then its own edges, where
         # every line starts: they alone take the indent and no space
         for c in dag[0]:
             _text_block(dag, 1 << c, tokens, memo)
-        return _text_block(dag, 0, [f"{indent}{c}" for c in labels], memo)
+        return _text_block(dag, 0, [f"{indent}{c}" for c in labels], memo)[1:]
 
     def first(self, breaks) -> Permutation | None:
         """The lexicographically first ranking here with a step that
@@ -705,21 +706,30 @@ def aggregate_myopic(
     objective (a subset DP); candidates never reached by the window follow in
     ascending label order, which the window objective cannot distinguish.
 
-    Each edge is priced from packed counts: per pool candidate x, one
-    integer with a byte per (pool candidate c, ballot v) slot that is 1 when
-    v ranks x below c.  Summed over a placed set M and written out as bytes,
-    it gives k = |B_v(c) & M| at every slot, and the ballot's overlap term is
-    entry k of a tuple shared by every slot of equal multiplicity and
-    down-set size.  The terms are the integers ``_position_terms`` returns.
+    Each edge is priced from packed counts over slots.  A pool candidate c
+    has one slot per distinct D = B_v(c) & pool among the ballots, holding
+    their summed multiplicity N; its overlap term at a placed set M is
+    N f(|D| - |D & M|).  An empty D has no slot (f(0) = 0), and the D that
+    holds the whole pool but c has |D & M| = |M| on every M of a layer, so
+    its term is a constant per (candidate, layer).  Under pairwise-only
+    weights, f(t) = f(1) t, each D is split into its labels first, so c
+    keeps at most one slot per other pool candidate x, priced (f(1) N, 0)
+    from the pairwise tally N of c over x.  Per pool candidate x, one
+    integer has a byte per slot that is 1 when its D holds x.  Summed over
+    M and written out as bytes, it gives k = |D & M| at every slot, and the
+    slot's term is entry k of a tuple shared by every slot of equal N and
+    |D|.  The terms are the integers ``_position_terms`` returns.
 
     The DP visits every subset of the remaining candidates with at most
     ``min(depth, remaining)`` members, so that count is checked before any of
     them is built: above ``MYOPIC_SUBSET_LIMIT`` (2^16) it raises
     ``ValueError``.  The guard also keeps every count below 16, so no byte
     carries.  At the limit, a full window over 16 candidates and 40 distinct
-    ballots (ok-nishimura weights) took 1.6-2.8 s (median 2.2 s) on a 2-core
-    VM with Python 3.11, about 34 us a subset, against 3.2-3.7 s priced
-    ballot by ballot; the tracemalloc peak was 10.6 MB either way.
+    ballots took 0.69-0.89 s (median 0.73 s) under Kendall weights and
+    1.08-1.55 s (median 1.20 s) under ok-nishimura weights, about 11 and
+    18 us a subset, on a 2-core VM with Python 3.11; with one slot per
+    (candidate, ballot) they took 1.28-1.70 s and 1.14-1.41 s (medians 1.42
+    and 1.23 s).  The tracemalloc peak was 10.1 MB.
     """
     if depth < 1:
         raise ValueError("window depth must be at least 1")
@@ -744,28 +754,44 @@ def aggregate_myopic(
     mu = params.int_mu
     voters = profile.voters
     position_const = _position_constants(params, profile)
-    # one slot per (pool candidate c, ballot v), c-major: B_v(c), what v
-    # ranks below c, within the pool; the free set beside a placed window
-    # M is pool \ M, so the term's overlap at v is mult_v f(d - k) with
-    # d = |B_v(c)| and k = |B_v(c) & M| < span
-    ballots = len(profile.entries)
+    # slots, c-major, as the docstring sets out; the free set beside a
+    # placed window M is pool \ M, so a slot's overlap is N f(d - k) with
+    # d = |D| and k = |D & M| < span, and ``fixed`` sums the N of the
+    # ballots whose D is pool \ {c}
     pool_mask = sum(1 << (c - 1) for c in pool)
-    belows = [v._below[c - 1] & pool_mask for c in pool for _, v in profile.entries]
-    counts = _window_counts(n, belows, pool)
+    pairwise = params.weights.is_pairwise_only()
+    belows: list[int] = []
     prices: dict[tuple[int, int], tuple[int, ...]] = {}
     candidates = []
-    for i, c in enumerate(pool):
-        lo, hi = i * ballots, (i + 1) * ballots
+    for c in pool:
+        groups: dict[int, int] = {}
+        for mult, v in profile.entries:
+            below = v._below[c - 1] & pool_mask
+            groups[below] = groups.get(below, 0) + mult
+        if pairwise:
+            labels: dict[int, int] = {}
+            for below, mult in groups.items():
+                while below:
+                    x = below & -below
+                    below ^= x
+                    labels[x] = labels.get(x, 0) + mult
+            groups = labels
+        groups.pop(0, None)
+        bit = 1 << (c - 1)
+        fixed = groups.pop(pool_mask ^ bit, 0)
+        lo = len(belows)
         row = []
-        for (mult, _), below in zip(profile.entries, belows[lo:hi]):
+        for below, mult in groups.items():
             d = below.bit_count()
             price = prices.get((mult, d))
             if price is None:
                 price = prices[mult, d] = tuple(
                     mult * f[d - k] for k in range(min(d, span - 1) + 1)
                 )
+            belows.append(below)
             row.append(price)
-        candidates.append((c, 1 << (c - 1), mu[c - 1], row, lo, hi))
+        candidates.append((c, bit, mu[c - 1], fixed, row, lo, len(belows)))
+    counts = _window_counts(n, belows, pool)
     # completion[mask]: cheapest way to extend the placed window ``mask``
     # to a full span, built bottom-up from the deepest layer; choice[mask]:
     # the lowest pool label that reaches it
@@ -774,6 +800,11 @@ def aggregate_myopic(
     for size in range(span - 1, -1, -1):
         const = position_const[start + size]
         spread = f[n - start - size] * voters
+        left = f[len(pool) - 1 - size]
+        layer = [
+            (c, bit, const + mu_c * (spread - 2 * fixed * left), 2 * mu_c, row, lo, hi)
+            for c, bit, mu_c, fixed, row, lo, hi in candidates
+        ]
         for mask in layers[size]:
             placed = 0
             rest = mask
@@ -784,11 +815,11 @@ def aggregate_myopic(
             # byte j: k at slot j (|M| <= span - 1 <= 15 under the guard)
             ks = placed.to_bytes(len(belows), "little")
             value = None
-            for c, bit, mu_c, row, lo, hi in candidates:
+            for c, bit, base, twice_mu, row, lo, hi in layer:
                 if mask & bit:
                     continue
                 overlap = sum(map(getitem, row, ks[lo:hi]))
-                cur = const + mu_c * (spread - 2 * overlap) + completion[mask | bit]
+                cur = base - twice_mu * overlap + completion[mask | bit]
                 if value is None or cur < value:
                     value = cur
                     choice[mask] = c

@@ -761,9 +761,38 @@ class TestMyopic:
         ballot = rand_ranking(rng, 16).order
         V = prof((2, ballot), (1, ballot[::-1]), (1, rand_ranking(rng, 16).order))
         yield make_params(*preset("ok-nishimura", 16)), V, 16
+        # pairwise-only weights besides the Kendall preset, and all-zero
+        # weights, under signed and zero measure entries; each profile has
+        # two distinct ballots that differ only in their last two places
+        # (equal pool down-sets above them) and puts one candidate first in
+        # two ballots and last in two others
+        rng = random.Random(29)
+        for trial in range(18):
+            n = 3 + trial % 12  # 3..14
+            weights = (MenuWeights([F(3, 2)] + [0] * (n - 2)), preset("gilbert", n, 2)[0],
+                       MenuWeights([0] * (n - 1)))[trial % 3]
+            mu = Measure([rng.choice((0, -1, F(-1, 2), 1, F(3, 2), 2)) for _ in range(n)])
+            ballot = rand_ranking(rng, n).order
+            rows = [(rng.randint(1, 3), rand_ranking(rng, n).order) for _ in range(rng.randint(4, 8))]
+            rows += [(1, ballot), (2, ballot[:-2] + ballot[:-3:-1])]
+            pinned = rng.randint(1, n)
+            for i in range(4):
+                mult, order = rows[i]
+                rest = tuple(c for c in order if c != pinned)
+                rows[i] = mult, (pinned, *rest) if i % 2 else (*rest, pinned)
+            if trial % 4 == 1:  # a majority bloc: the pool starts after its head
+                head = rand_ranking(rng, n).order[: rng.randint(1, n - 2)]
+                rest = [c for c in range(1, n + 1) if c not in head]
+                rows.append((sum(m for m, _ in rows) + 1, head + tuple(rng.sample(rest, len(rest)))))
+            deepest = max(d for d in range(1, n + 1)
+                          if sum(comb(n, s) for s in range(d + 1)) <= 1 << 12)
+            yield make_params(weights, mu), prof(*rows), rng.choice((deepest, rng.randint(1, deepest)))
 
     def test_window_matches_the_per_term_reference(self):
-        seen = {"prefix": 0, "odd": 0, "even": 0, "wide": 0}
+        seen = dict.fromkeys(
+            ("prefix", "odd", "even", "wide", "pairwise w2 = 3/2", "pairwise prefix",
+             "zero weights", "pairwise signed mu", "first in pool", "last in pool",
+             "equal down-sets"), 0)
         for params, V, depth in self.window_cases():
             res = aggregate_myopic(params, V, depth)
             order, optimum, certificate = self.reference_myopic(params, V, depth)
@@ -774,6 +803,24 @@ class TestMyopic:
             seen["prefix"] += bool(prefix) and span > 1
             seen["odd" if V.voters % 2 else "even"] += 1
             seen["wide"] += len(remaining) > 8 and span > 1
+            if span < 2:
+                continue
+            weights, mu = params.weights.values, params.mu.values
+            pairwise = params.weights.is_pairwise_only()
+            seen["pairwise w2 = 3/2"] += pairwise and weights[0] == F(3, 2)
+            seen["pairwise prefix"] += pairwise and weights[0] != 0 and bool(prefix)
+            seen["zero weights"] += not any(weights)
+            seen["pairwise signed mu"] += pairwise and weights[0] != 0 and 0 in mu and min(mu) < 0
+            # what each distinct ballot ranks below c within the pool
+            orders = {v.order for _, v in V.entries}
+            downs = [[remaining.intersection(o[o.index(c) + 1:]) for o in orders]
+                     for c in remaining]
+            full = [remaining - {c} for c in remaining]
+            seen["first in pool"] += any(d.count(f) > 1 for d, f in zip(downs, full))
+            seen["last in pool"] += any(d.count(set()) > 1 for d in downs)
+            seen["equal down-sets"] += any(
+                len(inner) > len(set(map(frozenset, inner)))
+                for d, f in zip(downs, full) for inner in [[s for s in d if s and s != f]])
         assert min(seen.values()) > 0, seen
 
     def test_edge_spans_match_the_per_term_reference(self):

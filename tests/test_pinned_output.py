@@ -10,7 +10,9 @@ words), recorded before the term table sized its lanes from the overlap
 bound; and ties over two-digit labels, recorded before the consensus set
 was printed as one text block per DAG node; and neutrality audits and
 mixed-sign classifications, recorded while both still enumerated
-relabellings."""
+relabellings; and a Kendall window at n = 14 and a pairwise-only window
+under a signed measure, recorded before the window grouped its ballots by
+their down-sets within the pool."""
 
 from __future__ import annotations
 
@@ -50,6 +52,34 @@ FILES = {
     ),
     # the two ballots differ on 7..10 alone: ties whose lines mix label widths
     "two_digit_n10.prof": "10 2\n1: 1 2 3 4 5 6 7 8 9 10\n1: 1 2 3 4 5 6 10 9 8 7\n",
+    # 40 ballots, the sixth listed again as the 21st; 9 is last in seven of
+    # them, and no candidate leads a majority, so the window opens at once
+    "n14.prof": (
+        "14 62\n"
+        "2: 3 11 10 9 6 13 5 2 14 7 12 8 1 4\n2: 12 14 10 3 13 6 9 7 11 8 4 2 1 5\n"
+        "1: 4 6 8 11 9 14 13 3 7 2 5 1 12 10\n1: 4 6 5 2 3 10 1 7 13 14 11 12 8 9\n"
+        "2: 11 3 5 13 14 4 9 7 2 10 1 6 12 8\n2: 2 13 3 14 8 9 4 1 12 7 5 11 10 6\n"
+        "1: 11 5 13 14 10 1 9 2 3 12 8 4 6 7\n2: 10 5 4 3 8 13 11 1 14 2 9 12 6 7\n"
+        "1: 5 13 6 10 12 3 9 1 8 14 11 2 7 4\n2: 4 8 7 13 10 12 2 14 6 3 9 5 11 1\n"
+        "1: 2 11 3 10 8 13 14 6 5 1 12 7 4 9\n1: 14 1 3 10 11 2 13 7 6 9 8 4 5 12\n"
+        "2: 13 9 3 11 2 14 10 7 5 8 4 1 12 6\n2: 7 8 6 12 9 14 5 2 3 10 4 1 11 13\n"
+        "1: 3 9 7 11 5 12 4 1 2 8 10 6 14 13\n1: 9 13 2 11 10 7 8 1 6 3 12 4 14 5\n"
+        "2: 4 12 14 1 8 9 11 13 6 5 3 2 7 10\n2: 7 5 1 12 10 8 11 4 3 13 14 2 6 9\n"
+        "1: 1 11 14 13 2 6 9 8 4 7 12 10 5 3\n2: 7 13 8 9 2 6 12 1 10 3 11 5 14 4\n"
+        "2: 2 13 3 14 8 9 4 1 12 7 5 11 10 6\n2: 2 9 10 3 5 14 8 12 7 4 13 11 6 1\n"
+        "2: 12 14 2 7 3 1 13 11 4 5 10 6 9 8\n1: 13 1 7 4 6 14 10 8 3 2 9 5 11 12\n"
+        "2: 2 8 5 13 14 10 11 3 1 7 6 9 12 4\n1: 2 12 14 6 8 13 7 10 11 5 1 3 4 9\n"
+        "1: 5 11 7 3 2 10 12 6 8 4 13 1 14 9\n1: 6 4 5 13 11 9 14 8 12 1 10 7 3 2\n"
+        "2: 2 3 6 1 10 8 14 5 9 7 4 12 13 11\n2: 14 3 10 2 7 6 8 9 4 12 11 5 13 1\n"
+        "1: 6 8 4 14 2 10 3 12 7 5 9 1 11 13\n2: 14 7 5 6 9 3 11 1 4 13 8 12 2 10\n"
+        "2: 8 1 12 14 7 11 4 5 13 3 2 6 10 9\n1: 13 8 1 12 4 10 6 3 5 9 2 7 11 14\n"
+        "1: 1 8 3 6 9 2 10 13 4 14 11 12 5 7\n2: 10 3 9 1 2 4 13 12 14 7 6 5 8 11\n"
+        "2: 11 6 9 5 2 3 14 13 1 10 7 8 12 4\n1: 1 11 6 13 14 2 9 3 12 7 8 4 10 5\n"
+        "2: 6 14 3 4 12 11 2 9 7 10 8 1 13 5\n1: 14 2 10 12 1 11 3 6 7 13 4 5 8 9\n"
+    ),
+    # pairwise-only weights that are not the Kendall preset, and a measure
+    # with zero and negative entries
+    "pairwise_n10.params": "beta: 3/2 0 0 0 0 0 0 0 0\nmu: 2 0 1 -1 3 0 1/2 2 -3/2 1\n",
     # a measure with a zero and a negative entry
     "signed_mu_n10.params": "beta: 1 2 0 1/2 3 1 0 2 1\nmu: 1 0 2 -1 3 1 1/2 2 1 -3/2\n",
     # the term table's row values reach about 2^68: lanes wider than 64 bits
@@ -96,6 +126,10 @@ CASES.update({
     "n10/myopic-signed-measure": ("aggregate", "--method", "myopic", "--k", "3",
                                   "--params", "{signed_mu_n10.params}",
                                   "--profile", "{n10.prof}"),
+    "n14/myopic-kendall": ("aggregate", "--method", "myopic", "--k", "4", "--params", "kendall",
+                           "--profile", "{n14.prof}"),
+    "n10/myopic-pairwise": ("aggregate", "--method", "myopic", "--k", "3",
+                            "--params", "{pairwise_n10.params}", "--profile", "{n10.prof}"),
     "n10/exact-wide-lanes": ("aggregate", "--method", "exact",
                              "--params", "{wide_lanes_n10.params}", "--profile", "{n10.prof}"),
 })
@@ -211,6 +245,8 @@ DIGESTS = {
     "n10/exact-ok-nishimura": (0, "5f735dfd5953486f28cf15ffc1abbbe849a548c9c28ac1ca6f6ab9845d1f18df"),
     "n10/exact-wide-lanes": (0, "b42609a7691532b097a391c6a834709ed9926be7b2fe684f4ceeadcecea805f4"),
     "n10/myopic-signed-measure": (0, "a4dec256202050f9336a6923ed032b8e42bd190424b15103447507b293418dc9"),
+    "n10/myopic-pairwise": (0, "b20c133e6bf1ef9e4dde390473573f47618845848fca75cab39a00102b124c97"),
+    "n14/myopic-kendall": (0, "7cd4853340f7f8e0b2b74bb6e2e678b7bc22420cfd4da10de22e6089b529062a"),
     "n6/myopic": (0, "cbf9d2043f61b9c6388cc90d2a8f098ffbd7c9251b0dd8ef301edec70717756d"),
     "n6/zero-measure": (0, "6a94d74e1ca860207840e5e194919f2b92a7e8df20621d8eb434ff810dd42d83"),
     "two-bloc-n7/kendall": (0, "a274ad738187edb6e67405c61c38ba0f475dd894450c4111ed453e4480317b6e"),
