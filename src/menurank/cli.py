@@ -176,6 +176,8 @@ def _cmd_gamma(args) -> tuple[int, list[str]]:
 
 
 def _cmd_aggregate(args) -> tuple[int, list[str]]:
+    if args.k is not None and args.method != "myopic":
+        raise CliError(f"--k is the myopic window depth; --method {args.method} reads no --k")
     profile = _load_profile(args.profile)
     params = _load_params(args.params, profile.n)
     if args.method == "exact":

@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import random
+import sys
 import time
 import tracemalloc
 from collections.abc import Sequence
@@ -35,9 +36,12 @@ from menurank import aggregation
 from menurank.aggregation import (
     MYOPIC_SUBSET_LIMIT,
     ConsensusSet,
+    _cost_to_go,
+    _free_pairs,
     _majority_prefix,
     _position_terms,
     _term_table,
+    _tight_dag,
 )
 from menurank.weights import _scaled_mass
 
@@ -236,6 +240,67 @@ class TestExact:
         params = make_params(*preset("kendall", 11))
         with pytest.raises(ValueError, match="n <= 10"):
             aggregate_exact(params, prof((1, tuple(range(1, 12)))))
+
+    @staticmethod
+    def dp_cases():
+        """Seeded (params, profile) pairs at n = 2..9: signed weights and
+        measures, a zero measure (all n! rankings tie), and a ballot with its
+        reversal under Kendall weights."""
+        rng = random.Random(24)
+        for n in range(2, 10):
+            for _ in range(3):
+                signed = make_params(rand_weights(rng, n, nonneg=False),
+                                     rand_measure(rng, n, nonneg=False))
+                yield "signed", signed, rand_profile(rng, n)
+            zero = make_params(rand_weights(rng, n, nonneg=False), Measure([0] * n))
+            yield "zero measure", zero, rand_profile(rng, n)
+            ballot = tuple(rng.sample(range(1, n + 1), n))
+            yield "two blocs", make_params(*preset("kendall", n)), prof(
+                (2, ballot), (2, ballot[::-1]))
+
+    def test_dp_and_dag_match_the_bit_loops(self):
+        # the free-candidate table against the bit tricks it replaced: the
+        # same cost-to-go and the same DAG, masks and edges in the same order
+        seen = set()
+        for kind, params, V in self.dp_cases():
+            rows, _ = _term_table(params, V)
+            togo = _cost_to_go(rows)
+            assert togo == _cost_to_go_by_bits(rows), kind
+            dag = _tight_dag(rows, togo)
+            assert list(dag.items()) == list(_tight_dag_by_bits(rows, togo).items()), kind
+            if kind != "signed":
+                assert len(ConsensusSet(params.n, dag)) == factorial(params.n), kind
+            seen.add(kind)
+        assert seen == {"signed", "zero measure", "two blocs"}
+
+    def test_free_pairs_list_each_mask_s_missing_candidates(self):
+        for n in range(13):
+            table = _free_pairs(n)
+            pairs = [(c, 1 << c) for c in range(n)]
+            # the per-mask definition the doubling build must reproduce
+            assert table == tuple(
+                tuple(pair for pair in pairs if not mask & pair[1]) for mask in range(1 << n)
+            )
+            # one object per candidate, shared by every entry that lists it
+            shared = {}
+            for entry in table:
+                for pair in entry:
+                    assert shared.setdefault(pair[0], pair) is pair
+            assert len(shared) == n
+
+    def test_free_pairs_stay_small_at_n_10(self):
+        # every object the cached tables up to n = 10 hold, each counted
+        # once: tracemalloc would miss the tuples a rebuilt table takes back
+        # from CPython's tuple free lists
+        held = {}
+        for n in range(11):
+            table = _free_pairs(n)
+            held[id(table)] = table
+            for entry in table:
+                held[id(entry)] = entry
+                for pair in entry:
+                    held.update({id(pair): pair, id(pair[1]): pair[1]})
+        assert sum(map(sys.getsizeof, held.values())) < 0.2 * 2**20
 
 
 class TestConsensusSet:
@@ -1120,3 +1185,43 @@ def _custom_depth_by_prefix_sums(weights, inv_epsilon, n):
         ):
             return depth
     return n
+
+
+def _cost_to_go_by_bits(rows):
+    """The cost-to-go DP finding each free candidate with bit tricks: the
+    referee for the ``_free_pairs`` relaxation."""
+    full = len(rows[0]) - 1
+    togo = [0] * (full + 1)
+    for mask in range(full - 1, -1, -1):
+        value = None
+        rest = full ^ mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            cur = rows[bit.bit_length() - 1][mask] + togo[mask | bit]
+            if value is None or cur < value:
+                value = cur
+        togo[mask] = value
+    return togo
+
+
+def _tight_dag_by_bits(rows, togo):
+    """``_tight_dag`` finding each free candidate with bit tricks."""
+    full = len(togo) - 1
+    dag = {}
+    frontier = [0]
+    while frontier[0] != full:
+        reached = {}
+        for mask in frontier:
+            tight = []
+            rest = full ^ mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                c = bit.bit_length() - 1
+                if rows[c][mask] + togo[mask | bit] == togo[mask]:
+                    tight.append(c)
+                    reached[mask | bit] = None
+            dag[mask] = tuple(tight)
+        frontier = list(reached)
+    return dag

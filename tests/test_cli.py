@@ -436,6 +436,14 @@ class TestAggregate:
     def test_myopic_needs_k(self, capsys, cyclic_prof):
         assert main(["aggregate", "--method", "myopic", "--profile", cyclic_prof, "--params", "kendall"]) == 2
 
+    @pytest.mark.parametrize("method", ["exact", "footrule"])
+    def test_k_without_myopic_exits_2_naming_the_flag(self, capsys, cyclic_prof, method):
+        # only the myopic window reads --k; the other methods refuse it
+        code = main(["aggregate", "--method", method, "--k", "2", "--profile", cyclic_prof,
+                     "--params", "kendall"])
+        assert (code, capsys.readouterr()) == (
+            2, ("", f"error: --k is the myopic window depth; --method {method} reads no --k\n"))
+
 
 class TestChecks:
     def test_axiom_holds_exit_0(self, capsys):
