@@ -753,9 +753,8 @@ def aggregate_myopic(
     carries.  At the limit, a full window over 16 candidates and 40 distinct
     ballots took 0.69-0.89 s (median 0.73 s) under Kendall weights and
     1.08-1.55 s (median 1.20 s) under ok-nishimura weights, about 11 and
-    18 us a subset, on a 2-core VM with Python 3.11; with one slot per
-    (candidate, ballot) they took 1.28-1.70 s and 1.14-1.41 s (medians 1.42
-    and 1.23 s).  The tracemalloc peak was 10.1 MB.
+    18 us a subset, on a 2-core VM with Python 3.11.  The tracemalloc peak
+    was 10.1 MB.
     """
     if depth < 1:
         raise ValueError("window depth must be at least 1")

@@ -5,11 +5,12 @@ function literally, by enumeration over all rankings of 1..n (guarded to
 n <= 5), and returns the first counterexample in lexicographic order when
 the statement fails.  A1 and A3 call the distance once per ordered pair of
 rankings, into rows indexed by rank, and test betweenness on the rankings'
-pair masks.  ``check_property`` evaluates social-choice properties
-of the induced consensus correspondence against the exact solver;
-``neutrality_P`` solves once per distinct relabelled measure, up to n! times,
-so it is guarded to n <= 7.  ``condorcet_P``, ``reinforcing``
-and the two Pareto properties query the consensus set's DAG and list no
+pair masks; A2, A4, A5 and A6 read one table of realised adjacent-swap
+costs (``_swap_realisations``).  ``check_property`` evaluates social-choice
+properties of the induced consensus correspondence against the exact
+solver; ``neutrality_P`` solves once per distinct relabelled measure, up to
+n! times, so it is guarded to n <= 7.  ``condorcet_P``, ``reinforcing`` and
+the two Pareto properties query the consensus set's DAG and list no
 ranking, so they run at every n the exact solver takes.
 
 Axiom catalogue (d a distance on rankings, t_a the swap at positions a,a+1):
@@ -23,13 +24,20 @@ A3  every pair disagreeing on two or more candidate pairs admits a distinct
 A4  the cost of an adjacent swap depends only on the position and on the
     unordered candidate pair swapped
 A5  swap costs at two positions are proportional across candidate pairs
-A6  swap costs at one position are additive across candidate pairs
+A6  swap costs at one position are additively separable: at each position
+    a, val_a(i,j) + val_a(k,l) = val_a(i,k) + val_a(j,l) for distinct
+    i, j, k, l, over every realisation of the swaps at a
 
 A2 is checked through single-pair inversion realisations rather than through
 the full transpositions t_{i,j}: a transposition of non-adjacent candidates
 inverts many pairs at once, which would make the statement fail even for
 plain pair-counting distances; the separability content lives on single
-inversions.
+inversions.  A2 and A6 are one separability scan (``_inseparable``), run
+over every position's realisations of each pair for A2 and over one
+position's at a time for A6.  Both quantify over four distinct candidates,
+so both hold vacuously below n = 4.  A6 asks more than A4: a swap cost that
+depends on the pair alone but not additively (i*j for {i, j}) holds A4 and
+fails A6.
 
 Every ``Fails`` report carries a witness with enough permutations attached
 to replay the violated instance by hand.
@@ -39,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations as _it_perms
+from itertools import combinations, permutations as _it_perms, product
 from typing import Callable, Mapping, Sequence
 
 from .aggregation import aggregate_exact
@@ -182,26 +190,23 @@ def _pair_realisations(swaps) -> dict[frozenset[int], dict[Fraction, tuple[Permu
     return out
 
 
-def check_axiom(dist: DistanceFn, n: int, axiom: str) -> AuditReport:
-    """Evaluate one axiom over every required tuple of rankings of 1..n."""
-    _guard_axiom_n(n)
-    if axiom not in AXIOMS:
-        raise ValueError(f"unknown axiom {axiom!r}; choose from {AXIOMS}")
-    perms = all_rankings(n)
-    if axiom == "A1":
-        return _check_a1(dist, perms)
-    if axiom == "A2":
-        return _check_a2(dist, perms, n)
-    if axiom == "A3":
-        return _check_a3(dist, perms)
-    if axiom == "A4":
-        return _check_a4(dist, perms)
-    if axiom == "A5":
-        return _check_a5(dist, perms, n)
-    return _check_a6(dist, perms, n)
+def _inseparable(
+    costs: Mapping[frozenset[int], Mapping[Fraction, object]], n: int
+) -> dict[str, tuple] | None:
+    """The first distinct (i, j, k, l), and the first realisations of their
+    four pairs, where val(i,j) + val(k,l) != val(i,k) + val(j,l); None when
+    ``costs`` (each pair's realised values) is additively separable."""
+    for i, j, k, l in _it_perms(range(1, n + 1), 4):
+        quad = ((i, j), (k, l), (i, k), (j, l))
+        realised = (costs.get(frozenset(pair), {}).items() for pair in quad)
+        for chosen in product(*realised):
+            values, witnesses = zip(*chosen)
+            if values[0] + values[1] != values[2] + values[3]:
+                return {"pairs": quad, "values": values, "realisations": witnesses}
+    return None
 
 
-def _check_a1(dist: DistanceFn, perms) -> AuditReport:
+def _check_a1(dist: DistanceFn, perms, n: int) -> AuditReport:
     masks, rows = _rank_tables(dist, perms)
     for i, mp in enumerate(masks):
         for j, mq in enumerate(masks):
@@ -229,29 +234,11 @@ def _check_a1(dist: DistanceFn, perms) -> AuditReport:
 
 
 def _check_a2(dist: DistanceFn, perms, n: int) -> AuditReport:
-    pairs = _pair_realisations(_swap_realisations(dist, perms))
-    for i, j, k, l in _it_perms(range(1, n + 1), 4):
-        left_a = pairs.get(frozenset((i, j)), {})
-        left_b = pairs.get(frozenset((k, l)), {})
-        right_a = pairs.get(frozenset((i, k)), {})
-        right_b = pairs.get(frozenset((j, l)), {})
-        for xa, wit_xa in left_a.items():
-            for xb, wit_xb in left_b.items():
-                for ya, wit_ya in right_a.items():
-                    for yb, wit_yb in right_b.items():
-                        if xa + xb != ya + yb:
-                            return _fails(
-                                "A2",
-                                {
-                                    "pairs": ((i, j), (k, l), (i, k), (j, l)),
-                                    "values": (xa, xb, ya, yb),
-                                    "realisations": (wit_xa, wit_xb, wit_ya, wit_yb),
-                                },
-                            )
-    return _holds("A2")
+    witness = _inseparable(_pair_realisations(_swap_realisations(dist, perms)), n)
+    return _holds("A2") if witness is None else _fails("A2", witness)
 
 
-def _check_a3(dist: DistanceFn, perms) -> AuditReport:
+def _check_a3(dist: DistanceFn, perms, n: int) -> AuditReport:
     masks, rows = _rank_tables(dist, perms)
     for i, mp in enumerate(masks):
         from_p = rows[i]
@@ -271,11 +258,9 @@ def _check_a3(dist: DistanceFn, perms) -> AuditReport:
     return _holds("A3")
 
 
-def _check_a4(dist: DistanceFn, perms) -> AuditReport:
+def _check_a4(dist: DistanceFn, perms, n: int) -> AuditReport:
     swaps = _swap_realisations(dist, perms)
-    for (a, pair), values in sorted(
-        swaps.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))
-    ):
+    for (a, pair), values in sorted(swaps.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))):
         if len(values) > 1:
             (v1, p1), (v2, p2) = sorted(values.items())[:2]
             return _fails(
@@ -292,62 +277,38 @@ def _check_a4(dist: DistanceFn, perms) -> AuditReport:
 
 def _check_a5(dist: DistanceFn, perms, n: int) -> AuditReport:
     swaps = _swap_realisations(dist, perms)
-    pairs = [frozenset(p) for p in combinations(range(1, n + 1), 2)]
-    for a in range(1, n):
-        for b in range(1, n):
-            if a == b:
-                continue
-            for pair_one in pairs:
-                for pair_two in pairs:
-                    lhs_one = swaps.get((a, pair_one), {})
-                    lhs_two = swaps.get((b, pair_two), {})
-                    rhs_one = swaps.get((b, pair_one), {})
-                    rhs_two = swaps.get((a, pair_two), {})
-                    for x, wx in lhs_one.items():
-                        for y, wy in lhs_two.items():
-                            for xx, wxx in rhs_one.items():
-                                for yy, wyy in rhs_two.items():
-                                    if x * y != xx * yy:
-                                        return _fails(
-                                            "A5",
-                                            {
-                                                "positions": (a, b),
-                                                "pairs": (
-                                                    tuple(sorted(pair_one)),
-                                                    tuple(sorted(pair_two)),
-                                                ),
-                                                "values": (x, y, xx, yy),
-                                                "realisations": (wx, wy, wxx, wyy),
-                                            },
-                                        )
+    pairs = list(combinations(range(1, n + 1), 2))
+    for (a, b), (one, two) in product(_it_perms(range(1, n), 2), product(pairs, repeat=2)):
+        keys = ((a, one), (b, two), (b, one), (a, two))
+        realised = (swaps.get((pos, frozenset(pair)), {}).items() for pos, pair in keys)
+        for (x, wx), (y, wy), (xx, wxx), (yy, wyy) in product(*realised):
+            if x * y != xx * yy:
+                return _fails("A5", {"positions": (a, b), "pairs": (one, two),
+                                     "values": (x, y, xx, yy), "realisations": (wx, wy, wxx, wyy)})
     return _holds("A5")
 
 
 def _check_a6(dist: DistanceFn, perms, n: int) -> AuditReport:
     swaps = _swap_realisations(dist, perms)
-    pairs = [frozenset(p) for p in combinations(range(1, n + 1), 2)]
     for a in range(1, n):
-        for idx, pair_one in enumerate(pairs):
-            for pair_two in pairs[idx + 1 :]:
-                one = swaps.get((a, pair_one), {})
-                two = swaps.get((a, pair_two), {})
-                sums = {
-                    x + y: (wx, wy)
-                    for x, wx in one.items()
-                    for y, wy in two.items()
-                }
-                if len(sums) > 1:
-                    (s1, w1), (s2, w2) = sorted(sums.items())[:2]
-                    return _fails(
-                        "A6",
-                        {
-                            "position": a,
-                            "pairs": (tuple(sorted(pair_one)), tuple(sorted(pair_two))),
-                            "sums": (s1, s2),
-                            "realisations": (w1, w2),
-                        },
-                    )
+        at_a = {pair: values for (b, pair), values in swaps.items() if b == a}
+        witness = _inseparable(at_a, n)
+        if witness is not None:
+            return _fails("A6", {"position": a, **witness})
     return _holds("A6")
+
+
+_AXIOM_CHECKERS = dict(
+    zip(AXIOMS, (_check_a1, _check_a2, _check_a3, _check_a4, _check_a5, _check_a6))
+)
+
+
+def check_axiom(dist: DistanceFn, n: int, axiom: str) -> AuditReport:
+    """Evaluate one axiom over every required tuple of rankings of 1..n."""
+    _guard_axiom_n(n)
+    if axiom not in AXIOMS:
+        raise ValueError(f"unknown axiom {axiom!r}; choose from {AXIOMS}")
+    return _AXIOM_CHECKERS[axiom](dist, all_rankings(n), n)
 
 
 def audit_axiom(params: DistanceParams, axiom: str) -> AuditReport:

@@ -25,7 +25,6 @@ from .weights import (
     Measure,
     MenuWeights,
     counting_measure,
-    scaled_downset_table,
 )
 
 
@@ -93,7 +92,7 @@ def footrule_weighted(
     n = weights.n
     if n != mu.n or a.n != n or b.n != n:
         raise ValueError("dimension mismatch between weights, measure and rankings")
-    f, f_scale = scaled_downset_table(*weights.scaled)
+    f, f_scale = weights.table, weights.scaled[1]
     int_mu, mu_scale = mu.scaled
     pos_a = a._pos
     pos_b = b._pos

@@ -24,13 +24,14 @@ pairwise-only weights and decided otherwise by exact consensus solves.
 
 Every result is an exact ``fractions.Fraction``.  One integer kernel,
 ``_scaled_mass``, evaluates the mass over the weights' common denominator as
-``sum_k w_k * math.comb(t, k - 1)`` over the nonzero weights only.  The
-masses at t = 0..n-1 are tabulated from it once (``scaled_downset_table``);
-the Fraction table, the swap prices and every distance evaluator read that
-one table, run their inner loops over plain integers and divide once at the
-end.  Weight vectors and measures are immutable, so each derives its integer
-scaling (``scaled``) only once, and ``DistanceParams`` stores nothing but
-the pair, deriving its integer views on first use.
+``sum_k w_k * math.comb(t, k - 1)`` over the nonzero weights only.  Each
+weight vector tabulates the masses at t = 0..n-1 from it once
+(``MenuWeights.table``); the Fraction table, the swap prices and every
+distance evaluator read that one table, run their inner loops over plain
+integers and divide once at the end.  Weight vectors and measures are
+immutable, so each derives its integer scaling (``scaled``) only once, and
+``DistanceParams`` stores nothing but the pair, deriving its integer views
+on first use.
 """
 
 from __future__ import annotations
@@ -105,6 +106,12 @@ class MenuWeights:
         """``values`` as integers over their common denominator, derived once."""
         return _scaled_ints(self.values)
 
+    @cached_property
+    def table(self) -> tuple[int, ...]:
+        """``downset_mass`` at t = 0..n-1 times ``scaled[1]``, as exact integers."""
+        int_weights = self.scaled[0]
+        return tuple(_scaled_mass(int_weights, t) for t in range(self.n))
+
     def is_nonnegative(self) -> bool:
         return self._nonnegative
 
@@ -155,19 +162,13 @@ class Measure:
     def is_positive(self) -> bool:
         return all(v > 0 for v in self.values)
 
+    # the least sum of two candidates' values is that of the two smallest;
+    # below two candidates there is no pair and both tests hold
     def pairwise_sums_nonnegative(self) -> bool:
-        return self._pairwise(lambda s: s >= 0)
+        return self.n < 2 or sum(sorted(self.values)[:2]) >= 0
 
     def pairwise_sums_positive(self) -> bool:
-        return self._pairwise(lambda s: s > 0)
-
-    def _pairwise(self, ok) -> bool:
-        vals = self.values
-        return all(
-            ok(vals[i] + vals[j])
-            for i in range(len(vals))
-            for j in range(i + 1, len(vals))
-        )
+        return self.n < 2 or sum(sorted(self.values)[:2]) > 0
 
 
 @lru_cache(maxsize=None)
@@ -212,32 +213,18 @@ def downset_mass(weights: MenuWeights, t: int) -> Fraction:
     return Fraction(_scaled_mass(int_weights, t), scale)
 
 
-@lru_cache(maxsize=512)
-def scaled_downset_table(
-    int_weights: tuple[int, ...], weights_scale: int
-) -> tuple[tuple[int, ...], int]:
-    """``downset_mass`` at t = 0..n-1 from integer-scaled weights.
-
-    ``int_weights[k - 2] / weights_scale`` is the size-k weight; the returned
-    table holds ``downset_mass(t) * weights_scale`` as exact integers, next
-    to the unchanged scale.
-    """
-    table = tuple(_scaled_mass(int_weights, t) for t in range(len(int_weights) + 1))
-    return table, weights_scale
-
-
 def downset_mass_table(weights: MenuWeights) -> tuple[Fraction, ...]:
     """``downset_mass`` tabulated at t = 0..n-1, as Fractions.
 
     Entry 0 is always 0 and entry 1 equals the size-2 menu weight.
     """
-    table, scale = scaled_downset_table(*weights.scaled)
-    return tuple(Fraction(v, scale) for v in table)
+    scale = weights.scaled[1]
+    return tuple(Fraction(v, scale) for v in weights.table)
 
 
 def menu_to_position_weights(weights: MenuWeights) -> PositionWeights:
     """Swap price at position a: the increment of ``downset_mass`` at n - a - 1."""
-    t, scale = scaled_downset_table(*weights.scaled)
+    t, scale = weights.table, weights.scaled[1]
     n = weights.n
     return PositionWeights(
         tuple(Fraction(t[n - a] - t[n - a - 1], scale) for a in range(1, n))
@@ -389,7 +376,7 @@ class DistanceParams:
 
     The integer views are computed on first access and kept: ``int_weights``
     and ``int_mu`` over ``weights_scale`` and ``mu_scale``, and ``int_table``,
-    the down-set masses ``scaled_downset_table`` tabulates at t = 0..n-1, so
+    the down-set masses ``MenuWeights.table`` holds at t = 0..n-1, so
     ``downset_mass(weights, t) == int_table[t] / weights_scale``.  Evaluators
     run their inner loops over ``int_table`` and ``int_mu`` and divide once
     by ``scale``.  The classification label is also derived on first
@@ -422,7 +409,7 @@ class DistanceParams:
 
     @cached_property
     def int_table(self) -> tuple[int, ...]:
-        return scaled_downset_table(*self.weights.scaled)[0]
+        return self.weights.table
 
     @cached_property
     def scale(self) -> int:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,13 @@ from menurank import (
     recover_pair_weights,
     top_choice_margins,
 )
-from menurank.audit import AXIOMS, params_distance
+from menurank.audit import (
+    AXIOMS,
+    AuditReport,
+    _pair_realisations,
+    _swap_realisations,
+    params_distance,
+)
 from menurank.cli import _describe_witness
 
 from conftest import prof, rand_measure, rand_profile, rand_ranking, rand_weights
@@ -151,6 +159,214 @@ class TestAxioms:
     def test_gate_on_bad_parameters(self):
         params = make_params(MenuWeights([1, 1, 1]), Measure([-1, 1, 1, 1]))
         assert audit_axiom(params, "A1").verdict == "Inapplicable"
+
+
+def _swap_cost_distance(cost):
+    """A distance whose adjacent swap at ``position`` of the rankings a, b
+    costs ``cost(position, pair, a)``; rankings further apart cost their
+    inversion count, which no swap axiom reads."""
+
+    def d(a, b):
+        moved = [k for k in range(a.n) if a.order[k] != b.order[k]]
+        if len(moved) == 2 and moved[1] == moved[0] + 1:
+            return F(cost(moved[1], frozenset(a.order[moved[0] : moved[1] + 1]), a))
+        return F(kendall_count(a, b))
+
+    return d
+
+
+def _inversion_cost_distance(cost):
+    """The sum of ``cost(i, j)`` over the pairs i < j two rankings invert."""
+
+    def d(a, b):
+        n = a.n
+        return F(sum(
+            cost(i, j)
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+            if a.prefers(i, j) != b.prefers(i, j)
+        ))
+
+    return d
+
+
+def _swap_cost_cases(rng, count):
+    """Swap costs phi_a * w({i, j}) at n = 4 and 5 with w additive
+    (mu_i + mu_j), multiplicative (mu_i * mu_j) or additive plus a charge
+    while one candidate sits last; phi is constant in a third of the cases."""
+    for index in range(count):
+        n = 4 + index % 2
+        kind = ("additive", "multiplicative", "context")[index // 2 % 3]
+        mu = [rng.choice((-1, 0, 1, 2, 3, F(1, 2))) for _ in range(n)]
+        phi = [rng.choice((1, 2, 3))] * n if index % 3 == 0 else [rng.randint(1, 3) for _ in range(n)]
+        last, extra = rng.randint(1, n), rng.randint(1, 2)
+
+        def cost(a, pair, p, mu=mu, phi=phi, kind=kind, last=last, extra=extra):
+            i, j = pair
+            w = mu[i - 1] * mu[j - 1] if kind == "multiplicative" else mu[i - 1] + mu[j - 1]
+            return phi[a - 1] * w + (extra if kind == "context" and p.order[-1] == last else 0)
+
+        yield kind, _swap_cost_distance(cost), n
+
+
+def _nested_a2(dist, perms, n):
+    """A2 as four nested loops over each pair's realised values."""
+    pairs = _pair_realisations(_swap_realisations(dist, perms))
+    for i, j, k, l in permutations(range(1, n + 1), 4):
+        left_a = pairs.get(frozenset((i, j)), {})
+        left_b = pairs.get(frozenset((k, l)), {})
+        right_a = pairs.get(frozenset((i, k)), {})
+        right_b = pairs.get(frozenset((j, l)), {})
+        for xa, wit_xa in left_a.items():
+            for xb, wit_xb in left_b.items():
+                for ya, wit_ya in right_a.items():
+                    for yb, wit_yb in right_b.items():
+                        if xa + xb != ya + yb:
+                            return AuditReport("A2", "Fails", {
+                                "pairs": ((i, j), (k, l), (i, k), (j, l)),
+                                "values": (xa, xb, ya, yb),
+                                "realisations": (wit_xa, wit_xb, wit_ya, wit_yb),
+                            })
+    return AuditReport("A2", "Holds")
+
+
+def _nested_a5(dist, perms, n):
+    """A5 as nested loops over positions, pairs and realised values."""
+    swaps = _swap_realisations(dist, perms)
+    pairs = [frozenset(p) for p in combinations(range(1, n + 1), 2)]
+    for a in range(1, n):
+        for b in range(1, n):
+            if a == b:
+                continue
+            for pair_one in pairs:
+                for pair_two in pairs:
+                    lhs_one = swaps.get((a, pair_one), {})
+                    lhs_two = swaps.get((b, pair_two), {})
+                    rhs_one = swaps.get((b, pair_one), {})
+                    rhs_two = swaps.get((a, pair_two), {})
+                    for x, wx in lhs_one.items():
+                        for y, wy in lhs_two.items():
+                            for xx, wxx in rhs_one.items():
+                                for yy, wyy in rhs_two.items():
+                                    if x * y != xx * yy:
+                                        return AuditReport("A5", "Fails", {
+                                            "positions": (a, b),
+                                            "pairs": (tuple(sorted(pair_one)), tuple(sorted(pair_two))),
+                                            "values": (x, y, xx, yy),
+                                            "realisations": (wx, wy, wxx, wyy),
+                                        })
+    return AuditReport("A5", "Holds")
+
+
+class TestSwapAxioms:
+    def test_swap_axioms_match_the_nested_loop_referees(self):
+        # only the context charge gives one (position, pair) two costs
+        verdicts = Counter()
+        for kind, d, n in _swap_cost_cases(random.Random(47), 90):
+            perms = all_rankings(n)
+            for axiom, referee in (("A2", _nested_a2), ("A5", _nested_a5)):
+                report = check_axiom(d, n, axiom)
+                assert report == referee(d, perms, n), (kind, axiom)
+                verdicts[axiom, report.verdict] += 1
+            assert check_axiom(d, n, "A4").holds() == (kind != "context")
+        for axiom in ("A2", "A5"):
+            assert verdicts[axiom, "Holds"] >= 10 and verdicts[axiom, "Fails"] >= 10, verdicts
+
+    def test_a6_holds_for_additive_swap_costs_alone(self):
+        # the context charge moves some pair's cost by a constant, so the
+        # scan finds it whenever a quadruple reads that pair once
+        verdicts = Counter()
+        for kind, d, n in _swap_cost_cases(random.Random(48), 60):
+            verdicts[kind, check_axiom(d, n, "A6").verdict] += 1
+        assert verdicts["additive", "Fails"] == 0
+        assert verdicts["multiplicative", "Fails"] >= 15
+        assert verdicts["context", "Holds"] == 0
+
+    def test_pair_product_swap_cost_holds_a4_and_fails_a6(self):
+        # cost i * j for the pair {i, j}, wherever it is swapped: one value
+        # per pair, but 1*2 + 3*4 != 1*3 + 2*4
+        d = _inversion_cost_distance(lambda i, j: i * j)
+        assert check_axiom(d, 4, "A4").verdict == "Holds"
+        report = check_axiom(d, 4, "A6")
+        assert report.verdict == "Fails"
+        assert report.witness == {
+            "position": 1,
+            "pairs": ((1, 2), (3, 4), (1, 3), (2, 4)),
+            "values": (2, 12, 3, 8),
+            "realisations": tuple(
+                Permutation(order) for order in ((1, 2, 3, 4), (3, 4, 1, 2), (1, 3, 2, 4), (2, 4, 1, 3))
+            ),
+        }
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_a6_holds_for_signed_parameter_pairs(self, n):
+        # every swap at position a costs phi_a * (mu_i + mu_j), whatever the signs
+        rng = random.Random(49 + n)
+        for _ in range(8):
+            params = make_params(rand_weights(rng, n, nonneg=False), rand_measure(rng, n, nonneg=False))
+            assert check_axiom(params_distance(params), n, "A6").verdict == "Holds"
+
+
+def _replay(axiom, d, n, witness):
+    """Recompute the relation a witness claims is violated, through ``d``."""
+
+    def swap_cost(p, a, pair):
+        assert {p.order[a - 1], p.order[a]} == set(pair)
+        return d(p, p.swap_adjacent(a))
+
+    if axiom == "A1":
+        p, w, q = witness["p"], witness["w"], witness["q"]
+        assert is_between(p, w, q) and w not in (p, q)
+        assert (witness["d(q,p)"], witness["d(q,w)"], witness["d(w,p)"]) == (d(q, p), d(q, w), d(w, p))
+        return d(q, p) != d(q, w) + d(w, p)
+    if axiom == "A3":
+        p, q = witness["p"], witness["q"]
+        assert kendall_count(p, q) >= 2 and witness["d(p,q)"] == d(p, q)
+        return not any(
+            is_between(p, w, q) and d(p, w) + d(w, q) == d(p, q)
+            for w in all_rankings(n)
+            if w not in (p, q)
+        )
+    if axiom == "A4":
+        a, pair = witness["position"], witness["pair"]
+        values = tuple(swap_cost(p, a, pair) for p in witness["rankings"])
+        assert values == witness["values"]
+        return values[0] != values[1]
+    if axiom == "A5":
+        a, b = witness["positions"]
+        one, two = witness["pairs"]
+        spots = ((a, one), (b, two), (b, one), (a, two))
+        x, y, xx, yy = (
+            swap_cost(p, pos, pair) for p, (pos, pair) in zip(witness["realisations"], spots)
+        )
+        assert (x, y, xx, yy) == witness["values"]
+        return a != b and x * y != xx * yy
+    (i, j), (k, l), (i2, k2), (j2, l2) = witness["pairs"]
+    assert len({i, j, k, l}) == 4 and (i, j, k, l) == (i2, j2, k2, l2)
+    if axiom == "A2":
+        spots = [(p, a) for p, a in witness["realisations"]]
+    else:
+        spots = [(p, witness["position"]) for p in witness["realisations"]]
+    values = tuple(swap_cost(p, a, pair) for (p, a), pair in zip(spots, witness["pairs"]))
+    assert values == witness["values"]
+    return values[0] + values[1] != values[2] + values[3]
+
+
+FAILING_AXIOM_CASES = (
+    ("A1", params_distance(make_params(*preset("ok-nishimura", 4))), 4),
+    ("A2", params_distance(make_params(*preset("ok-nishimura", 4))), 4),
+    ("A3", lambda a, b: F(kendall_count(a, b)) ** 2, 4),
+    ("A4", _swap_cost_distance(lambda a, pair, p: 1 + (p.order[-1] == 1)), 4),
+    ("A5", _swap_cost_distance(lambda a, pair, p: a + sum(pair)), 4),
+    ("A6", _inversion_cost_distance(lambda i, j: i * j), 4),
+)
+
+
+@pytest.mark.parametrize("axiom, d, n", FAILING_AXIOM_CASES, ids=[c[0] for c in FAILING_AXIOM_CASES])
+def test_every_witness_replays_through_the_distance(axiom, d, n):
+    report = check_axiom(d, n, axiom)
+    assert report.verdict == "Fails"
+    assert _replay(axiom, d, n, report.witness)
 
 
 class TestRecovery:

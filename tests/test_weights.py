@@ -4,6 +4,7 @@ import random
 import time
 from dataclasses import fields
 from fractions import Fraction as F
+from itertools import combinations
 from math import comb, lcm
 
 import pytest
@@ -34,7 +35,6 @@ from menurank.weights import (
     as_fraction,
     neutral_region,
     parse_params_text,
-    scaled_downset_table,
 )
 
 from conftest import rand_measure, rand_weights
@@ -86,9 +86,8 @@ class TestDownsetMass:
             w = rand_weights(rng, n, nonneg=False)
             if rng.random() < 0.5:
                 w = MenuWeights([0 if rng.random() < 0.5 else v for v in w.values])
-            table, scale = scaled_downset_table(*w.scaled)
-            assert scale == w.scaled[1]
-            assert [F(v, scale) for v in table] == [
+            scale = w.scaled[1]
+            assert [F(v, scale) for v in w.table] == [
                 sum((wk * comb(t, k - 1) for k, wk in enumerate(w.values, 2)), F(0))
                 for t in range(n)
             ]
@@ -273,6 +272,20 @@ class TestClassification:
             classify(MenuWeights([1, 0, 0]), Measure([-2, 2, 3, 4]))
             is ParamLabel.SEMIMETRIC_ONLY
         )
+
+    def test_pairwise_sum_tests_match_every_pair(self):
+        # the two smallest values decide; below two candidates there is no
+        # pair, so both tests hold
+        rng = random.Random(12)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            mu = Measure([rng.choice((-2, -1, F(-1, 2), 0, F(1, 2), 1, 2)) for _ in range(n)])
+            sums = [x + y for x, y in combinations(mu.values, 2)]
+            expected = (all(s >= 0 for s in sums), all(s > 0 for s in sums))
+            assert (mu.pairwise_sums_nonnegative(), mu.pairwise_sums_positive()) == expected
+            seen.add(expected)
+        assert seen == {(True, True), (True, False), (False, False)}
 
     def test_mirrored_pair_is_equivalent(self):
         rng = random.Random(9)
