@@ -27,11 +27,11 @@ as the largest sum it can hold allows (16 or 32 bits for the presets at
 n = 10), which sets how long each packed integer is.  That costs
 O(n^2 2^n + n m) lane additions for m ballots, against O(n 2^n m) for
 pricing each DP edge ballot by ballot.  The myopic window visits too few
-(candidate, placed set) pairs for a full table to pay; it prices its edges
-from packed counts over one slot per distinct down-set within its pool, or
-per label under pairwise-only weights (``aggregate_myopic``).
-``_position_terms`` prices one term ballot by ballot, and is the tests'
-referee for both routes.
+(candidate, placed set) pairs for a full table to pay; one ``_SlotPricer``
+per window prices its edges from packed counts over one slot per distinct
+down-set within its pool, or per label under pairwise-only weights, and
+``aggregate_myopic`` keeps only the recurrence.  ``_position_terms`` prices
+one term ballot by ballot, and is the tests' referee for both routes.
 
 Approximation routes:
 
@@ -317,20 +317,88 @@ def _masks_by_size(pool: tuple[int, ...], depth: int) -> list[list[int]]:
     return [list(map(sum, combinations(bits, size))) for size in range(depth + 1)]
 
 
-def _window_counts(
-    n: int, belows: list[int], pool: tuple[int, ...]
-) -> dict[int, int]:
-    """The down-set masks ``belows`` transposed: for each pool label x, keyed
-    by its bit, one integer whose byte j is 1 when mask j holds x.
+class _SlotPricer:
+    """The terms of one myopic window, priced from packed counts over slots.
 
-    Each mask is written as n binary digits, label n first, the digits are
-    turned into 0 and 1 bytes, and x's column is read off as a strided slice.
-    Summed over a placed set M, byte j holds |mask j & M|, with no carry
-    while |M| < 256.
+    The window follows the n - |pool| candidates outside ``pool`` (the
+    majority prefix), so after a placed window M the next candidate c has
+    t = |pool| - |M| - 1 candidates after it.  c has one slot per distinct
+    D = B_v(c) & pool among the ballots, holding their summed multiplicity
+    N, with the overlap term N f(|D| - |D & M|).  An empty D has no slot
+    (f(0) = 0), and the D that holds the whole pool but c has |D & M| = |M|,
+    so its term N f(t) is a constant per (candidate, layer).  Under
+    pairwise-only weights, f(t) = f(1) t, each D is split into its labels
+    first, so c keeps at most one slot per other pool candidate x, priced
+    (f(1) N, 0) from the pairwise tally N of c over x.  Per pool candidate
+    x, one integer has a byte per slot that is 1 when its D holds x; summed
+    over M (``placed``), byte j is k = |D & M| at slot j, with no carry
+    while |M| < 256, and the slot's term is entry k of a tuple shared by
+    every slot of equal N and |D|, cut at k = depth - 1.  ``rows[|M|]``
+    holds one row ``(c, bit, base, 2 mu_c, prices, lo, hi)`` per pool
+    candidate: placing c after M costs ``base - 2 mu_c sum_j prices[j][k_j]``
+    over c's slots lo..hi-1, the integer ``_position_terms`` returns; ``base``
+    holds the position constant, the spread f(t) V and the constant slot.
     """
-    digits = "".join([format(below, f"0{n}b") for below in belows]).encode()
-    table = digits.translate(bytes.maketrans(b"01", b"\0\1"))
-    return {1 << (x - 1): int.from_bytes(table[n - x :: n], "little") for x in pool}
+
+    __slots__ = ("rows", "_counts", "_slots")
+
+    def __init__(self, params: DistanceParams, profile: Profile, pool: tuple[int, ...],
+                 depth: int):
+        n = params.n
+        f = params.int_table
+        pool_mask = sum(1 << (c - 1) for c in pool)
+        pairwise = params.weights.is_pairwise_only()
+        belows: list[int] = []
+        prices: dict[tuple[int, int], tuple[int, ...]] = {}
+        candidates = []
+        for c in pool:
+            groups: dict[int, int] = {}
+            for mult, v in profile.entries:
+                below = v._below[c - 1] & pool_mask
+                groups[below] = groups.get(below, 0) + mult
+            if pairwise:
+                labels: dict[int, int] = {}
+                for below, mult in groups.items():
+                    while below:
+                        x = below & -below
+                        below ^= x
+                        labels[x] = labels.get(x, 0) + mult
+                groups = labels
+            groups.pop(0, None)
+            bit = 1 << (c - 1)
+            fixed = groups.pop(pool_mask ^ bit, 0)
+            lo = len(belows)
+            row = []
+            for below, mult in groups.items():
+                d = below.bit_count()
+                if (mult, d) not in prices:
+                    prices[mult, d] = tuple(mult * f[d - k] for k in range(min(d, depth - 1) + 1))
+                belows.append(below)
+                row.append(prices[mult, d])
+            candidates.append((c, bit, params.int_mu[c - 1], fixed, row, lo, len(belows)))
+        # each D as n bytes of 0 or 1, label n first: x's column is a strided slice
+        digits = "".join([format(below, f"0{n}b") for below in belows]).encode()
+        table = digits.translate(bytes.maketrans(b"01", b"\0\1"))
+        self._counts = {1 << (x - 1): int.from_bytes(table[n - x :: n], "little") for x in pool}
+        self._slots = len(belows)
+        position = _position_constants(params, profile)
+        t = len(pool) - 1
+        self.rows = [
+            [(c, bit, position[n - t + size] + mu_c * f[t - size] * (profile.voters - 2 * fixed),
+              2 * mu_c, row, lo, hi) for c, bit, mu_c, fixed, row, lo, hi in candidates]
+            for size in range(depth)
+        ]
+
+    def placed(self, mask: int) -> bytes:
+        """k = |D & mask| at every slot, one byte each, for a placed window
+        ``mask`` of fewer than 256 pool candidates."""
+        counts = self._counts
+        total = 0
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            total += counts[bit]
+        return total.to_bytes(self._slots, "little")
 
 
 @lru_cache(maxsize=None)
@@ -729,28 +797,15 @@ def aggregate_myopic(
 
     After the greedy prefix of strict-majority favourites, the next
     ``min(depth, remaining)`` positions are optimised against the truncated
-    objective (a subset DP); candidates never reached by the window follow in
-    ascending label order, which the window objective cannot distinguish.
-
-    Each edge is priced from packed counts over slots.  A pool candidate c
-    has one slot per distinct D = B_v(c) & pool among the ballots, holding
-    their summed multiplicity N; its overlap term at a placed set M is
-    N f(|D| - |D & M|).  An empty D has no slot (f(0) = 0), and the D that
-    holds the whole pool but c has |D & M| = |M| on every M of a layer, so
-    its term is a constant per (candidate, layer).  Under pairwise-only
-    weights, f(t) = f(1) t, each D is split into its labels first, so c
-    keeps at most one slot per other pool candidate x, priced (f(1) N, 0)
-    from the pairwise tally N of c over x.  Per pool candidate x, one
-    integer has a byte per slot that is 1 when its D holds x.  Summed over
-    M and written out as bytes, it gives k = |D & M| at every slot, and the
-    slot's term is entry k of a tuple shared by every slot of equal N and
-    |D|.  The terms are the integers ``_position_terms`` returns.
+    objective (a subset DP over the terms of ``_SlotPricer``); candidates
+    never reached by the window follow in ascending label order, which the
+    window objective cannot distinguish.
 
     The DP visits every subset of the remaining candidates with at most
     ``min(depth, remaining)`` members, so that count is checked before any of
     them is built: above ``MYOPIC_SUBSET_LIMIT`` (2^16) it raises
-    ``ValueError``.  The guard also keeps every count below 16, so no byte
-    carries.  At the limit, a full window over 16 candidates and 40 distinct
+    ``ValueError``, and below it no placed window nears the pricer's 256
+    members.  At the limit, a full window over 16 candidates and 40 distinct
     ballots took 0.69-0.89 s (median 0.73 s) under Kendall weights and
     1.08-1.55 s (median 1.20 s) under ok-nishimura weights, about 11 and
     18 us a subset, on a 2-core VM with Python 3.11.  The tracemalloc peak
@@ -762,7 +817,6 @@ def aggregate_myopic(
         raise ValueError("the myopic scheme needs nonnegative menu weights")
     if profile.n != params.n:
         raise ValueError(f"dimension mismatch: params over {params.n}, profile over {profile.n}")
-    n = params.n
     prefix, remaining = _majority_prefix(profile)
     span = min(depth, len(remaining))
     subsets = sum(comb(len(remaining), size) for size in range(span + 1))
@@ -771,79 +825,24 @@ def aggregate_myopic(
             f"myopic window of depth {span} over {len(remaining)} candidates "
             f"visits {subsets} subsets, over the {MYOPIC_SUBSET_LIMIT} guard"
         )
-    start = len(prefix) + 1
-
     pool = tuple(sorted(remaining))
     layers = _masks_by_size(pool, span)
-    f = params.int_table
-    mu = params.int_mu
-    voters = profile.voters
-    position_const = _position_constants(params, profile)
-    # slots, c-major, as the docstring sets out; the free set beside a
-    # placed window M is pool \ M, so a slot's overlap is N f(d - k) with
-    # d = |D| and k = |D & M| < span, and ``fixed`` sums the N of the
-    # ballots whose D is pool \ {c}
-    pool_mask = sum(1 << (c - 1) for c in pool)
-    pairwise = params.weights.is_pairwise_only()
-    belows: list[int] = []
-    prices: dict[tuple[int, int], tuple[int, ...]] = {}
-    candidates = []
-    for c in pool:
-        groups: dict[int, int] = {}
-        for mult, v in profile.entries:
-            below = v._below[c - 1] & pool_mask
-            groups[below] = groups.get(below, 0) + mult
-        if pairwise:
-            labels: dict[int, int] = {}
-            for below, mult in groups.items():
-                while below:
-                    x = below & -below
-                    below ^= x
-                    labels[x] = labels.get(x, 0) + mult
-            groups = labels
-        groups.pop(0, None)
-        bit = 1 << (c - 1)
-        fixed = groups.pop(pool_mask ^ bit, 0)
-        lo = len(belows)
-        row = []
-        for below, mult in groups.items():
-            d = below.bit_count()
-            price = prices.get((mult, d))
-            if price is None:
-                price = prices[mult, d] = tuple(
-                    mult * f[d - k] for k in range(min(d, span - 1) + 1)
-                )
-            belows.append(below)
-            row.append(price)
-        candidates.append((c, bit, mu[c - 1], fixed, row, lo, len(belows)))
-    counts = _window_counts(n, belows, pool)
+    pricer = _SlotPricer(params, profile, pool, span)
+    placed = pricer.placed
     # completion[mask]: cheapest way to extend the placed window ``mask``
     # to a full span, built bottom-up from the deepest layer; choice[mask]:
     # the lowest pool label that reaches it
     completion: dict[int, int] = dict.fromkeys(layers[span], 0)
     choice: dict[int, int] = {}
     for size in range(span - 1, -1, -1):
-        const = position_const[start + size]
-        spread = f[n - start - size] * voters
-        left = f[len(pool) - 1 - size]
-        layer = [
-            (c, bit, const + mu_c * (spread - 2 * fixed * left), 2 * mu_c, row, lo, hi)
-            for c, bit, mu_c, fixed, row, lo, hi in candidates
-        ]
+        rows = pricer.rows[size]
         for mask in layers[size]:
-            placed = 0
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                placed += counts[bit]
-            # byte j: k at slot j (|M| <= span - 1 <= 15 under the guard)
-            ks = placed.to_bytes(len(belows), "little")
+            ks = placed(mask)
             value = None
-            for c, bit, base, twice_mu, row, lo, hi in layer:
+            for c, bit, base, twice_mu, prices, lo, hi in rows:
                 if mask & bit:
                     continue
-                overlap = sum(map(getitem, row, ks[lo:hi]))
+                overlap = sum(map(getitem, prices, ks[lo:hi]))
                 cur = base - twice_mu * overlap + completion[mask | bit]
                 if value is None or cur < value:
                     value = cur

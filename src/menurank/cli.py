@@ -9,8 +9,9 @@ byte-identical across runs for identical arguments, seeds and input files.
 Exit codes: 0 success, 1 a checked statement fails (a ``Fails`` audit
 verdict or an oracle mismatch), 2 usage or input errors, including a
 profile or parameter file that cannot be read, an ``--out`` file that
-cannot be written and an integer flag (``--n``, ``--k``, ``--m``,
-``--trials``, ``--seed``, ``--window``) not written in ASCII digits.
+cannot be written, an integer flag (``--n``, ``--k``, ``--m``,
+``--trials``, ``--seed``, ``--window``) not written in ASCII digits and a
+flag the chosen method does not read.
 
 ``main`` can be called any number of times in one process.  The argument
 parser is built once per process, and preset parameters (``kendall``,
@@ -150,6 +151,8 @@ def _emit(output: Iterable[str] | str, out: str | None) -> None:
 
 
 def _cmd_dist(args) -> tuple[int, list[str]]:
+    if args.window and args.naive:
+        raise CliError("--naive is the whole distance's oracle; --window reads no --naive")
     a = _parse_ranking(args.a)
     b = _parse_ranking(args.b)
     params = _load_params(args.params, a.n)
@@ -172,6 +175,8 @@ def _cmd_footrule(args) -> tuple[int, list[str]]:
 
 def _cmd_gamma(args) -> tuple[int, list[str]]:
     params = _load_params(args.params, args.n)
+    if args.n is not None and params.n != args.n:
+        raise CliError(f"--n is {args.n} but the parameters are over {params.n} candidates")
     return 0, [fmt(approximation_factor(params.weights))]
 
 
@@ -205,6 +210,12 @@ def _epsilon(text: str) -> Fraction:
 
 
 def _cmd_ptas_depth(args) -> tuple[int, list[str]]:
+    if args.alpha is not None and args.rule != "exponential":
+        raise CliError(f"--alpha is the exponential rule's base; --rule {args.rule} reads no --alpha")
+    if args.rule != "custom":
+        for flag, value in (("--params", args.params), ("--n", args.n)):
+            if value is not None:
+                raise CliError(f"{flag} is for --rule custom; --rule {args.rule} reads no {flag}")
     inv_epsilon = 1 / _epsilon(args.epsilon)
     weights = None
     if args.rule == "custom":
@@ -232,6 +243,9 @@ def _cmd_check(args) -> tuple[int, list[str]]:
     if (args.axiom is None) == (args.property is None):
         raise CliError("give exactly one of --axiom or --property")
     if args.axiom:
+        for flag, value in (("--profile", args.profile), ("--profile2", args.profile2)):
+            if value is not None:
+                raise CliError(f"{flag} is for property checks; --axiom reads no {flag}")
         n = args.n
         if n is None:
             raise CliError("--axiom needs --n")
@@ -240,6 +254,8 @@ def _cmd_check(args) -> tuple[int, list[str]]:
             raise CliError(f"--n is {n} but the parameters are over {params.n} candidates")
         report = audit_mod.audit_axiom(params, args.axiom)
     else:
+        if args.n is not None:
+            raise CliError("--n is the axiom checks' candidate count; --property reads no --n")
         if not args.profile:
             raise CliError("--property needs --profile")
         profile = _load_profile(args.profile)

@@ -11,6 +11,7 @@ from collections.abc import Sequence
 from fractions import Fraction as F
 from itertools import accumulate, combinations, permutations as it_perms
 from math import comb, factorial
+from operator import getitem
 
 import pytest
 
@@ -36,6 +37,7 @@ from menurank import aggregation
 from menurank.aggregation import (
     MYOPIC_SUBSET_LIMIT,
     ConsensusSet,
+    _SlotPricer,
     _cost_to_go,
     _free_pairs,
     _majority_prefix,
@@ -909,6 +911,70 @@ class TestMyopic:
             seen["whole prefix"] += not remaining
             seen["depth 1"] += depth == 1 and len(remaining) > 1
         assert min(seen.values()) > 0, seen
+
+    @staticmethod
+    def pricer_cases():
+        """Seeded windows at n <= 8: (params, profile, prefix, pool, depth)."""
+        rng = random.Random(30)
+        for trial in range(160):
+            n = rng.randint(3, 8)
+            if trial % 3 == 0:  # pairwise-only weights
+                weights = MenuWeights([F(rng.randint(1, 4), rng.randint(1, 3))] + [0] * (n - 2))
+            else:
+                weights = rand_weights(rng, n)
+            mu = rand_measure(rng, n, nonneg=trial % 2 == 0)
+            mu = Measure([0 if rng.random() < 0.3 else v for v in mu.values])
+            rows = [(rng.randint(1, 3), rand_ranking(rng, n).order) for _ in range(rng.randint(3, 7))]
+            pinned = rng.randint(1, n)  # first in two ballots, so first in their pool
+            for i in range(2):
+                mult, order = rows[i]
+                rows[i] = mult, (pinned, *(c for c in order if c != pinned))
+            if trial % 4 == 1:  # a majority bloc: the pool starts after its head
+                head = rand_ranking(rng, n).order[: rng.randint(1, n - 1)]
+                rest = [c for c in range(1, n + 1) if c not in head]
+                rows.append((sum(m for m, _ in rows) + 1, head + tuple(rng.sample(rest, len(rest)))))
+            V = prof(*rows)
+            prefix, remaining = _majority_prefix(V)
+            pool = tuple(sorted(remaining))
+            if pool:
+                depth = len(pool) if trial % 2 else rng.randint(1, len(pool))
+                yield make_params(weights, mu), V, prefix, pool, depth
+
+    def test_pricer_matches_the_per_term_reference_edge_by_edge(self):
+        # every edge (c, M) of the window, c outside M and |M| < depth,
+        # against term(|prefix| + |M| + 1, c, prefix | M)
+        seen = dict.fromkeys(("full", "partial", "prefix", "pairwise", "first in pool",
+                              "zero mu"), 0)
+        edges = 0
+        for params, V, prefix, pool, depth in self.pricer_cases():
+            term, _ = _position_terms(params, V)
+            pricer = _SlotPricer(params, V, pool, depth)
+            prefix_mask = sum(1 << (c - 1) for c in prefix)
+            for size in range(depth):
+                assert [row[0] for row in pricer.rows[size]] == list(pool)
+                for combo in combinations(pool, size):
+                    mask = sum(1 << (c - 1) for c in combo)
+                    ks = pricer.placed(mask)
+                    for c, bit, base, twice_mu, prices, lo, hi in pricer.rows[size]:
+                        if mask & bit:
+                            continue
+                        priced = base - twice_mu * sum(map(getitem, prices, ks[lo:hi]))
+                        assert priced == term(len(prefix) + size + 1, c, prefix_mask | mask), (
+                            params, V, pool, depth, c, combo)
+                        edges += 1
+            if len(pool) < 2:
+                continue
+            seen["full" if depth == len(pool) else "partial"] += 1
+            seen["prefix"] += bool(prefix)
+            seen["pairwise"] += params.weights.is_pairwise_only() and len(pool) > 2
+            mu = params.mu.values
+            seen["zero mu"] += any(mu[c - 1] == 0 for c in pool)
+            # a pool candidate with a nonzero measure that some ballot ranks
+            # above the rest of the pool, in a window of two or more places
+            seen["first in pool"] += depth > 1 and any(
+                mu[c - 1] and set(pool) - {c} <= set(v.order[v.order.index(c):])
+                for c in pool for _, v in V.entries)
+        assert min(seen.values()) > 0 and edges > 10_000, (seen, edges)
 
     def test_majority_prefix_matches_the_per_candidate_scan(self):
         # planted majorities with shared tops, exact half splits (a tally

@@ -361,6 +361,51 @@ def test_axiom_check_refuses_parameters_over_another_n(capsys, tmp_path):
         2, ("", "error: --n is 4 but the parameters are over 3 candidates\n"))
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ptas-depth", "--rule", "affine", "--epsilon", "1/4", "--alpha", "3"],
+         "--alpha is the exponential rule's base; --rule affine reads no --alpha"),
+        (["ptas-depth", "--rule", "custom", "--epsilon", "1/4", "--alpha", "3",
+          "--params", "kendall", "--n", "4"],
+         "--alpha is the exponential rule's base; --rule custom reads no --alpha"),
+        (["ptas-depth", "--rule", "alternating", "--epsilon", "1/4", "--params", "kendall"],
+         "--params is for --rule custom; --rule alternating reads no --params"),
+        (["ptas-depth", "--rule", "exponential", "--epsilon", "1/4", "--alpha", "3", "--n", "4"],
+         "--n is for --rule custom; --rule exponential reads no --n"),
+        (["dist", "--params", "kendall", "--a", "1 2 3", "--b", "3 2 1", "--window", "1", "2",
+          "--naive"],
+         "--naive is the whole distance's oracle; --window reads no --naive"),
+        (["check", "--axiom", "A1", "--n", "3", "--params", "kendall", "--profile", "{profile}"],
+         "--profile is for property checks; --axiom reads no --profile"),
+        (["check", "--axiom", "A1", "--n", "3", "--params", "kendall", "--profile2", "{profile}"],
+         "--profile2 is for property checks; --axiom reads no --profile2"),
+        (["check", "--property", "condorcet_P", "--params", "kendall", "--profile", "{profile}",
+          "--n", "3"],
+         "--n is the axiom checks' candidate count; --property reads no --n"),
+        (["gamma", "--params", "{params}", "--n", "9"],
+         "--n is 9 but the parameters are over 3 candidates"),
+    ],
+    ids=["alpha-affine", "alpha-custom", "params-alternating", "n-exponential", "naive-window",
+         "axiom-profile", "axiom-profile2", "property-n", "gamma-n"],
+)
+def test_unread_flags_exit_2_naming_the_flag(capsys, tmp_path, argv, message):
+    # each of these used to exit 0, the flag silently ignored
+    profile = tmp_path / "cyclic.prof"
+    profile.write_text(CYCLIC)
+    params = tmp_path / "w.params"
+    params.write_text("beta: 1 0\n")
+    code = main([tok.format(profile=profile, params=params) for tok in argv])
+    assert (code, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
+
+
+def test_gamma_reads_a_parameter_file_over_its_own_n(capsys, tmp_path):
+    params = tmp_path / "w.params"
+    params.write_text("beta: 1 0\n")
+    assert run(capsys, "gamma", "--params", str(params), "--n", "3") == (0, "3/2\n")
+    assert run(capsys, "gamma", "--params", str(params)) == (0, "3/2\n")
+
+
 def test_reinforcing_without_a_second_profile_names_the_flag(capsys, tmp_path):
     profile = tmp_path / "cyclic.prof"
     profile.write_text(CYCLIC)
