@@ -47,13 +47,13 @@ Approximation routes:
 from __future__ import annotations
 
 import struct
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import ceil, comb, exp, log, log1p
+from math import ceil, comb, floor
 from operator import eq, getitem, index, mul
 from typing import Callable, Literal
 
@@ -889,72 +889,58 @@ def truncation_ratio(weights: MenuWeights, t: int, depth: int) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-# the bits of the largest power p^k that _ceil_log builds: both of its powers
-# at this size took 1.2 s on a 2-core VM with Python 3.11
-_POWER_BITS = 1 << 22
-
-
-def _log_log(num: int, den: int) -> float:
-    """``log(log(num / den))`` for num > den > 0, in floats that neither
-    overflow nor underflow: past the float range the inner log is
-    ``log num - log den``, and within 2^-1022 of 1 it is the excess
-    ``(num - den) / den`` to within a relative excess, so its log is
-    ``log(num - den) - log den``."""
-    try:
-        excess = (num - den) / den
-    except OverflowError:
-        return log(log(num) - log(den))
-    if excess < sys.float_info.min:
-        return log(num - den) - log(den)
-    return log(log1p(excess))
+# the precision of _ceil_log's last estimate, in digits: one estimate (two
+# ln) at 2,000 digits took 0.3-0.8 s on a 2-core VM with Python 3.11
+_LOG_DIGITS = 2000
 
 
 def _ceil_log(base: Fraction, x: Fraction) -> int:
     """Smallest integer k >= 0 with base^k >= x (base > 1).
 
-    k is the ceiling of y = log x / log base, estimated in floats as
-    log1p(x - 1) / log1p(base - 1).  With x = a/b, each ``(a - b) / b`` is
-    one correctly rounded division of integers, so when both are normal
-    floats the estimate carries five roundings of at most one ulp each (two
-    divisions, two ``log1p``, the quotient; a ``log1p`` input off by a
-    relative d moves its output by at most d), well inside a relative
-    2^-40 of y.  When no integer lies within that margin of the estimate,
-    its ceiling is k.  Otherwise (y within 2^-40 |y| of an integer, as at an
-    exact power, or y past 2^40, or a base or x too close to 1 or too large
-    for a normal float) k steps up or down from an estimate made in log
-    space (``_log_log``) until it is the smallest with p^k b >= a q^k, for
-    base = p/q.  Those two powers hold about k log2(p) bits each, so past
-    ``_POWER_BITS`` (as for a base within 10^-10 of 1) the estimate is
-    refused with a ``ValueError`` before either is built.
+    k is the ceiling of y = ln x / ln base.  With base = p/q and x = a/b,
+    y is estimated at D decimal digits as ln(a/b) / ln(p/q): two divisions,
+    two ``ln`` and the quotient, each correctly rounded, so each off by a
+    relative 10^(1-D) / 2 at most.  As ln(a/b) >= (a - b)/a, the estimate is
+    within E = y s 10^(2-D) of y, for s = a // (a - b) + p // (p - q) + 3
+    (about 10^z when an excess (a - b)/b or (p - q)/q has z leading zeros);
+    E is over five times what those roundings and forming y - E and y + E
+    can move it.
+
+    When no integer lies within E of the estimate, k is its ceiling.  When
+    one integer j does and j (bitlen(p) - 1) < bitlen(a), one exact
+    comparison p^j b >= a q^j decides between j and j + 1: an integer y
+    makes x = p^y / q^y in lowest terms, so a = p^y and the condition holds
+    at every exact power, and p^j is then about as long as a.  Otherwise the
+    next estimate doubles D.  D runs through ``_LOG_DIGITS`` / 2^i, from the
+    least that is at least 60 plus the digits of s (so the relative error
+    starts below 10^-57 and no quotient rounds to 1) up to ``_LOG_DIGITS``.
+    When none of these estimates settles k, it is refused with a
+    ``ValueError``.  That refuses a y within y s 10^-1998 of an integer that
+    is not an exact power, any y with y s past about 10^1998 (a base within
+    about 10^-1000 of 1 has a depth of a thousand digits), and an s of over
+    1,750 digits (a base or x within about 10^-1750 of 1).
     """
     if x <= 1:
         return 0
     p, q = base.numerator, base.denominator
     a, b = x.numerator, x.denominator
-    try:
-        excess = ((a - b) / b, (p - q) / q)
-    except OverflowError:
-        excess = None
-    if excess and min(excess) >= sys.float_info.min:
-        y = log1p(excess[0]) / log1p(excess[1])
-        margin = y * 2**-40
-        k = ceil(y - margin)
-        if k == ceil(y + margin):
+    s = a // (a - b) + p // (p - q) + 3
+    start = 61 + s.bit_length() // 3  # at least 60 plus the digits of s
+    for halvings in reversed(range((_LOG_DIGITS // start).bit_length())):
+        digits = _LOG_DIGITS >> halvings
+        with localcontext() as ctx:
+            ctx.prec, ctx.Emax, ctx.Emin = digits, MAX_EMAX, MIN_EMIN
+            y = (Decimal(a) / b).ln() / (Decimal(p) / q).ln()
+            error = y * s * Decimal(10) ** (2 - digits)
+            k, top = ceil(y - error), floor(y + error)
+        if k > top:
             return k
-    log_y = _log_log(a, b) - _log_log(p, q)
-    if log_y + log(p.bit_length()) > log(_POWER_BITS):
-        raise ValueError(
-            f"the depth is about 10^{log_y / log(10):.1f}, too large to settle "
-            f"exactly: its powers would pass 2^{_POWER_BITS.bit_length() - 1} bits"
-        )
-    k = ceil(exp(log_y))
-    lhs, rhs = p**k * b, a * q**k
-    while lhs < rhs:
-        lhs, rhs, k = lhs * p, rhs * q, k + 1
-    # base^(k-1) >= x is lhs q >= rhs p; lhs and rhs hold p^k and q^k
-    while k > 0 and lhs * q >= rhs * p:
-        lhs, rhs, k = lhs // p, rhs // q, k - 1
-    return k
+        if k == top and k * (p.bit_length() - 1) < a.bit_length():
+            return k if p**k * b >= a * q**k else k + 1
+    raise ValueError(
+        f"the depth cannot be settled exactly with logarithms of up to {_LOG_DIGITS} "
+        "digits: it is too large, or too close to an integer"
+    )
 
 
 def ptas_depth(
@@ -975,7 +961,9 @@ def ptas_depth(
 
     ``custom`` takes an explicit weight vector plus its horizon ``n`` and
     returns the smallest depth whose ``truncation_ratio`` is at most eps at
-    every pool size t from max(depth, 2) to ``n`` (``n`` if none is).
+    every pool size t from max(depth, 2) to ``n``.  Depth ``n`` always is:
+    the window covers every pool, so the ratio's numerator is 0.  A horizon
+    past the weights' own n reads them as padded with zero weights.
     """
     eps = 1 / as_fraction(inv_epsilon)
     if eps <= 0:
@@ -996,7 +984,7 @@ def ptas_depth(
             raise ValueError(f"the custom rule needs a horizon n >= 2, got {n}")
         if not weights.is_nonnegative() or weights.values[0] <= 0:
             raise ValueError("custom depths need nonnegative weights with w_2 > 0")
-        for depth in range(1, n + 1):
+        for depth in range(1, n):
             if all(
                 truncation_ratio(weights, t, depth) <= eps
                 for t in range(max(depth, 2), n + 1)

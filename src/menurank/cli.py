@@ -387,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True, help="target accuracy, e.g. 1/4")
     p.add_argument("--alpha", help="base for the exponential rule")
     p.add_argument("--params", help="weights for --rule custom")
-    p.add_argument("--n", type=_natural, help="horizon for --rule custom")
+    p.add_argument("--n", type=_natural, help="horizon for --rule custom (pads the weights with zeros)")
     p.add_argument("--out")
     p.set_defaults(run=_cmd_ptas_depth)
 

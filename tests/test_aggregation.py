@@ -8,12 +8,15 @@ import sys
 import time
 import tracemalloc
 from collections.abc import Sequence
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from itertools import accumulate, combinations, permutations as it_perms
 from math import comb, factorial
 from operator import getitem
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menurank import (
     MenuWeights,
@@ -1041,14 +1044,7 @@ class TestPtasDepth:
             ptas_depth("exponential", 4, alpha=1)
 
     def test_exponential_depth_settles_the_float_estimate(self):
-        def loop(base, x):
-            # the referee: k Fraction products, which hang for alpha near 1
-            k, power = 0, F(1)
-            while power < x:
-                power *= base
-                k += 1
-            return k
-
+        loop = _ceil_log_by_powers
         bases = [F(p, q) for q in range(1, 7) for p in range(q + 1, 4 * q + 1)]
         for base in bases:
             # exact powers of the base, and a hair either side of them
@@ -1062,13 +1058,13 @@ class TestPtasDepth:
 
     def test_exponential_depth_trusts_an_estimate_far_from_an_integer(self):
         # settling this depth exactly builds p^k with k = 2,441,229 (over 30 s
-        # on a 2-core VM); the float estimate, 2441228.735..., is far from an
-        # integer, outside its margin
+        # on a 2-core VM); the estimate, 2441228.735..., is far from an
+        # integer, outside its error bound
         start = time.perf_counter()
         assert ptas_depth("exponential", 4, alpha=F(100001, 100000)) == 2441229
         assert time.perf_counter() - start < 0.5
-        # within the margin of an integer the answer is still settled exactly:
-        # an exact power, and a hair either side of it, far below float resolution
+        # within the error bound of an integer the answer is still settled
+        # exactly: an exact power, and a hair either side of it
         base, k = F(1001, 1000), 3000
         hair = F(1, 10**40)
         assert aggregation._ceil_log(base, base**k) == k
@@ -1157,33 +1153,77 @@ class TestPtasDepth:
             with pytest.raises(ValueError, match="t >= 2"):
                 truncation_ratio(MenuWeights([1, 1]), t, 1)
 
-    def test_exponential_depth_past_the_power_budget_is_refused(self):
-        # 1 + 10^-10 estimates a depth near 4.7e11 with an integer inside the
-        # float margin; settling it exactly would build powers of about 1.6e13
-        # bits, so it is refused before either is built.  Within 10^-400 of
-        # 1 the base's excess is no normal float; the same rule refuses it
-        for alpha in (F(10**10 + 1, 10**10), F(10**400 + 1, 10**400)):
-            start = time.perf_counter()
-            with pytest.raises(ValueError, match="too large to settle exactly"):
-                ptas_depth("exponential", 4, alpha=alpha)
-            assert time.perf_counter() - start < 1
-        # depths clear of the margin need no powers, however large
+    def test_exponential_depth_near_one_is_settled(self):
+        # within 10^-10 of 1 the depths pass 10^11, too deep to build p^k, and
+        # within 10^-400 of 1 the depth has 404 digits; each is checked by
+        # bounding the base's powers, not by an estimate of its logarithm
+        cases = [
+            (F(10**10 + 3, 10**10), dict(zip((1, 2, 3, 4, 5), (
+                146181590966, 148492081568, 149843631929, 150802572171, 151546384008)))),
+            (F(10**10 + 1, 10**10), dict(zip((*range(1, 11), 100), (
+                460517018624, 467448490430, 471503141512, 474379962236, 476611397749,
+                478434613318, 479976120116, 481311434042, 482489264399, 483542869555,
+                506568720487)))),
+            (F(10**400 + 1, 10**400), {4: None}),
+        ]
+        for alpha, depths in cases:
+            for inv_eps, pinned in depths.items():
+                start = time.perf_counter()
+                depth = ptas_depth("exponential", inv_eps, alpha=alpha)
+                assert time.perf_counter() - start < 1
+                assert pinned in (None, depth)
+                x = alpha**2 * inv_eps / (alpha - 1) ** 2
+                assert _power_below(alpha, depth - 1, x) and not _power_below(alpha, depth, x)
+        # the last, for alpha = 1 + 10^-400, is 1.8434543687563564378... 10^403
+        assert len(str(depth)) == 404 and str(depth).startswith("18434543687563564378")
+        # depths clear of an integer, and depths within 10^-1300 of an exact
+        # power: one exact comparison settles each of the latter
         assert ptas_depth("exponential", 4, alpha=F(1001, 1000)) == 15212
         assert ptas_depth("exponential", 4, alpha=F(10**9 + 1, 10**9)) == 42832826059
-        # a base within 10^-400 of 1 still settles a depth within the budget
         base, hair = F(10**400 + 1, 10**400), F(1, 10**1300)
         for x, k in ((base**3, 3), (base**3 - hair, 3), (base**3 + hair, 4)):
             assert aggregation._ceil_log(base, x) == k
 
-    def test_power_budget_counts_the_bits_of_the_base_power(self, monkeypatch):
-        # 1001^3000 has 29,901 bits: settled under a 2^15 budget, refused
-        # under 2^14
-        base, k = F(1001, 1000), 3000
-        monkeypatch.setattr(aggregation, "_POWER_BITS", 1 << 15)
-        assert aggregation._ceil_log(base, base**k) == k
-        monkeypatch.setattr(aggregation, "_POWER_BITS", 1 << 14)
-        with pytest.raises(ValueError, match="about 10\\^3.5"):
-            aggregation._ceil_log(base, base**k)
+    def test_exponential_depth_too_close_to_an_integer_is_refused(self):
+        # x agrees with (1 + 10^-10)^(10^6) to 2,200 digits but is no power of
+        # the base: its numerator is far shorter than the base's millionth
+        # power, so no exact comparison is made, and no estimate of up to
+        # 2,000 digits separates the depth from 10^6
+        base = F(10**10 + 1, 10**10)
+        with localcontext() as ctx:
+            ctx.prec = 2200
+            x = F((Decimal(base.numerator) / base.denominator) ** 10**6)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="too close to an integer"):
+            aggregation._ceil_log(base, x)
+        assert time.perf_counter() - start < 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 49).flatmap(lambda q: st.tuples(st.just(q), st.integers(q + 1, 50))),
+        st.integers(0, 12),
+        st.sampled_from((-1, 0, 1)),
+        st.fractions(min_value=F(1, 100), max_value=10**6, max_denominator=10**6),
+        st.booleans(),
+    )
+    def test_ceil_log_matches_the_power_loop(self, qp, k, side, other, at_power):
+        # x an exact power of the base, a hair either side of one (inside the
+        # first estimate's error bound, so the exact comparison decides), or
+        # any rational; the referee multiplies by the base until it reaches x
+        q, p = qp
+        base = F(p, q)
+        x = base**k + side * F(1, 10**80) if at_power else other
+        assert aggregation._ceil_log(base, x) == _ceil_log_by_powers(base, x)
+
+    def test_a_window_over_the_whole_horizon_ignores_nothing(self):
+        # so depth n always qualifies, and the custom rule falls back to it
+        rng = random.Random(63)
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            w = rand_weights(rng, n)
+            w = MenuWeights((F(rng.randint(1, 4), rng.randint(1, 3)),) + w.values[1:])
+            for t in range(2, n + 1):
+                assert truncation_ratio(w, t, n) == 0
 
     def test_custom_needs_a_horizon_of_two(self):
         for n in (0, 1):
@@ -1235,6 +1275,34 @@ def _majority_prefix_by_scan(profile):
         prefix.append(placed)
         remaining.remove(placed)
     return prefix, remaining
+
+
+def _ceil_log_by_powers(base, x):
+    """The least k with base^k >= x, by k Fraction products: the referee for
+    ``_ceil_log``, which would hang for a base near 1."""
+    k, power = 0, F(1)
+    while power < x:
+        power *= base
+        k += 1
+    return k
+
+
+def _power_below(base, k, x, bits=1 << 12):
+    """Whether base^k < x, from integers lo <= base^k 2^bits <= hi built by
+    binary exponentiation, each product rounded down for lo and up for hi;
+    asserts that the bounds decide it.  Rounding costs a relative 2^-bits a
+    product, amplified by about k, so this needs k far below 2^bits."""
+    p, q = base.numerator, base.denominator
+    lo = hi = 1 << bits
+    step_lo, step_hi = (p << bits) // q, -(-(p << bits) // q)
+    while k:
+        if k & 1:
+            lo, hi = lo * step_lo >> bits, -(-hi * step_hi >> bits)
+        step_lo, step_hi = step_lo * step_lo >> bits, -(-step_hi * step_hi >> bits)
+        k >>= 1
+    target = (x.numerator << bits) / F(x.denominator)
+    assert hi < target or lo >= target, "the power bounds straddle x"
+    return hi < target
 
 
 def _custom_depth_by_prefix_sums(weights, inv_epsilon, n):

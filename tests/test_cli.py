@@ -342,14 +342,30 @@ def test_custom_depth_below_two_candidates_exits_2(capsys, tmp_path, n):
         2, ("", f"error: the custom rule needs a horizon n >= 2, got {n}\n"))
 
 
-@pytest.mark.parametrize("alpha", ["10000000001/10000000000", f"{10**400 + 1}/{10**400}"],
-                         ids=["1+1e-10", "1+1e-400"])
-def test_exponential_depth_past_the_power_budget_exits_2(capsys, alpha):
+@pytest.mark.parametrize(
+    "alpha, digits, leading",
+    [("10000000001/10000000000", 12, "474379962236"),
+     (f"{10**400 + 1}/{10**400}", 404, "18434543687563564378")],
+    ids=["1+1e-10", "1+1e-400"])
+def test_exponential_depth_near_one_exits_0(capsys, alpha, digits, leading):
     start = time.perf_counter()
     code = main(["ptas-depth", "--rule", "exponential", "--epsilon", "1/4", "--alpha", alpha])
-    err = capsys.readouterr().err
-    assert code == 2 and err.startswith("error: the depth is about 10^")
-    assert "too large to settle exactly" in err and time.perf_counter() - start < 1
+    out = capsys.readouterr().out
+    assert code == 0 and out.startswith(leading) and len(out) == digits + 1
+    assert time.perf_counter() - start < 1
+
+
+def test_custom_depth_pads_the_weights_up_to_the_horizon(capsys, tmp_path):
+    # weights over 3 candidates read as over 9 with zeros appended: the same
+    # depth as the explicit zeros and as Kendall's pairwise-only weights
+    short, padded = tmp_path / "short.params", tmp_path / "padded.params"
+    short.write_text("beta: 1 0\n")
+    padded.write_text("beta: 1 0 0 0 0 0 0 0\n")
+    depths = []
+    for params in (str(short), str(padded), "kendall"):
+        depths.append((main(["ptas-depth", "--rule", "custom", "--epsilon", "1/4", "--params",
+                             params, "--n", "9"]), capsys.readouterr()))
+    assert depths == [(0, ("8\n", ""))] * 3
 
 
 def test_axiom_check_refuses_parameters_over_another_n(capsys, tmp_path):
