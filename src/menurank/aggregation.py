@@ -344,7 +344,7 @@ class _SlotPricer:
 
     def __init__(self, params: DistanceParams, profile: Profile, pool: tuple[int, ...],
                  depth: int):
-        n = params.n
+        n, voters = params.n, profile.voters
         f = params.int_table
         pool_mask = sum(1 << (c - 1) for c in pool)
         pairwise = params.weights.is_pairwise_only()
@@ -384,7 +384,7 @@ class _SlotPricer:
         position = _position_constants(params, profile)
         t = len(pool) - 1
         self.rows = [
-            [(c, bit, position[n - t + size] + mu_c * f[t - size] * (profile.voters - 2 * fixed),
+            [(c, bit, position[n - t + size] + mu_c * f[t - size] * (voters - 2 * fixed),
               2 * mu_c, row, lo, hi) for c, bit, mu_c, fixed, row, lo, hi in candidates]
             for size in range(depth)
         ]
@@ -919,6 +919,16 @@ def _ceil_log(base: Fraction, x: Fraction) -> int:
     is not an exact power, any y with y s past about 10^1998 (a base within
     about 10^-1000 of 1 has a depth of a thousand digits), and an s of over
     1,750 digits (a base or x within about 10^-1750 of 1).
+
+    The second kind is refused before any estimate, from integers.  As
+    ln z >= 1 - 1/z, a/b > 2^(bitlen(a) - bitlen(b) - 1) and ln 2 > 2/3,
+    ln x >= L = max((a - b)/a, 2 (bitlen(a) - bitlen(b) - 1) / 3); as
+    ln z <= z - 1, ln base <= (p - q)/q; so y >= y_lo = L q / (p - q).  When
+    y_lo s >= 2 10^(``_LOG_DIGITS`` - 2), every estimate, off by a relative
+    10^-57 at most, has E >= 2 (1 - 10^-56) > 1 at ``_LOG_DIGITS`` digits and
+    more at fewer.  Then y - E and y + E lie over two apart, so at least two
+    integers lie between them and no estimate settles k: the refusal is the
+    one the ladder would reach, without its ``ln``.
     """
     if x <= 1:
         return 0
@@ -926,7 +936,11 @@ def _ceil_log(base: Fraction, x: Fraction) -> int:
     a, b = x.numerator, x.denominator
     s = a // (a - b) + p // (p - q) + 3
     start = 61 + s.bit_length() // 3  # at least 60 plus the digits of s
-    for halvings in reversed(range((_LOG_DIGITS // start).bit_length())):
+    levels = (_LOG_DIGITS // start).bit_length()
+    ln_x = max(Fraction(a - b, a), Fraction(2 * (a.bit_length() - b.bit_length() - 1), 3))
+    if ln_x * q * s >= 2 * 10 ** (_LOG_DIGITS - 2) * (p - q):
+        levels = 0  # y_lo s is past the last estimate's reach
+    for halvings in reversed(range(levels)):
         digits = _LOG_DIGITS >> halvings
         with localcontext() as ctx:
             ctx.prec, ctx.Emax, ctx.Emin = digits, MAX_EMAX, MIN_EMIN
@@ -961,9 +975,10 @@ def ptas_depth(
 
     ``custom`` takes an explicit weight vector plus its horizon ``n`` and
     returns the smallest depth whose ``truncation_ratio`` is at most eps at
-    every pool size t from max(depth, 2) to ``n``.  Depth ``n`` always is:
-    the window covers every pool, so the ratio's numerator is 0.  A horizon
-    past the weights' own n reads them as padded with zero weights.
+    every pool size t from max(depth, 2) to ``n``.  Depth n - 1 always is:
+    the window leaves at most one candidate of every pool out, and
+    f(0) = f(1) = 0, so the ratio's numerator is 0.  A horizon past the
+    weights' own n reads them as padded with zero weights.
     """
     eps = 1 / as_fraction(inv_epsilon)
     if eps <= 0:
@@ -984,13 +999,11 @@ def ptas_depth(
             raise ValueError(f"the custom rule needs a horizon n >= 2, got {n}")
         if not weights.is_nonnegative() or weights.values[0] <= 0:
             raise ValueError("custom depths need nonnegative weights with w_2 > 0")
-        for depth in range(1, n):
-            if all(
-                truncation_ratio(weights, t, depth) <= eps
-                for t in range(max(depth, 2), n + 1)
-            ):
-                return depth
-        return n
+        return next(
+            depth
+            for depth in range(1, n)
+            if all(truncation_ratio(weights, t, depth) <= eps for t in range(max(depth, 2), n + 1))
+        )
     raise ValueError(f"unknown depth rule {rule!r}; choose from {PTAS_RULES}")
 
 

@@ -3,15 +3,20 @@
 ``check_axiom`` evaluates one of six quantified statements about a distance
 function literally, by enumeration over all rankings of 1..n (guarded to
 n <= 5), and returns the first counterexample in lexicographic order when
-the statement fails.  A1 and A3 call the distance once per ordered pair of
-rankings, into rows indexed by rank, and test betweenness on the rankings'
-pair masks; A2, A4, A5 and A6 read one table of realised adjacent-swap
-costs (``_swap_realisations``).  ``check_property`` evaluates social-choice
-properties of the induced consensus correspondence against the exact
-solver; ``neutrality_P`` solves once per distinct relabelled measure, up to
-n! times, so it is guarded to n <= 7.  ``condorcet_P``, ``reinforcing`` and
-the two Pareto properties query the consensus set's DAG and list no
-ranking, so they run at every n the exact solver takes.
+the statement fails.  A1 and A3 read one interval scan (``_intervals``): the
+distance once per ordered pair of rankings, into rows indexed by rank, and
+the rankings between each pair, tested on their pair masks; A2, A4, A5 and
+A6 read one table of realised adjacent-swap costs (``_swap_realisations``).
+``check_property`` evaluates social-choice properties of the induced
+consensus correspondence against the exact solver.  ``neutrality_P`` solves
+once per distinct relabelled measure, n!/prod(m_v!) for m_v labels of
+measure value v, reached without walking the n! relabellings; before any
+solve it refuses a count times 2^n over 7! * 2^7, the work of seven distinct
+values at n = 7 (2.0 s for a ballot and its reversal under kendall weights,
+2-core VM).  The counting measure takes one solve at every n the exact
+solver takes.  ``condorcet_P``, ``reinforcing`` and the two Pareto
+properties query the consensus set's DAG and list no ranking, so they run
+at every n the exact solver takes.
 
 Axiom catalogue (d a distance on rankings, t_a the swap at positions a,a+1):
 
@@ -47,7 +52,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations as _it_perms, product
+from itertools import combinations, islice, permutations as _it_perms, product
+from math import factorial, prod
 from typing import Callable, Mapping, Sequence
 
 from .aggregation import aggregate_exact
@@ -62,7 +68,8 @@ from .profiles import Profile
 from .weights import DistanceParams, Measure, ParamLabel
 
 AXIOM_CANDIDATE_LIMIT = 5
-NEUTRALITY_CANDIDATE_LIMIT = 7
+# 7! relabelled measures at n = 7, each a DP over 2^7 subsets
+NEUTRALITY_WORK_LIMIT = factorial(7) << 7
 
 DistanceFn = Callable[[Permutation, Permutation], Fraction]
 
@@ -153,16 +160,23 @@ def _guard_axiom_n(n: int) -> None:
         )
 
 
-def _rank_tables(
-    dist: DistanceFn, perms: Sequence[Permutation]
-) -> tuple[list[int], list[list[Fraction]]]:
-    """The rankings' pair masks and the distance rows, both by index:
-    ``rows[i][j]`` is ``dist(perms[i], perms[j])``.
-
-    Ranking w lies between p and q (``is_between``) exactly when
-    ``(m[p] ^ m[w]) & ~(m[p] ^ m[q]) == 0`` for these masks m.
-    """
-    return [p.pair_mask for p in perms], [[dist(a, b) for b in perms] for a in perms]
+def _intervals(dist: DistanceFn, perms: Sequence[Permutation]):
+    """``(i, j, rows, wide, between)`` for each ordered pair of distinct
+    rankings p = perms[i] and q = perms[j], in index order.  ``rows[i][k]``
+    is ``dist(perms[i], perms[k])``; ``wide`` says p and q disagree on two or
+    more candidate pairs; ``between`` lazily yields, in increasing order, each
+    k != i, j whose ranking w lies between them (``is_between``): q inverts
+    every pair w inverts against p, that is, ``(m[p] ^ m[w]) & ~(m[p] ^ m[q])
+    == 0`` for the rankings' pair masks m.  Read it before the next pair."""
+    masks = [p.pair_mask for p in perms]
+    rows = [[dist(a, b) for b in perms] for a in perms]
+    for i, mp in enumerate(masks):
+        diffs = [mp ^ mw for mw in masks]
+        for j, dq in enumerate(diffs):
+            if i != j:
+                agree = ~dq
+                between = (k for k, d in enumerate(diffs) if not d & agree and k != i and k != j)
+                yield i, j, rows, dq.bit_count() > 1, between
 
 
 def _swap_realisations(
@@ -207,29 +221,12 @@ def _inseparable(
 
 
 def _check_a1(dist: DistanceFn, perms, n: int) -> AuditReport:
-    masks, rows = _rank_tables(dist, perms)
-    for i, mp in enumerate(masks):
-        for j, mq in enumerate(masks):
-            if i == j:
-                continue
-            agree = ~(mp ^ mq)
-            from_q = rows[j]
-            base = from_q[i]
-            for k, mw in enumerate(masks):
-                if (mp ^ mw) & agree or k == i or k == j:
-                    continue
-                if from_q[k] + rows[k][i] != base:
-                    return _fails(
-                        "A1",
-                        {
-                            "p": perms[i],
-                            "w": perms[k],
-                            "q": perms[j],
-                            "d(q,p)": base,
-                            "d(q,w)": from_q[k],
-                            "d(w,p)": rows[k][i],
-                        },
-                    )
+    for i, j, rows, _, between in _intervals(dist, perms):
+        from_q, base = rows[j], rows[j][i]
+        for k in between:
+            if from_q[k] + rows[k][i] != base:
+                return _fails("A1", {"p": perms[i], "w": perms[k], "q": perms[j], "d(q,p)": base,
+                                     "d(q,w)": from_q[k], "d(w,p)": rows[k][i]})
     return _holds("A1")
 
 
@@ -239,22 +236,10 @@ def _check_a2(dist: DistanceFn, perms, n: int) -> AuditReport:
 
 
 def _check_a3(dist: DistanceFn, perms, n: int) -> AuditReport:
-    masks, rows = _rank_tables(dist, perms)
-    for i, mp in enumerate(masks):
+    for i, j, rows, wide, between in _intervals(dist, perms):
         from_p = rows[i]
-        for j, mq in enumerate(masks):
-            if (mp ^ mq).bit_count() < 2:
-                continue
-            agree = ~(mp ^ mq)
-            target = from_p[j]
-            if not any(
-                (mp ^ mw) & agree == 0
-                and k != i
-                and k != j
-                and from_p[k] + rows[k][j] == target
-                for k, mw in enumerate(masks)
-            ):
-                return _fails("A3", {"p": perms[i], "q": perms[j], "d(p,q)": target})
+        if wide and not any(from_p[k] + rows[k][j] == from_p[j] for k in between):
+            return _fails("A3", {"p": perms[i], "q": perms[j], "d(p,q)": from_p[j]})
     return _holds("A3")
 
 
@@ -416,27 +401,40 @@ def check_property(
     return checker(params, profile)
 
 
+def _relabellings(values: Sequence[int]):
+    """The first tau (as a tuple of labels) of each distinct arrangement
+    ``[values[t - 1] for t in tau]``, in lexicographic order: each position
+    takes, in increasing label order, the smallest unused label of each
+    distinct value.  The identity comes first."""
+    def extend(prefix, unused):
+        if not unused:
+            yield prefix
+        seen = set()
+        for t in unused:
+            if values[t - 1] not in seen:
+                seen.add(values[t - 1])
+                yield from extend(prefix + (t,), tuple(u for u in unused if u != t))
+
+    return extend((), tuple(range(1, len(values) + 1)))
+
+
 def _check_neutrality(params, profile) -> AuditReport:
-    # P_mu(tau V) = tau P_{mu o tau}(V): one solve per distinct mu o tau, one for
-    # the counting measure (0.01-0.02 s at n = 7, 6 ballots, 2-core VM) and n! at most
-    if profile.n > NEUTRALITY_CANDIDATE_LIMIT:
+    # P_mu(tau V) = tau P_{mu o tau}(V): one solve per distinct arrangement of
+    # mu, n!/prod(m_v!) for m_v labels of value v, each a DP over 2^n subsets
+    n, int_mu = profile.n, params.int_mu
+    solves = factorial(n) // prod(factorial(int_mu.count(v)) for v in set(int_mu))
+    if solves << n > NEUTRALITY_WORK_LIMIT:
         raise ValueError(
-            f"the neutrality check solves up to {profile.n}! relabelled measures; "
-            f"n is capped at {NEUTRALITY_CANDIDATE_LIMIT}"
+            f"the neutrality check solves {solves} relabelled measures over 2^{n} subsets; "
+            f"solves * 2^n is capped at 7! * 2^7 = {NEUTRALITY_WORK_LIMIT}"
         )
     mu = params.mu.values
-    int_mu = params.int_mu
     base = aggregate_exact(params, profile).minimizers
-    # measures whose consensus is the base set, keyed by their scaled
-    # integers (a relabelling of mu is one of int_mu); the sets are not kept
-    matched = {int_mu}
-    for tau in all_rankings(profile.n):
-        key = tuple(int_mu[t - 1] for t in tau.order)
-        if key in matched:
-            continue
-        permuted = DistanceParams(params.weights, Measure(mu[t - 1] for t in tau.order))
+    for order in islice(_relabellings(int_mu), 1, None):  # the identity solved the base
+        permuted = DistanceParams(params.weights, Measure(mu[t - 1] for t in order))
         found = aggregate_exact(permuted, profile).minimizers
         if found != base:  # the witness: both solved sets, relabelled by tau
+            tau = Permutation(order)
             return _fails(
                 "neutrality_P",
                 {
@@ -446,7 +444,6 @@ def _check_neutrality(params, profile) -> AuditReport:
                     "expected": base.relabel(tau),
                 },
             )
-        matched.add(key)
     return _holds("neutrality_P")
 
 

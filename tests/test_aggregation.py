@@ -1198,6 +1198,17 @@ class TestPtasDepth:
             aggregation._ceil_log(base, x)
         assert time.perf_counter() - start < 3
 
+    def test_depth_past_the_last_estimate_is_refused_before_any_estimate(self):
+        # y s over 2 10^1998 follows from integer bounds on both logarithms
+        # (the second x's from its bit length, the first's from (a - b)/a);
+        # each refusal used to follow 0.65-0.9 s of 2,000-digit ln
+        base = 1 + F(1, 10**1000)
+        for x in (F(3, 2), 4 * base**2 / (base - 1) ** 2):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="too large, or too close to an integer"):
+                aggregation._ceil_log(base, x)
+            assert time.perf_counter() - start < 0.05
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 49).flatmap(lambda q: st.tuples(st.just(q), st.integers(q + 1, 50))),
@@ -1216,14 +1227,27 @@ class TestPtasDepth:
         assert aggregation._ceil_log(base, x) == _ceil_log_by_powers(base, x)
 
     def test_a_window_over_the_whole_horizon_ignores_nothing(self):
-        # so depth n always qualifies, and the custom rule falls back to it
+        # nor does a window one candidate short of it (f(0) = f(1) = 0), so
+        # the custom search ends by depth n - 1, there at a tiny epsilon
         rng = random.Random(63)
         for _ in range(40):
             n = rng.randint(2, 9)
             w = rand_weights(rng, n)
             w = MenuWeights((F(rng.randint(1, 4), rng.randint(1, 3)),) + w.values[1:])
             for t in range(2, n + 1):
-                assert truncation_ratio(w, t, n) == 0
+                assert truncation_ratio(w, t, n) == truncation_ratio(w, t, n - 1) == 0
+            assert ptas_depth("custom", 10**30, n=n, weights=w) == n - 1
+
+    def test_depth_rules_refuse_bad_inputs(self):
+        for rule, extra in (("affine", {}), ("custom", {"n": 4, "weights": MenuWeights([1, 1, 1])})):
+            with pytest.raises(ValueError, match="1/epsilon must be positive"):
+                ptas_depth(rule, F(-1, 2), **extra)
+        for n, weights in ((4, None), (None, MenuWeights([1, 1, 1])), (None, None)):
+            with pytest.raises(ValueError, match="explicit weights and a horizon n"):
+                ptas_depth("custom", 4, n=n, weights=weights)
+        for values in ([0, 1, 1], [1, -1, 1], [1, 1, F(-1, 2)], [-1, 1, 1]):
+            with pytest.raises(ValueError, match="nonnegative weights with w_2 > 0"):
+                ptas_depth("custom", 4, n=4, weights=MenuWeights(values))
 
     def test_custom_needs_a_horizon_of_two(self):
         for n in (0, 1):

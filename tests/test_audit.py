@@ -622,6 +622,52 @@ class TestNeutralityOrbits:
         sizes = {len(report.witness[key]) for key in ("relabeled_consensus", "expected")}
         assert sizes == {3240, 5040}
 
+    @pytest.mark.parametrize(
+        "mu, admitted",
+        [
+            ([1, 2, 3, 4, 5, 6, 7, 8], False),  # 8! measures over 2^8 subsets
+            ([1, 1, 2, 3, 4, 5, 6, 7], False),  # 8!/2!
+            ([1, 1, 2, 2, 3, 3, 4, 4], True),  # 8!/2!^4 = 2,520: at the limit
+            ([1, 2, 3, 4, 5, 6, 7], True),  # 7!, the largest count at n = 7
+            ([1] * 8 + [2], True),  # 9 measures over 2^9 subsets
+        ],
+    )
+    def test_guard_counts_the_distinct_measures_before_any_solve(self, monkeypatch, mu, admitted):
+        from menurank import audit
+
+        def refuse(params, profile):
+            raise AssertionError("an exact solve ran")
+
+        monkeypatch.setattr(audit, "aggregate_exact", refuse)
+        n = len(mu)
+        V = prof((1, tuple(range(1, n + 1))), (1, tuple(range(n, 0, -1))))
+        params = make_params(preset("kendall", n)[0], mu)
+        if admitted:
+            with pytest.raises(AssertionError, match="an exact solve ran"):
+                check_property(params, V, "neutrality_P")
+        else:
+            with pytest.raises(ValueError, match=r"capped at 7! \* 2\^7 = 645120"):
+                check_property(params, V, "neutrality_P")
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_counting_measure_holds_from_one_solve(self, monkeypatch, n):
+        from menurank import audit
+
+        real = audit.aggregate_exact
+        solves = []
+
+        def record(params, profile):
+            solves.append(params.mu)
+            assert len(solves) == 1, "a second solve ran"
+            return real(params, profile)
+
+        monkeypatch.setattr(audit, "aggregate_exact", record)
+        ballot = (3, 1, 4) + tuple(range(5, n + 1)) + (2,)
+        V = prof((2, ballot), (1, ballot[::-1]))
+        params = make_params(*preset("kendall", n))
+        assert check_property(params, V, "neutrality_P").verdict == "Holds"
+        assert solves == [params.mu]
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_relabelled_profile_solves_as_the_relabelled_measure(self, data):

@@ -217,17 +217,18 @@ def test_neutrality_over_eight_candidates_exits_2_before_solving(capsys, tmp_pat
     monkeypatch.setattr(audit, "aggregate_exact", refuse)
     eight = tmp_path / "eight.prof"
     eight.write_text("8 2\n1: 1 2 3 4 5 6 7 8\n1: 8 7 6 5 4 3 2 1\n")
-    code = main(["check", "--params", "kendall", "--property", "neutrality_P",
+    # eight distinct values: 8! relabelled measures over 2^8 subsets each
+    distinct = tmp_path / "distinct.params"
+    distinct.write_text("beta: 1 0 0 0 0 0 0\nmu: 1 2 3 4 5 6 7 8\n")
+    code = main(["check", "--params", str(distinct), "--property", "neutrality_P",
                  "--profile", str(eight)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: ") and "capped at 7" in captured.err
-    # at the limit the audit does start solving
-    seven = tmp_path / "seven.prof"
-    seven.write_text("7 1\n1: 1 2 3 4 5 6 7\n")
+    assert captured.err.startswith("error: ") and "capped at 7! * 2^7" in captured.err
+    # the counting measure needs one solve, so the audit does start solving
     with pytest.raises(AssertionError, match="an exact solve ran"):
         main(["check", "--params", "kendall", "--property", "neutrality_P",
-              "--profile", str(seven)])
+              "--profile", str(eight)])
 
 
 LISTING_AUDITS = ("condorcet_P", "reinforcing", "blockwise_pareto", "partitionwise_pareto")
@@ -552,6 +553,27 @@ class TestOtherCommands:
         one = run(capsys, "verify-oracle", "--n", "4", "--trials", "25", "--seed", "3")
         two = run(capsys, "verify-oracle", "--n", "4", "--trials", "25", "--seed", "3")
         assert one == two
+
+    def test_verify_oracle_mismatch_exits_1(self, capsys, monkeypatch):
+        from menurank import cli
+
+        real = cli.distance
+        calls = []
+
+        def drifting(params, a, b):  # off by one on the second and fifth draws
+            calls.append((params, a, b))
+            return real(params, a, b) + (len(calls) in (2, 5))
+
+        monkeypatch.setattr(cli, "distance", drifting)
+        code, out = run(capsys, "verify-oracle", "--n", "4", "--trials", "6", "--seed", "3")
+        params, a, b = calls[1]
+        assert code == 1 and len(calls) == 6
+        assert out.splitlines() == [
+            "FAIL 4/6",
+            f"  first mismatch: a={a} b={b}",
+            f"  beta: {' '.join(cli.fmt(v) for v in params.weights.values)}",
+            f"  mu: {' '.join(cli.fmt(v) for v in params.mu.values)}",
+        ]
 
     def test_ptas_depth(self, capsys):
         code, out = run(capsys, "ptas-depth", "--rule", "affine", "--epsilon", "1/4")
