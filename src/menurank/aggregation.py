@@ -180,7 +180,7 @@ def _lane_width(params: DistanceParams, voters: int) -> int:
     ``P + mu (f V - 2 overlap)`` has every part within ``max|mu f| V``.
     """
     n = params.n
-    weights = params.int_weights
+    weights = params.weights.scaled[0]
     overlap_bound = voters * max(
         _scaled_mass(tuple(max(w, 0) for w in weights), n - 1),
         _scaled_mass(tuple(max(-w, 0) for w in weights), n - 1),
@@ -262,7 +262,7 @@ def _term_table(
     position = _position_constants(params, profile)[1:]
     spread = [f[n - 1 - k] * voters for k in range(n)]
     # w_{|T|+1} for the lanes S = complement of T, by |S| = bits - |T|
-    lane_weights = ((0,) + params.int_weights)[::-1]
+    lane_weights = ((0,) + params.weights.scaled[0])[::-1]
     width = _lane_width(params, voters)
     lack, by_size, ones = _lane_masks(bits, width)
     # a lane bit above every row value: with it added, every lane is
@@ -957,6 +957,16 @@ def _ceil_log(base: Fraction, x: Fraction) -> int:
     )
 
 
+def _exponential_alpha(alpha: Rational | None) -> Fraction:
+    """The exponential rule's base, checked to be a rational above 1."""
+    if alpha is None:
+        raise ValueError("the exponential rule needs alpha > 1")
+    alpha = as_fraction(alpha)
+    if alpha <= 1:
+        raise ValueError(f"the exponential rule needs alpha > 1, got {alpha}")
+    return alpha
+
+
 def ptas_depth(
     rule: str,
     inv_epsilon: Rational,
@@ -986,11 +996,7 @@ def ptas_depth(
     if rule == "affine" or rule == "alternating":
         return max(1, _ceil_log(Fraction(2), 4 / eps))
     if rule == "exponential":
-        if alpha is None:
-            raise ValueError("the exponential rule needs alpha > 1")
-        alpha = as_fraction(alpha)
-        if alpha <= 1:
-            raise ValueError(f"the exponential rule needs alpha > 1, got {alpha}")
+        alpha = _exponential_alpha(alpha)
         return max(1, _ceil_log(alpha, alpha**2 / ((alpha - 1) ** 2 * eps)))
     if rule == "custom":
         if weights is None or n is None:
@@ -1015,10 +1021,6 @@ def ptas_weights(rule: str, n: int, alpha: Rational | None = None) -> MenuWeight
     if rule == "alternating":
         return MenuWeights([Fraction(1 + (-1) ** j) for j in sizes])
     if rule == "exponential":
-        if alpha is None:
-            raise ValueError("the exponential rule needs alpha > 1")
-        alpha = as_fraction(alpha)
-        if alpha <= 1:
-            raise ValueError(f"the exponential rule needs alpha > 1, got {alpha}")
+        alpha = _exponential_alpha(alpha)
         return MenuWeights([(alpha - 1) ** j for j in sizes])
     raise ValueError(f"no weight vector for rule {rule!r}")

@@ -4,9 +4,10 @@
 function literally, by enumeration over all rankings of 1..n (guarded to
 n <= 5), and returns the first counterexample in lexicographic order when
 the statement fails.  A1 and A3 read one interval scan (``_intervals``): the
-distance once per ordered pair of rankings, into rows indexed by rank, and
-the rankings between each pair, tested on their pair masks; A2, A4, A5 and
-A6 read one table of realised adjacent-swap costs (``_swap_realisations``).
+distance once per ordered pair of rankings, into integer rows over one
+common scale indexed by rank, and the rankings between each pair, tested on
+their pair masks; A2, A4, A5 and A6 read one table of realised
+adjacent-swap costs (``_swap_realisations``).
 ``check_property`` evaluates social-choice properties of the induced
 consensus correspondence against the exact solver.  ``neutrality_P`` solves
 once per distinct relabelled measure, n!/prod(m_v!) for m_v labels of
@@ -65,7 +66,7 @@ from .permutations import (
     kendall_count,
 )
 from .profiles import Profile
-from .weights import DistanceParams, Measure, ParamLabel
+from .weights import DistanceParams, Measure, ParamLabel, _scaled_ints
 
 AXIOM_CANDIDATE_LIMIT = 5
 # 7! relabelled measures at n = 7, each a DP over 2^7 subsets
@@ -163,13 +164,15 @@ def _guard_axiom_n(n: int) -> None:
 def _intervals(dist: DistanceFn, perms: Sequence[Permutation]):
     """``(i, j, rows, wide, between)`` for each ordered pair of distinct
     rankings p = perms[i] and q = perms[j], in index order.  ``rows[i][k]``
-    is ``dist(perms[i], perms[k])``; ``wide`` says p and q disagree on two or
-    more candidate pairs; ``between`` lazily yields, in increasing order, each
-    k != i, j whose ranking w lies between them (``is_between``): q inverts
-    every pair w inverts against p, that is, ``(m[p] ^ m[w]) & ~(m[p] ^ m[q])
-    == 0`` for the rankings' pair masks m.  Read it before the next pair."""
+    is ``dist(perms[i], perms[k])`` times one scale common to every row, an
+    integer; ``wide`` says p and q disagree on two or more candidate pairs;
+    ``between`` lazily yields, in increasing order, each k != i, j whose
+    ranking w lies between them (``is_between``): q inverts every pair w
+    inverts against p, that is, ``(m[p] ^ m[w]) & ~(m[p] ^ m[q]) == 0`` for
+    the rankings' pair masks m.  Read it before the next pair."""
     masks = [p.pair_mask for p in perms]
-    rows = [[dist(a, b) for b in perms] for a in perms]
+    flat = _scaled_ints([dist(a, b) for a in perms for b in perms])[0]
+    rows = [flat[k:k + len(perms)] for k in range(0, len(flat), len(perms))]
     for i, mp in enumerate(masks):
         diffs = [mp ^ mw for mw in masks]
         for j, dq in enumerate(diffs):
@@ -225,8 +228,9 @@ def _check_a1(dist: DistanceFn, perms, n: int) -> AuditReport:
         from_q, base = rows[j], rows[j][i]
         for k in between:
             if from_q[k] + rows[k][i] != base:
-                return _fails("A1", {"p": perms[i], "w": perms[k], "q": perms[j], "d(q,p)": base,
-                                     "d(q,w)": from_q[k], "d(w,p)": rows[k][i]})
+                p, w, q = perms[i], perms[k], perms[j]
+                return _fails("A1", {"p": p, "w": w, "q": q, "d(q,p)": dist(q, p),
+                                     "d(q,w)": dist(q, w), "d(w,p)": dist(w, p)})
     return _holds("A1")
 
 
@@ -239,7 +243,8 @@ def _check_a3(dist: DistanceFn, perms, n: int) -> AuditReport:
     for i, j, rows, wide, between in _intervals(dist, perms):
         from_p = rows[i]
         if wide and not any(from_p[k] + rows[k][j] == from_p[j] for k in between):
-            return _fails("A3", {"p": perms[i], "q": perms[j], "d(p,q)": from_p[j]})
+            p, q = perms[i], perms[j]
+            return _fails("A3", {"p": p, "q": q, "d(p,q)": dist(p, q)})
     return _holds("A3")
 
 

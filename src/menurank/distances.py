@@ -48,7 +48,7 @@ def distance_naive(params: DistanceParams, a: Permutation, b: Permutation) -> Fr
             f"naive enumeration visits 2^{n} menus; n is capped at "
             f"{NAIVE_CANDIDATE_LIMIT}"
         )
-    weight = (0, 0, *params.int_weights)  # by menu size
+    weight = (0, 0, *params.weights.scaled[0])  # by menu size
     mu = (0, *params.int_mu)  # by candidate
     # menus of fewer than two candidates never have differing maxima, so
     # every mask is scanned

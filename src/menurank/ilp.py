@@ -14,13 +14,13 @@ constant shift away from the true aggregate distance.  The program has
 m n`` rows (see ``variable_count`` / ``constraint_count``).
 
 The model is integer throughout.  ``build_ilp`` prices every cell as an
-integer over S = ``DistanceParams.scale``, from the down-set masses at
-t = 0..2n-2 times ``weights_scale`` and the integer measure ``int_mu``; it
-divides the prices and S by their gcd, and what is left of S (the lcm of
-the prices' reduced denominators) is the objective's scale, recorded in a
-leading comment.  The text serialisation is the CPLEX
-LP dialect, with the selector rows cleared of their 1/n factor by scaling
-through n, so any solver reads the file exactly.
+integer over S = ``DistanceParams.scale``, the weights' scale times the
+measure's, from the down-set masses at t = 0..2n-2 times the weights' scale
+and the integer measure ``int_mu``; it divides the prices and S by their
+gcd, and what is left of S (the lcm of the prices' reduced denominators) is
+the objective's scale, recorded in a leading comment.  The text
+serialisation is the CPLEX LP dialect, with the selector rows cleared of
+their 1/n factor by scaling through n, so any solver reads the file exactly.
 
 Almost all of the text depends on n alone, and ``_layout(n)`` lays it out
 once per n (cached; it holds no profile data): the diag, complete and
@@ -321,8 +321,9 @@ def build_ilp(params: DistanceParams, profile: Profile) -> IlpModel:
     n = params.n
     if profile.n != n:
         raise ValueError(f"dimension mismatch: params over {n}, profile over {profile.n}")
-    # down-set masses at t = 0..2n-2, scaled by weights_scale to integers
-    f = [int(downset_mass(params.weights, t) * params.weights_scale) for t in range(2 * n - 1)]
+    # down-set masses at t = 0..2n-2, scaled to integers by the weights' scale
+    weights_scale = params.weights.scaled[1]
+    f = [int(downset_mass(params.weights, t) * weights_scale) for t in range(2 * n - 1)]
     cell_mass = [f[r + s] - 2 * f[s] for r in range(n) for s in range(n)]
     coefficients = [
         mult * mu * mass

@@ -28,10 +28,11 @@ Every result is an exact ``fractions.Fraction``.  One integer kernel,
 weight vector tabulates the masses at t = 0..n-1 from it once
 (``MenuWeights.table``); the Fraction table, the swap prices and every
 distance evaluator read that one table, run their inner loops over plain
-integers and divide once at the end.  Weight vectors and measures are
-immutable, so each derives its integer scaling (``scaled``) only once, and
-``DistanceParams`` stores nothing but the pair, deriving its integer views
-on first use.
+integers and divide once at the end.  Weight vectors, measures and
+position prices share one immutable exact-vector base, which derives the
+integer scaling (``scaled``) and the sign test once per vector.
+``DistanceParams`` stores nothing but the pair and derives the views its
+evaluators read, ``int_table``, ``int_mu`` and ``scale``, on first use.
 """
 
 from __future__ import annotations
@@ -73,44 +74,28 @@ def as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
-def _fraction_tuple(values: Iterable[Rational]) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
-class MenuWeights:
-    """Exact weights ``(w_2, ..., w_n)`` indexed by menu size."""
+class _ExactVector:
+    """An immutable vector of exact rationals, with the views every kind of
+    parameter vector derives from its values once.  Equality, hashing and
+    ``repr`` go by the subclass, which names the vector's empty-vector error
+    in ``_EMPTY``."""
 
     values: tuple[Fraction, ...]
 
     def __init__(self, values: Iterable[Rational]):
-        object.__setattr__(self, "values", _fraction_tuple(values))
+        object.__setattr__(self, "values", tuple(as_fraction(v) for v in values))
         if not self.values:
-            raise ValueError("menu weights need at least the size-2 entry")
+            raise ValueError(self._EMPTY)
 
-    @property
-    def n(self) -> int:
-        return len(self.values) + 1
-
-    def weight(self, size: int) -> Fraction:
-        """The weight attached to menus of ``size`` candidates."""
-        if not 2 <= size <= self.n:
-            raise ValueError(f"menu size {size} outside 2..{self.n}")
-        return self.values[size - 2]
-
-    def negate(self) -> "MenuWeights":
-        return MenuWeights(tuple(-v for v in self.values))
+    def negate(self):
+        """The same kind of vector with every value negated."""
+        return type(self)(-v for v in self.values)
 
     @cached_property
     def scaled(self) -> tuple[tuple[int, ...], int]:
         """``values`` as integers over their common denominator, derived once."""
         return _scaled_ints(self.values)
-
-    @cached_property
-    def table(self) -> tuple[int, ...]:
-        """``downset_mass`` at t = 0..n-1 times ``scaled[1]``, as exact integers."""
-        int_weights = self.scaled[0]
-        return tuple(_scaled_mass(int_weights, t) for t in range(self.n))
 
     def is_nonnegative(self) -> bool:
         return self._nonnegative
@@ -119,25 +104,35 @@ class MenuWeights:
     def _nonnegative(self) -> bool:
         return all(v >= 0 for v in self.values)
 
+
+class MenuWeights(_ExactVector):
+    """Exact weights ``(w_2, ..., w_n)`` indexed by menu size."""
+
+    _EMPTY = "menu weights need at least the size-2 entry"
+
+    @property
+    def n(self) -> int:
+        return len(self.values) + 1
+
+    @cached_property
+    def table(self) -> tuple[int, ...]:
+        """``downset_mass`` at t = 0..n-1 times ``scaled[1]``, as exact integers."""
+        int_weights = self.scaled[0]
+        return tuple(_scaled_mass(int_weights, t) for t in range(self.n))
+
     def is_pairwise_only(self) -> bool:
         """True when only the size-2 weight may be nonzero."""
         return all(v == 0 for v in self.values[1:])
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(_ExactVector):
     """Exact per-candidate importances ``(mu_1, ..., mu_n)``.
 
     No sign restriction is imposed at construction; ``classify`` decides
     which sign patterns yield usable distances.
     """
 
-    values: tuple[Fraction, ...]
-
-    def __init__(self, values: Iterable[Rational]):
-        object.__setattr__(self, "values", _fraction_tuple(values))
-        if not self.values:
-            raise ValueError("a measure needs at least one candidate")
+    _EMPTY = "a measure needs at least one candidate"
 
     @property
     def n(self) -> int:
@@ -147,17 +142,6 @@ class Measure:
         if not 1 <= candidate <= self.n:
             raise ValueError(f"candidate {candidate} outside 1..{self.n}")
         return self.values[candidate - 1]
-
-    def negate(self) -> "Measure":
-        return Measure(tuple(-v for v in self.values))
-
-    @cached_property
-    def scaled(self) -> tuple[tuple[int, ...], int]:
-        """``values`` as integers over their common denominator, derived once."""
-        return _scaled_ints(self.values)
-
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.values)
 
     def is_positive(self) -> bool:
         return all(v > 0 for v in self.values)
@@ -176,16 +160,10 @@ def counting_measure(n: int) -> Measure:
     return Measure([1] * n)
 
 
-@dataclass(frozen=True)
-class PositionWeights:
+class PositionWeights(_ExactVector):
     """Exact swap prices ``(p_1, ..., p_{n-1})`` indexed by position."""
 
-    values: tuple[Fraction, ...]
-
-    def __init__(self, values: Iterable[Rational]):
-        object.__setattr__(self, "values", _fraction_tuple(values))
-        if not self.values:
-            raise ValueError("position weights need at least one entry")
+    _EMPTY = "position weights need at least one entry"
 
     @property
     def n(self) -> int:
@@ -374,14 +352,16 @@ def _scaled_ints(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
 class DistanceParams:
     """A parameter pair; everything an evaluator reads is derived from it.
 
-    The integer views are computed on first access and kept: ``int_weights``
-    and ``int_mu`` over ``weights_scale`` and ``mu_scale``, and ``int_table``,
-    the down-set masses ``MenuWeights.table`` holds at t = 0..n-1, so
-    ``downset_mass(weights, t) == int_table[t] / weights_scale``.  Evaluators
-    run their inner loops over ``int_table`` and ``int_mu`` and divide once
-    by ``scale``.  The classification label is also derived on first
-    access: distances are well defined for any signs, while classifying
-    mixed-sign weights needs the exact-region machinery (guarded to n <= 7).
+    Three integer views are computed on first access and kept:
+    ``int_table``, the down-set masses ``MenuWeights.table`` holds at
+    t = 0..n-1, so ``downset_mass(weights, t) == int_table[t] /
+    weights.scaled[1]``; ``int_mu``, the measure over ``mu.scaled[1]``; and
+    ``scale``, the product of those two denominators.  Evaluators run their
+    inner loops over ``int_table`` and ``int_mu`` and divide once by
+    ``scale``; other integer views are read from the pair's own ``scaled``.
+    The classification label is also derived on first access: distances are
+    well defined for any signs, while classifying mixed-sign weights needs
+    the exact-region machinery (guarded to n <= 7).
     """
 
     weights: MenuWeights
@@ -392,20 +372,8 @@ class DistanceParams:
         return self.mu.n
 
     @cached_property
-    def int_weights(self) -> tuple[int, ...]:
-        return self.weights.scaled[0]
-
-    @cached_property
-    def weights_scale(self) -> int:
-        return self.weights.scaled[1]
-
-    @cached_property
     def int_mu(self) -> tuple[int, ...]:
         return self.mu.scaled[0]
-
-    @cached_property
-    def mu_scale(self) -> int:
-        return self.mu.scaled[1]
 
     @cached_property
     def int_table(self) -> tuple[int, ...]:
@@ -414,7 +382,7 @@ class DistanceParams:
     @cached_property
     def scale(self) -> int:
         """The common denominator of every evaluator's integer total."""
-        return self.weights_scale * self.mu_scale
+        return self.weights.scaled[1] * self.mu.scaled[1]
 
     @cached_property
     def label(self) -> ParamLabel:

@@ -369,6 +369,28 @@ def test_every_witness_replays_through_the_distance(axiom, d, n):
     assert _replay(axiom, d, n, report.witness)
 
 
+def _oriented_inversions(a, b):
+    """Inverting i above j costs 1/2 for (1, 2) and 1 for every other pair:
+    A1 and A3 hold for any such oriented costs, the distances from rankings
+    with 1 above 2 have denominator 2, and the others are ints."""
+    return sum(
+        F(1, 2) if (i, j) == (1, 2) else 1
+        for i, j in permutations(range(1, a.n + 1), 2)
+        if a.prefers(i, j) and b.prefers(j, i)
+    )
+
+
+@pytest.mark.parametrize("axiom", ["A1", "A3"])
+def test_rows_of_mixed_types_and_scales_are_compared_exactly(axiom):
+    assert check_axiom(_oriented_inversions, 4, axiom).verdict == "Holds"
+    for unit in (1, F(1, 3)):
+        squared = lambda a, b: kendall_count(a, b) ** 2 * unit
+        report = check_axiom(squared, 4, axiom)
+        assert report.verdict == "Fails" and _replay(axiom, squared, 4, report.witness)
+        values = [v for key, v in report.witness.items() if key.startswith("d(")]
+        assert all(type(v) is type(unit) for v in values)
+
+
 class TestRecovery:
     def test_pairwise_distances_recover(self):
         # inversion-additive distances rebuild from single-swap costs

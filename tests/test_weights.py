@@ -211,9 +211,10 @@ def _reference_region(weights):
     params = make_params(weights)
     perms = all_rankings(weights.n)
     index = {p.order: i for i, p in enumerate(perms)}
-    # the counting measure has scale 1, so distance * weights_scale is an integer
+    # the counting measure has scale 1, so distance times the weights' scale
+    # is an integer
     from_identity = [
-        int(distance(params, perms[0], p) * params.weights_scale) for p in perms
+        int(distance(params, perms[0], p) * params.weights.scaled[1]) for p in perms
     ]
     if any(v < 0 for v in from_identity):
         return False, False
@@ -628,11 +629,14 @@ class TestDistanceParams:
         w, mu = MenuWeights([F(1, 2), F(-1, 3), 2]), Measure([F(3, 4), 1, F(1, 6), 0])
         params = DistanceParams(w, mu)
         assert params == make_params(w, mu) and hash(params) == hash(make_params(w, mu))
-        assert (params.int_weights, params.weights_scale) == w.scaled
-        assert (params.int_mu, params.mu_scale) == mu.scaled
-        assert params.scale == params.weights_scale * params.mu_scale == 72
-        assert [F(v, params.weights_scale) for v in params.int_table] == list(
+        assert params.weights.scaled == ((3, -2, 12), 6)
+        assert params.mu.scaled == ((9, 12, 2, 0), 12) and params.int_mu == mu.scaled[0]
+        assert params.scale == params.weights.scaled[1] * params.mu.scaled[1] == 72
+        assert [F(v, params.weights.scaled[1]) for v in params.int_table] == list(
             downset_mass_table(w)
+        )
+        assert not any(
+            hasattr(params, view) for view in ("int_weights", "weights_scale", "mu_scale")
         )
 
     def test_make_params_coerces_and_checks_dimensions(self):
@@ -641,3 +645,32 @@ class TestDistanceParams:
         assert make_params([1, 0], [1, 2, 3]).mu == Measure([1, 2, 3])
         with pytest.raises(ValueError, match="dimension mismatch"):
             make_params([1, 0], [1, 1])
+
+
+VECTOR_TYPES = [
+    (MenuWeights, "menu weights need at least the size-2 entry"),
+    (Measure, "a measure needs at least one candidate"),
+    (PositionWeights, "position weights need at least one entry"),
+]
+
+
+class TestVectorTypes:
+    @pytest.mark.parametrize("kind, empty", VECTOR_TYPES, ids=lambda v: getattr(v, "__name__", ""))
+    def test_each_type_keeps_its_identity(self, kind, empty):
+        vector = kind([1, F(1, 2)])
+        equal = kind(["1", "1/2"])
+        assert vector == equal and hash(vector) == hash(equal)
+        assert all(vector != other([1, F(1, 2)]) for other, _ in VECTOR_TYPES if other is not kind)
+        negated = vector.negate()
+        assert type(negated) is kind and negated.values == (-1, F(-1, 2))
+        assert vector.is_nonnegative() and not negated.is_nonnegative()
+        assert vector.scaled == ((2, 1), 2)
+        assert repr(kind([1])) == f"{kind.__name__}(values=(Fraction(1, 1),))"
+        with pytest.raises(ValueError, match=f"^{empty}$"):
+            kind([])
+
+    def test_equal_weights_hit_the_region_cache(self):
+        neutral_region(MenuWeights([1, F(1, 3), 2]))
+        hits = neutral_region.cache_info().hits
+        neutral_region(MenuWeights(["1", "1/3", "2"]))
+        assert neutral_region.cache_info().hits == hits + 1
