@@ -84,14 +84,26 @@ class AggregationResult:
     the matching method, the truncated window objective for the myopic one);
     ``certificate`` is always the true aggregate distance achieved by the
     returned ranking(s).  ``minimizers`` is a ``ConsensusSet`` for every
-    method, holding one ranking for the approximate ones.
+    method, holding one ranking for the approximate ones; ``winners`` is
+    derived from it, the labels its rankings put first.
     """
 
     method: Literal["exact", "footrule", "myopic"]
     minimizers: ConsensusSet
     optimum: Fraction
-    winners: frozenset[int]
     certificate: Fraction
+
+    @property
+    def winners(self) -> frozenset[int]:
+        """The labels of the minimizers' edges out of the empty set."""
+        return frozenset(c + 1 for c in self.minimizers._dag[0])
+
+
+def _one_ranking(method: str, params: DistanceParams, profile: Profile, ranking: Permutation,
+                 optimum: Fraction) -> AggregationResult:
+    """An approximate answer: ``ranking`` alone, certified by its true cost."""
+    return AggregationResult(method, ConsensusSet.of_ranking(ranking), optimum,
+                             profile_cost(params, ranking, profile))
 
 
 def _position_constants(params: DistanceParams, profile: Profile) -> list[int]:
@@ -705,12 +717,10 @@ def aggregate_exact(params: DistanceParams, profile: Profile) -> AggregationResu
     rows, scale = _term_table(params, profile)
     togo = _cost_to_go(rows)
     optimum = Fraction(togo[0], scale)
-    dag = _tight_dag(rows, togo)
     return AggregationResult(
         method="exact",
-        minimizers=ConsensusSet(n, dag),
+        minimizers=ConsensusSet(n, _tight_dag(rows, togo)),
         optimum=optimum,
-        winners=frozenset(c + 1 for c in dag[0]),
         certificate=optimum,
     )
 
@@ -759,17 +769,9 @@ def aggregate_footrule(
     params = make_params(weights, mu)
     costs, scale = footrule_position_costs(params, profile)
     cols, total = min_cost_assignment(costs)
-    order = [0] * weights.n
-    for c, p in enumerate(cols, start=1):
-        order[p] = c
-    ranking = Permutation(order)
-    return AggregationResult(
-        method="footrule",
-        minimizers=ConsensusSet.of_ranking(ranking),
-        optimum=Fraction(total, scale),
-        winners=frozenset({ranking.order[0]}),
-        certificate=profile_cost(params, ranking, profile),
-    )
+    # cols maps each candidate to its position: the ranking is its inverse
+    ranking = Permutation([p + 1 for p in cols]).inverse()
+    return _one_ranking("footrule", params, profile, ranking, Fraction(total, scale))
 
 
 def _majority_prefix(profile: Profile) -> tuple[list[int], set[int]]:
@@ -857,13 +859,7 @@ def aggregate_myopic(
 
     tail = sorted(remaining - set(window))
     ranking = Permutation(prefix + window + tail)
-    return AggregationResult(
-        method="myopic",
-        minimizers=ConsensusSet.of_ranking(ranking),
-        optimum=Fraction(completion[0], params.scale),
-        winners=frozenset({ranking.order[0]}),
-        certificate=profile_cost(params, ranking, profile),
-    )
+    return _one_ranking("myopic", params, profile, ranking, Fraction(completion[0], params.scale))
 
 
 PTAS_RULES = ("affine", "exponential", "alternating", "custom")
@@ -874,16 +870,16 @@ def truncation_ratio(weights: MenuWeights, t: int, depth: int) -> Fraction:
     for a pool of ``t >= 2`` candidates.
 
     With f = ``downset_mass`` this is ``sum_{s < t - depth} f(s)`` over the
-    price ``f(t - 1) - f(t - 2)``; by the hockey-stick identity the numerator
-    is ``sum_j w_j C(max(t - depth, 0), j)`` and the denominator
-    ``sum_j w_j C(t - 2, j - 2)``, both evaluated over the integer-scaled
-    weights, whose common scale cancels.
+    price ``f(t - 1) - f(t - 2)``.  By the hockey-stick identity the
+    numerator is ``sum_j w_j C(max(t - depth, 0), j)``, the mass kernel over
+    the weights shifted one size up by a leading 0.  Both are evaluated over
+    the integer-scaled weights, whose common scale cancels.
     """
     if t < 2:
         raise ValueError(f"truncation ratio needs a pool of t >= 2 candidates, got {t}")
-    sizes = list(enumerate(weights.scaled[0], 2))
-    numerator = sum(w * comb(max(t - depth, 0), j) for j, w in sizes)
-    denominator = sum(w * comb(t - 2, j - 2) for j, w in sizes)
+    w = weights.scaled[0]
+    numerator = _scaled_mass((0, *w), max(t - depth, 0))
+    denominator = _scaled_mass(w, t - 1) - _scaled_mass(w, t - 2)
     if denominator <= 0:
         raise ValueError("truncation ratio needs a positive size-2 weight")
     return Fraction(numerator, denominator)
@@ -983,6 +979,9 @@ def ptas_depth(
     exponential   w_j = (alpha - 1)^j  -> ceil(log_alpha(alpha^2 / ((alpha-1)^2 eps)))
     alternating   w_j = 1 + (-1)^j     -> ceil(log2(4 / eps))
 
+    The affine and alternating depths are the exponential bound at alpha = 2,
+    as 2^2 / (2 - 1)^2 = 4.
+
     ``custom`` takes an explicit weight vector plus its horizon ``n`` and
     returns the smallest depth whose ``truncation_ratio`` is at most eps at
     every pool size t from max(depth, 2) to ``n``.  Depth n - 1 always is:
@@ -990,14 +989,13 @@ def ptas_depth(
     f(0) = f(1) = 0, so the ratio's numerator is 0.  A horizon past the
     weights' own n reads them as padded with zero weights.
     """
-    eps = 1 / as_fraction(inv_epsilon)
-    if eps <= 0:
+    inv_epsilon = as_fraction(inv_epsilon)
+    if inv_epsilon <= 0:
         raise ValueError("1/epsilon must be positive")
-    if rule == "affine" or rule == "alternating":
-        return max(1, _ceil_log(Fraction(2), 4 / eps))
-    if rule == "exponential":
-        alpha = _exponential_alpha(alpha)
-        return max(1, _ceil_log(alpha, alpha**2 / ((alpha - 1) ** 2 * eps)))
+    eps = 1 / inv_epsilon
+    if rule in ("affine", "exponential", "alternating"):
+        base = _exponential_alpha(alpha) if rule == "exponential" else Fraction(2)
+        return max(1, _ceil_log(base, base**2 / ((base - 1) ** 2 * eps)))
     if rule == "custom":
         if weights is None or n is None:
             raise ValueError("the custom rule needs explicit weights and a horizon n")

@@ -15,10 +15,12 @@ m n`` rows (see ``variable_count`` / ``constraint_count``).
 
 The model is integer throughout.  ``build_ilp`` prices every cell as an
 integer over S = ``DistanceParams.scale``, the weights' scale times the
-measure's, from the down-set masses at t = 0..2n-2 times the weights' scale
-and the integer measure ``int_mu``; it divides the prices and S by their
-gcd, and what is left of S (the lcm of the prices' reduced denominators) is
-the objective's scale, recorded in a leading comment.  The text
+measure's: a block factor, multiplicity times ``int_mu``, times a cell
+price from the down-set masses at t = 0..2n-2 times the weights' scale.
+It keeps the two lists and splits the gcd of S and the prices between
+them: S and the factors divide by their gcd, then S and the cells by
+theirs.  What is left of S (the lcm of the prices' reduced denominators)
+is the objective's scale, recorded in a leading comment.  The text
 serialisation is the CPLEX LP dialect, with the selector rows cleared of
 their 1/n factor by scaling through n, so any solver reads the file exactly.
 
@@ -35,14 +37,14 @@ breaks depend on nothing else.  Per program only the objective and the
 fragments are formatted, and the few blocks whose rows pass the line width
 (from n = 18) are wrapped row by row.
 
-The objective is formatted once per distinct block of coefficients: a
-(ballot, candidate) block's n^2 coefficients key a template of its nonzero
-terms, separated by "\0" and split at the stem, and the block's terms are
-the stem joined into that template (blocks differ only by multiplicity
-times measure, so under the counting measure a few templates serve every
-block).  ``_wrap_text`` breaks the "\0"-joined body into lines with one
-``rfind`` a line and writes the separators left as spaces; it is the one
-break finder, and ``_wrap`` is its front for a list of terms.
+The objective is formatted once per distinct block factor: a (ballot,
+candidate) block's factor keys a template of its nonzero terms, separated
+by "\0" and split at the stem, and the block's terms are the stem joined
+into that template (under the counting measure the factors are the
+multiplicities, so a few templates serve every block).  ``_wrap_text``
+breaks the "\0"-joined body into lines with one ``rfind`` a line and
+writes the separators left as spaces; it is the one break finder, and
+``_wrap`` is its front for a list of terms.
 """
 
 from __future__ import annotations
@@ -66,17 +68,25 @@ LINE_WIDTH = 240
 class IlpModel:
     """The program for one profile, as the integers its text is written from.
 
-    ``coefficients`` holds the written objective coefficient of every
-    ``Q_v_i_r_s`` in (v, i, r, s) order; the program's objective is the sum
-    of coefficient times Q, divided by ``scale``.  ``below[v - 1][i - 1]`` is the bitmask of the
-    candidates ballot v ranks below i.
+    ``Q_v_i_r_s``'s written objective coefficient is ``factors[k]`` times
+    ``cells[j]``, for (v, i) the k-th block and (r, s) the j-th cell in
+    lexicographic order (``coefficients`` lists the products in (v, i, r,
+    s) order); the objective is the sum of coefficient times Q, divided by
+    ``scale``.  ``below[v - 1][i - 1]`` is the bitmask of the candidates
+    ballot v ranks below i.
     """
 
     n: int
     m: int
     scale: int
-    coefficients: tuple[int, ...]
+    factors: tuple[int, ...]
+    cells: tuple[int, ...]
     below: tuple[tuple[int, ...], ...]
+
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        """Every product, built afresh (m n^3 of them) at each read."""
+        return tuple(factor * cell for factor in self.factors for cell in self.cells)
 
     def variable_count(self) -> int:
         return expected_variable_count(self.n, self.m)
@@ -89,18 +99,15 @@ class IlpModel:
         layout = _layout(n)
         stems = [f"{v}_{i}_" for v in range(1, m + 1) for i in range(1, n + 1)]
         # a block's objective terms, "\0"-separated, from one template per
-        # distinct slice of coefficients, split at the stem
-        size = n * n
-        coefficients = self.coefficients
-        templates: dict[tuple[int, ...], list[str]] = {}
+        # distinct block factor, split at the stem
+        templates: dict[int, list[str]] = {}
         blocks = []
-        for start, stem in zip(range(0, len(coefficients), size), stems):
-            key = coefficients[start : start + size]
-            template = templates.get(key)
+        for factor, stem in zip(self.factors, stems):
+            template = templates.get(factor)
             if template is None:
-                template = templates[key] = "\0".join([
+                template = templates[factor] = "\0".join([
                     f"+ {c} Q_\1{cell}" if c > 0 else f"- {-c} Q_\1{cell}"
-                    for cell, c in zip(layout.cells, key)
+                    for cell, c in zip(layout.cells, [factor * price for price in self.cells])
                     if c
                 ]).split("\1")
             if len(template) > 1:  # an all-zero block has no terms
@@ -324,24 +331,20 @@ def build_ilp(params: DistanceParams, profile: Profile) -> IlpModel:
     # down-set masses at t = 0..2n-2, scaled to integers by the weights' scale
     weights_scale = params.weights.scaled[1]
     f = [int(downset_mass(params.weights, t) * weights_scale) for t in range(2 * n - 1)]
-    cell_mass = [f[r + s] - 2 * f[s] for r in range(n) for s in range(n)]
-    coefficients = [
-        mult * mu * mass
-        for mult, _ in profile.entries
-        for mu in params.int_mu
-        for mass in cell_mass
-    ]
-    # each price is c / S; written as c / g over the header scale S / g with
-    # g = gcd(S, every c), and S / g is the lcm of the reduced denominators
-    scale = params.scale
-    common = gcd(scale, *coefficients)
-    if common != 1:
-        coefficients = [c // common for c in coefficients]
+    cells = [f[r + s] - 2 * f[s] for r in range(n) for s in range(n)]
+    factors = [mult * mu for mult, _ in profile.entries for mu in params.int_mu]
+    # each price is factor * cell / S, written over S / g for g = gcd(S, every
+    # product): S and the factors give up their gcd g1, then S / g1 and the
+    # cells theirs, g2, and g1 g2 = g, as min(s, f + c) = min(s, min(s, f) + c)
+    # for s, f, c the powers of a prime in S and the factors' and cells' gcds
+    factor_share = gcd(params.scale, *factors)
+    cell_share = gcd(params.scale // factor_share, *cells)
     return IlpModel(
         n=n,
         m=len(profile.entries),
-        scale=scale // common,
-        coefficients=tuple(coefficients),
+        scale=params.scale // factor_share // cell_share,
+        factors=tuple(x // factor_share for x in factors),
+        cells=tuple(x // cell_share for x in cells),
         below=tuple(v._below for _, v in profile.entries),
     )
 

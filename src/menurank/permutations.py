@@ -47,7 +47,7 @@ class Permutation:
             raise ValueError("a ranking needs at least one candidate")
         seen = 0
         for c in order:
-            if not isinstance(c, int) or not 1 <= c <= n:
+            if type(c) is not int or not 1 <= c <= n:  # no bool, no float
                 raise ValueError(f"candidate {c!r} outside 1..{n}")
             seen |= 1 << (c - 1)
         if seen != (1 << n) - 1:

@@ -34,8 +34,12 @@ class Profile:
         if not self.entries:
             raise ValueError("a profile needs at least one ballot")
         for mult, ranking in self.entries:
+            if type(mult) is not int:
+                raise ValueError(f"multiplicity {mult!r} must be an int")
             if mult < 1:
                 raise ValueError(f"multiplicity {mult} must be positive")
+            if not isinstance(ranking, Permutation):
+                raise ValueError(f"ballot {ranking!r} must be a Permutation")
             if ranking.n != self.n:
                 raise ValueError(
                     f"ballot over {ranking.n} candidates in a profile over {self.n}"

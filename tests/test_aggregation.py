@@ -1240,8 +1240,9 @@ class TestPtasDepth:
 
     def test_depth_rules_refuse_bad_inputs(self):
         for rule, extra in (("affine", {}), ("custom", {"n": 4, "weights": MenuWeights([1, 1, 1])})):
-            with pytest.raises(ValueError, match="1/epsilon must be positive"):
-                ptas_depth(rule, F(-1, 2), **extra)
+            for inv_epsilon in (F(-1, 2), F(0)):
+                with pytest.raises(ValueError, match="1/epsilon must be positive"):
+                    ptas_depth(rule, inv_epsilon, **extra)
         for n, weights in ((4, None), (None, MenuWeights([1, 1, 1])), (None, None)):
             with pytest.raises(ValueError, match="explicit weights and a horizon n"):
                 ptas_depth("custom", 4, n=n, weights=weights)

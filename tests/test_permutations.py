@@ -30,7 +30,8 @@ perm_strategy = st.integers(min_value=1, max_value=7).flatmap(
 
 class TestConstruction:
     def test_rejects_non_bijections(self):
-        for bad in [(1, 1, 3), (0, 1, 2), (1, 2, 4), (), (1.0, 2), ("2", "1"), (1, 2, 3.0)]:
+        for bad in [(1, 1, 3), (0, 1, 2), (1, 2, 4), (), (1.0, 2), ("2", "1"), (1, 2, 3.0),
+                    (True, 2), (2, True)]:
             with pytest.raises(ValueError):
                 Permutation(bad)
 

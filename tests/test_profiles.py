@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +65,10 @@ def test_profile_validation():
         Profile(((1, Permutation((1, 2))), (1, Permutation((1, 2, 3)))), 2)
     with pytest.raises(ValueError):
         Profile(((0, Permutation((1, 2))),), 2)
+    for mult, ballot in ((Fraction(3, 2), Permutation((1, 2))), (True, Permutation((1, 2))),
+                         (2.0, Permutation((1, 2))), (1, (1, 2))):
+        with pytest.raises(ValueError):
+            Profile(((mult, ballot),), 2)
 
 
 def test_relabel_and_concat():
