@@ -27,9 +27,12 @@ as the largest sum it can hold allows (16 or 32 bits for the presets at
 n = 10), which sets how long each packed integer is.  That costs
 O(n^2 2^n + n m) lane additions for m ballots, against O(n 2^n m) for
 pricing each DP edge ballot by ballot.  The myopic window visits too few
-(candidate, placed set) pairs for a full table to pay; one ``_SlotPricer``
-per window prices its edges from packed counts over one slot per distinct
-down-set within its pool, or per label under pairwise-only weights, and
+placed sets for a full table to pay.  ``_window_terms`` prices all of one
+window at once instead, one packed integer per placed window with a lane per
+pool candidate.  By inclusion-exclusion over the placed set (the backward
+differences of ``_differences``), each overlap is a sum, over the subsets S of
+the placed set, of a term that reads each ballot once, at the top member of
+S; one trimmed zeta pass over the window's layers sums them.
 ``aggregate_myopic`` keeps only the recurrence.  ``_position_terms`` prices
 one term ballot by ballot, and is the tests' referee for both routes.
 
@@ -52,9 +55,9 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import ceil, comb, floor
-from operator import eq, getitem, index, mul
+from operator import eq, getitem, index, lshift, mul
 from typing import Callable, Literal
 
 from .assignment import min_cost_assignment
@@ -179,16 +182,16 @@ _LANE_CODES = {16: "h", 32: "i", 64: "q"}
 
 
 def _lane_width(params: DistanceParams, voters: int) -> int:
-    """Bits per lane of ``_term_table`` for ``voters`` voters: 16, 32 or 64,
-    or 64 k above that, whichever is the narrowest to hold both bounds below
-    and a sign bit.
+    """Bits per lane of ``_term_table`` and ``_window_terms`` for ``voters``
+    voters: 16, 32 or 64, or 64 k above that, whichever is the narrowest to
+    hold both bounds below and a sign bit.
 
     A lane first holds a histogram count and its subset-sums, at most V.  A
     transform lane then holds part of the positive or the negative overlap,
     ``sum_v mult_v f+(|B_v(c) & U|)`` or its f- twin, where f+ and f- are
     the down-set masses over the positive and the negative menu weights, so
     it is at most ``V max(f+(n - 1), f-(n - 1))``; that covers the counts
-    unless every weight is 0, hence the 1.  A row value
+    unless every weight is 0, hence the 1.  A row value, or a window term,
     ``P + mu (f V - 2 overlap)`` has every part within ``max|mu f| V``.
     """
     n = params.n
@@ -329,88 +332,127 @@ def _masks_by_size(pool: tuple[int, ...], depth: int) -> list[list[int]]:
     return [list(map(sum, combinations(bits, size))) for size in range(depth + 1)]
 
 
-class _SlotPricer:
-    """The terms of one myopic window, priced from packed counts over slots.
+def _differences(table: Sequence[int], size: int, depth: int) -> list[list[int]]:
+    """``rows[j][d]``, the j-th backward difference of ``table`` at d, for
+    j < ``depth`` and j <= d < ``size``; the entries below j are 0 and unread.
 
-    The window follows the n - |pool| candidates outside ``pool`` (the
-    majority prefix), so after a placed window M the next candidate c has
-    t = |pool| - |M| - 1 candidates after it.  c has one slot per distinct
-    D = B_v(c) & pool among the ballots, holding their summed multiplicity
-    N, with the overlap term N f(|D| - |D & M|).  An empty D has no slot
-    (f(0) = 0), and the D that holds the whole pool but c has |D & M| = |M|,
-    so its term N f(t) is a constant per (candidate, layer).  Under
-    pairwise-only weights, f(t) = f(1) t, each D is split into its labels
-    first, so c keeps at most one slot per other pool candidate x, priced
-    (f(1) N, 0) from the pairwise tally N of c over x.  Per pool candidate
-    x, one integer has a byte per slot that is 1 when its D holds x; summed
-    over M (``placed``), byte j is k = |D & M| at slot j, with no carry
-    while |M| < 256, and the slot's term is entry k of a tuple shared by
-    every slot of equal N and |D|, cut at k = depth - 1.  ``rows[|M|]``
-    holds one row ``(c, bit, base, 2 mu_c, prices, lo, hi)`` per pool
-    candidate: placing c after M costs ``base - 2 mu_c sum_j prices[j][k_j]``
-    over c's slots lo..hi-1, the integer ``_position_terms`` returns; ``base``
-    holds the position constant, the spread f(t) V and the constant slot.
+    With ``nabla g(d) = g(d) - g(d - 1)``, ``1 - nabla`` is the backward
+    shift, so ``g(d - k) = sum_i (-1)^i C(k, i) nabla^i g(d)`` for k <= d:
+    the identity ``_window_terms`` rests on.  It holds for any integers, so
+    for menu weights of any sign.
     """
+    rows = [list(table[:size])]
+    for j in range(1, depth):
+        prev = rows[-1]
+        rows.append([0] * j + [prev[d] - prev[d - 1] for d in range(j, size)])
+    return rows
 
-    __slots__ = ("rows", "_counts", "_slots")
 
-    def __init__(self, params: DistanceParams, profile: Profile, pool: tuple[int, ...],
-                 depth: int):
-        n, voters = params.n, profile.voters
-        f = params.int_table
-        pool_mask = sum(1 << (c - 1) for c in pool)
-        pairwise = params.weights.is_pairwise_only()
-        belows: list[int] = []
-        prices: dict[tuple[int, int], tuple[int, ...]] = {}
-        candidates = []
-        for c in pool:
-            groups: dict[int, int] = {}
-            for mult, v in profile.entries:
-                below = v._below[c - 1] & pool_mask
-                groups[below] = groups.get(below, 0) + mult
-            if pairwise:
-                labels: dict[int, int] = {}
-                for below, mult in groups.items():
-                    while below:
-                        x = below & -below
-                        below ^= x
-                        labels[x] = labels.get(x, 0) + mult
-                groups = labels
-            groups.pop(0, None)
-            bit = 1 << (c - 1)
-            fixed = groups.pop(pool_mask ^ bit, 0)
-            lo = len(belows)
-            row = []
-            for below, mult in groups.items():
-                d = below.bit_count()
-                if (mult, d) not in prices:
-                    prices[mult, d] = tuple(mult * f[d - k] for k in range(min(d, depth - 1) + 1))
-                belows.append(below)
-                row.append(prices[mult, d])
-            candidates.append((c, bit, params.int_mu[c - 1], fixed, row, lo, len(belows)))
-        # each D as n bytes of 0 or 1, label n first: x's column is a strided slice
-        digits = "".join([format(below, f"0{n}b") for below in belows]).encode()
-        table = digits.translate(bytes.maketrans(b"01", b"\0\1"))
-        self._counts = {1 << (x - 1): int.from_bytes(table[n - x :: n], "little") for x in pool}
-        self._slots = len(belows)
-        position = _position_constants(params, profile)
-        t = len(pool) - 1
-        self.rows = [
-            [(c, bit, position[n - t + size] + mu_c * f[t - size] * (voters - 2 * fixed),
-              2 * mu_c, row, lo, hi) for c, bit, mu_c, fixed, row, lo, hi in candidates]
-            for size in range(depth)
-        ]
+def _lane_tops(lanes: int, width: int) -> int:
+    """The top bit of each of ``lanes`` lanes of ``width`` bits."""
+    return ((1 << width * lanes) - 1) // ((1 << width) - 1) << (width - 1)
 
-    def placed(self, mask: int) -> bytes:
-        """k = |D & mask| at every slot, one byte each, for a placed window
-        ``mask`` of fewer than 256 pool candidates."""
-        counts = self._counts
-        total = 0
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            total += counts[bit]
-        return total.to_bytes(self._slots, "little")
+
+def _window_terms(
+    params: DistanceParams, profile: Profile, pool: tuple[int, ...], span: int
+) -> tuple[dict[int, int], int]:
+    """Every term of one myopic window, one packed integer per placed window.
+
+    The window follows the n - p candidates outside ``pool`` (p = |pool|,
+    sorted; the majority prefix), so placing pool candidate c after a placed
+    window M costs ``term(n - p + |M| + 1, c, prefix | M)`` of
+    ``_position_terms``, whose free set is pool - M.  ``table[M]``, for each M
+    of fewer than ``span`` members, holds that term for c = pool[i] in lane i,
+    as ``sum_i term_i 2^(width i)`` with signed terms.  The lane of a member
+    c of M holds layer |M|'s constant plus c's overlap part after M - {c},
+    which nothing reads.  Every lane is within the row bound of
+    ``_lane_width``, which sets ``width``.  No term is priced on its own.
+
+    For a ballot v write D = B_v(c) & pool and d = |D|.  By the identity in
+    ``_differences``, f(|D - M|) is the sum over S within M & D of
+    (-1)^|S| nabla^|S| f(d), and S lies within B_v(c) exactly when v ranks c
+    above top_v(S), the highest-placed member of S.  So the overlap part
+    ``-2 mu_c sum_v mult_v f(|D - M|)`` is the sum of T_c(S) over S within M,
+    where ``T(S) = sum_v pre_v^|S|[top_v(S)]`` and lane c of the prefix
+    ``pre_v^j[q]`` is ``(-1)^(j+1) 2 mu_c mult_v nabla^j f(d)`` when c is
+    among v's first q pool candidates, else 0.  The layer constants (the
+    position mass and the spread ``mu_c f(p - 1 - |M|) V``) enter T as
+    ``start[|S|]``, their binomial inverse, so that the sum of start over S
+    within M is layer |M|'s constant.
+
+    T is built a layer at a time.  T(empty set) and each T({x}) are summed
+    one ballot entry at a time, as x's top in v is its rank there.  Above
+    that, the tops of S + {x} (x above S's members in pool order, so each S
+    comes once) are one SWAR lane-min of S's tops and x's ranks, a lane per
+    ballot entry, and T(S) is one C-level ``sum(map(getitem, ...))`` over
+    that layer's prefix vectors; only the layer being extended keeps its
+    tops, and each layer's prefixes live only while it is built.  One trimmed
+    zeta pass over these down-closed layers then turns T into the terms in
+    place: O(p) packed additions for each M, and none per (M, c) pair.
+    """
+    width = _lane_width(params, profile.voters)
+    if not span:
+        return {}, width
+    n, voters, p = params.n, profile.voters, len(pool)
+    f = params.int_table
+    shifts = [width * i for i in range(p)]
+    bits = [1 << (c - 1) for c in pool]
+    mu = [params.int_mu[c - 1] for c in pool]
+    rank = {c: i for i, c in enumerate(pool)}
+    # each ballot entry's pool candidates, as pool indices, in its order
+    orders = [(mult, [rank[c] for c in v.order if c in rank]) for mult, v in profile.entries]
+    position = _position_constants(params, profile)
+    base = [
+        sum(map(lshift, [position[n - p + 1 + k] + mu_c * f[p - 1 - k] * voters for mu_c in mu],
+                shifts))
+        for k in range(span)
+    ]
+    start = [sum((-1) ** (j - i) * comb(j, i) * base[i] for i in range(j + 1))
+             for j in range(span)]
+    nabla = _differences(f, p, span)
+
+    def lanes(j: int, mult: int, order: list[int]) -> list[int]:
+        """One ballot entry's layer-j lane values, packed, in its order."""
+        row, sign = nabla[j], 2 * mult if j % 2 else -2 * mult
+        return [(sign * mu[i] * row[p - 1 - r]) << shifts[i] for r, i in enumerate(order)]
+
+    # the tops are pool ranks, in lanes whose top bit stays clear for the
+    # lane-min; 8-bit lanes (p <= 128) are read as the bytes of the integer
+    top_width = 8
+    while p > 1 << (top_width - 1):
+        top_width <<= 1
+    entries, high = len(orders), _lane_tops(len(orders), top_width)
+    ranks = [0] * p  # pool candidate i's rank in each ballot entry, a lane each
+    overlaps = [0] * p  # sum_v mult_v f(d_v(c)): T(empty set) is -2 mu_c times it
+    singles = [start[1]] * p if span > 1 else []
+    for k, (mult, order) in enumerate(orders):
+        for r, i in enumerate(order):
+            ranks[i] |= r << top_width * k
+            overlaps[i] += mult * f[p - 1 - r]
+        if span > 1:
+            for i, pre in zip(order, accumulate(lanes(1, mult, order), initial=0)):
+                singles[i] += pre
+    table = {0: start[0] - 2 * sum(map(lshift, map(mul, mu, overlaps), shifts))}
+    table.update(zip(bits, singles))
+    level = list(zip(bits, range(p), ranks))  # (S, S's last pool index, S's tops)
+    for j in range(2, span):
+        pre = [list(accumulate(lanes(j, mult, order), initial=0)) for mult, order in orders]
+        start_j, extended = start[j], []
+        for mask, last, tops in level:
+            for x in range(last + 1, p):
+                ranks_x, subset = ranks[x], mask | bits[x]
+                above = ((tops | high) - ranks_x) & high  # lanes where tops >= ranks_x
+                tops_x = tops ^ ((tops ^ ranks_x) & (above - (above >> (top_width - 1))))
+                tops_read = (tops_x.to_bytes(entries, "little") if top_width == 8
+                             else _unpack_lanes(tops_x, entries, top_width))
+                table[subset] = sum(map(getitem, pre, tops_read), start_j)
+                if j + 1 < span:
+                    extended.append((subset, x, tops_x))
+        level = extended
+    for bit in bits:
+        for mask in filter(bit.__and__, table):
+            table[mask] += table[mask ^ bit]
+    return table, width
 
 
 @lru_cache(maxsize=None)
@@ -799,19 +841,22 @@ def aggregate_myopic(
 
     After the greedy prefix of strict-majority favourites, the next
     ``min(depth, remaining)`` positions are optimised against the truncated
-    objective (a subset DP over the terms of ``_SlotPricer``); candidates
+    objective (a subset DP over the terms of ``_window_terms``); candidates
     never reached by the window follow in ascending label order, which the
     window objective cannot distinguish.
 
     The DP visits every subset of the remaining candidates with at most
     ``min(depth, remaining)`` members, so that count is checked before any of
     them is built: above ``MYOPIC_SUBSET_LIMIT`` (2^16) it raises
-    ``ValueError``, and below it no placed window nears the pricer's 256
-    members.  At the limit, a full window over 16 candidates and 40 distinct
-    ballots took 0.69-0.89 s (median 0.73 s) under Kendall weights and
-    1.08-1.55 s (median 1.20 s) under ok-nishimura weights, about 11 and
-    18 us a subset, on a 2-core VM with Python 3.11.  The tracemalloc peak
-    was 10.1 MB.
+    ``ValueError``.  At the guard's corners, with 40 random ballots over a
+    pool of all p candidates, a call took (Kendall / ok-nishimura weights;
+    three runs on a 2-core VM with Python 3.11):
+
+    * p = 16, the full window: 0.42-0.46 / 0.54-0.57 s, tracemalloc peak
+      14.1 / 15.4 MB;
+    * p = 35, depth 4: 0.07-0.08 / 0.11-0.17 s, 1.6 / 3.7 MB;
+    * p = 73, depth 3: 0.06 / 0.15-0.27 s, 0.9 / 7.4 MB;
+    * p = 361, depth 2: 0.06 / 0.23 s, 1.5 / 13.9 MB.
     """
     if depth < 1:
         raise ValueError("window depth must be at least 1")
@@ -828,28 +873,27 @@ def aggregate_myopic(
             f"visits {subsets} subsets, over the {MYOPIC_SUBSET_LIMIT} guard"
         )
     pool = tuple(sorted(remaining))
-    layers = _masks_by_size(pool, span)
-    pricer = _SlotPricer(params, profile, pool, span)
-    placed = pricer.placed
-    # completion[mask]: cheapest way to extend the placed window ``mask``
-    # to a full span, built bottom-up from the deepest layer; choice[mask]:
-    # the lowest pool label that reaches it
-    completion: dict[int, int] = dict.fromkeys(layers[span], 0)
+    layers = _masks_by_size(pool, span - 1)
+    table, width = _window_terms(params, profile, pool, span)
+    bias = _lane_tops(len(pool), width)
+    edges = [(c, 1 << (c - 1)) for c in pool]
+    # the recurrence replaces table[mask] by the cheapest way to extend the
+    # placed window mask to a full span (a full window has no entry: 0),
+    # from the deepest layer up; choice[mask]: the lowest pool label that
+    # reaches it
+    completion = table.get
     choice: dict[int, int] = {}
-    for size in range(span - 1, -1, -1):
-        rows = pricer.rows[size]
-        for mask in layers[size]:
-            ks = placed(mask)
+    for layer in reversed(layers):
+        for mask in layer:
+            terms = _unpack_lanes((table[mask] + bias) ^ bias, len(pool), width)
             value = None
-            for c, bit, base, twice_mu, prices, lo, hi in rows:
+            for term, (c, bit) in zip(terms, edges):
                 if mask & bit:
                     continue
-                overlap = sum(map(getitem, prices, ks[lo:hi]))
-                cur = base - twice_mu * overlap + completion[mask | bit]
+                cur = term + completion(mask | bit, 0)
                 if value is None or cur < value:
-                    value = cur
-                    choice[mask] = c
-            completion[mask] = value
+                    value, best = cur, c
+            table[mask], choice[mask] = value, best
     window: list[int] = []
     mask = 0
     while len(window) < span:
@@ -859,7 +903,7 @@ def aggregate_myopic(
 
     tail = sorted(remaining - set(window))
     ranking = Permutation(prefix + window + tail)
-    return _one_ranking("myopic", params, profile, ranking, Fraction(completion[0], params.scale))
+    return _one_ranking("myopic", params, profile, ranking, Fraction(completion(0, 0), params.scale))
 
 
 PTAS_RULES = ("affine", "exponential", "alternating", "custom")

@@ -56,6 +56,8 @@ from itertools import compress
 from math import gcd
 from typing import Sequence
 
+from .aggregation import _position_constants
+from .distances import profile_cost
 from .permutations import Permutation
 from .profiles import Profile
 from .weights import DistanceParams, downset_mass
@@ -365,22 +367,11 @@ def objective_value(
     Equals the aggregate distance minus the ranking-independent ballot mass,
     so its argmin over rankings is the consensus set.
     """
-    table, mu = params.int_table, params.int_mu
-    total = 0
-    for mult, v in profile.entries:
-        for i in range(1, params.n + 1):
-            mine = ranking.below_mask(i)
-            shared = (mine & v.below_mask(i)).bit_count()
-            total += mult * (table[mine.bit_count()] - 2 * table[shared]) * mu[i - 1]
-    return Fraction(total, params.scale)
+    return profile_cost(params, ranking, profile) - objective_offset(params, profile)
 
 
 def objective_offset(params: DistanceParams, profile: Profile) -> Fraction:
-    """The constant separating ``objective_value`` from the aggregate distance."""
-    table, mu = params.int_table, params.int_mu
-    total = sum(
-        mult * table[v.below_mask(i).bit_count()] * mu[i - 1]
-        for mult, v in profile.entries
-        for i in range(1, params.n + 1)
-    )
-    return Fraction(total, params.scale)
+    """The constant separating ``objective_value`` from the aggregate
+    distance: ``sum_v mult_v sum_c f(|B_v(c)|) mu_c``, which is the sum of
+    the position constants, as ballot v puts f(n - i) on its i-th candidate."""
+    return Fraction(sum(_position_constants(params, profile)), params.scale)

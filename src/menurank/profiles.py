@@ -31,6 +31,8 @@ class Profile:
     n: int
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ValueError(f"candidate count {self.n!r} must be an int")
         if not self.entries:
             raise ValueError("a profile needs at least one ballot")
         for mult, ranking in self.entries:

@@ -40,13 +40,16 @@ from menurank import aggregation
 from menurank.aggregation import (
     MYOPIC_SUBSET_LIMIT,
     ConsensusSet,
-    _SlotPricer,
     _cost_to_go,
+    _differences,
     _free_pairs,
+    _lane_tops,
     _majority_prefix,
     _position_terms,
     _term_table,
     _tight_dag,
+    _unpack_lanes,
+    _window_terms,
 )
 from menurank.weights import _scaled_mass
 
@@ -943,6 +946,15 @@ class TestMyopic:
                 depth = len(pool) if trial % 2 else rng.randint(1, len(pool))
                 yield make_params(weights, mu), V, prefix, pool, depth
 
+    @staticmethod
+    def window_terms(params, V, pool, depth):
+        """``_window_terms`` read back: each placed window's terms, one per
+        pool candidate, in pool order."""
+        table, width = _window_terms(params, V, pool, depth)
+        bias = _lane_tops(len(pool), width)
+        return {mask: _unpack_lanes((packed + bias) ^ bias, len(pool), width)
+                for mask, packed in table.items()}
+
     def test_pricer_matches_the_per_term_reference_edge_by_edge(self):
         # every edge (c, M) of the window, c outside M and |M| < depth,
         # against term(|prefix| + |M| + 1, c, prefix | M)
@@ -951,17 +963,15 @@ class TestMyopic:
         edges = 0
         for params, V, prefix, pool, depth in self.pricer_cases():
             term, _ = _position_terms(params, V)
-            pricer = _SlotPricer(params, V, pool, depth)
+            terms = self.window_terms(params, V, pool, depth)
+            assert len(terms) == sum(comb(len(pool), size) for size in range(depth))
             prefix_mask = sum(1 << (c - 1) for c in prefix)
             for size in range(depth):
-                assert [row[0] for row in pricer.rows[size]] == list(pool)
                 for combo in combinations(pool, size):
                     mask = sum(1 << (c - 1) for c in combo)
-                    ks = pricer.placed(mask)
-                    for c, bit, base, twice_mu, prices, lo, hi in pricer.rows[size]:
-                        if mask & bit:
+                    for c, priced in zip(pool, terms[mask]):
+                        if c in combo:
                             continue
-                        priced = base - twice_mu * sum(map(getitem, prices, ks[lo:hi]))
                         assert priced == term(len(prefix) + size + 1, c, prefix_mask | mask), (
                             params, V, pool, depth, c, combo)
                         edges += 1
@@ -978,6 +988,54 @@ class TestMyopic:
                 mu[c - 1] and set(pool) - {c} <= set(v.order[v.order.index(c):])
                 for c in pool for _, v in V.entries)
         assert min(seen.values()) > 0 and edges > 10_000, (seen, edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1),
+        st.integers(0, (1 << (n - 1)) - 1), st.integers(0, (1 << (n - 1)) - 1))))
+    def test_difference_identity(self, case):
+        # f(|D - M|) = sum over S within M & D of (-1)^|S| nabla^|S| f(|D|),
+        # over the n - 1 candidates a down-set can hold, for integer weights
+        # of any sign, zeros included
+        weights, down, placed = case
+        n = len(weights) + 1
+        f = [_scaled_mass(tuple(weights), t) for t in range(n)]
+        rows = _differences(f, n, n)
+        shared = [x for x in range(n - 1) if down & placed & 1 << x]
+        d = down.bit_count()
+        assert f[(down & ~placed).bit_count()] == sum(
+            (-1) ** size * rows[size][d] * comb(len(shared), size)
+            for size in range(len(shared) + 1)
+        ) == sum((-1) ** len(S) * rows[len(S)][d]
+                 for size in range(len(shared) + 1) for S in combinations(shared, size))
+
+    def test_wide_pool_windows(self):
+        # pools of 260 and 130 candidates: ballot ranks no longer fit in a
+        # byte, and the tops of a three-place window take 16-bit lanes
+        rng = random.Random(43)
+        n = 260
+        while True:  # three ballots with distinct tops: no majority prefix
+            V = prof(*((1, rand_ranking(rng, n).order) for _ in range(3)))
+            if len({v.order[0] for v in V.ballots()}) == 3:
+                break
+        assert len(_majority_prefix(V)[1]) == n
+        for token in ("kendall", "ok-nishimura"):
+            params = make_params(*preset(token, n))
+            res = aggregate_myopic(params, V, 2)
+            assert (res.minimizers[0].order, res.optimum, res.certificate) == (
+                self.reference_myopic(params, V, 2))
+        # a span of 3 over 130 candidates is over the guard, so the pricer
+        # is read directly, at sampled placed windows of every size
+        n, depth = 130, 3
+        V = prof(*((rng.randint(1, 3), rand_ranking(rng, n).order) for _ in range(4)))
+        params = make_params(*preset("ok-nishimura", n))
+        term, _ = _position_terms(params, V)
+        terms = self.window_terms(params, V, tuple(range(1, n + 1)), depth)
+        assert len(terms) == 1 + n + comb(n, 2)
+        for mask in [0] + rng.sample(sorted(terms), 60):
+            for c, priced in zip(range(1, n + 1), terms[mask]):
+                if not mask >> (c - 1) & 1:
+                    assert priced == term(mask.bit_count() + 1, c, mask)
 
     def test_majority_prefix_matches_the_per_candidate_scan(self):
         # planted majorities with shared tops, exact half splits (a tally

@@ -208,19 +208,50 @@ class TestModelShape:
         assert len(set(names)) == len(names)
 
 
+def objective_by_ballot(params, profile, ranking):
+    """The program objective summed ballot by ballot and candidate by
+    candidate from the integer down-set masses: the referee for
+    ``objective_value``, which reads ``profile_cost``."""
+    table, mu = params.int_table, params.int_mu
+    total = 0
+    for mult, v in profile.entries:
+        for i in range(1, params.n + 1):
+            mine = ranking.below_mask(i)
+            shared = (mine & v.below_mask(i)).bit_count()
+            total += mult * (table[mine.bit_count()] - 2 * table[shared]) * mu[i - 1]
+    return F(total, params.scale)
+
+
+def offset_by_ballot(params, profile):
+    """``sum_v mult_v sum_c f(|B_v(c)|) mu_c``, ballot by ballot: the referee
+    for ``objective_offset``, which reads the position constants."""
+    table, mu = params.int_table, params.int_mu
+    total = sum(
+        mult * table[v.below_mask(i).bit_count()] * mu[i - 1]
+        for mult, v in profile.entries
+        for i in range(1, params.n + 1)
+    )
+    return F(total, params.scale)
+
+
 class TestObjective:
     def test_identity_against_profile_cost(self):
+        # signed and zero weights and measure entries
         rng = random.Random(31)
-        for _ in range(25):
+        for trial in range(25):
             n = rng.randint(2, 6)
-            params = make_params(rand_weights(rng, n), rand_measure(rng, n))
+            nonneg = trial % 2 == 0
+            mu = rand_measure(rng, n, nonneg=nonneg)
+            mu = Measure([0 if rng.random() < 0.3 else x for x in mu.values])
+            params = make_params(rand_weights(rng, n, nonneg=nonneg), mu)
             V = rand_profile(rng, n)
             offset = objective_offset(params, V)
+            assert offset == offset_by_ballot(params, V)
             for q in it_perms(range(1, n + 1)):
                 p = Permutation(q)
-                assert objective_value(params, V, p) + offset == profile_cost(
-                    params, p, V
-                )
+                value = objective_value(params, V, p)
+                assert value == objective_by_ballot(params, V, p)
+                assert value + offset == profile_cost(params, p, V)
 
     def test_unanimous_value_is_minus_the_offset(self):
         rng = random.Random(32)

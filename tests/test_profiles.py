@@ -69,6 +69,11 @@ def test_profile_validation():
                          (2.0, Permutation((1, 2))), (1, (1, 2))):
         with pytest.raises(ValueError):
             Profile(((mult, ballot),), 2)
+    # candidate counts that equal the ballots' but are no int: format_profile
+    # would write the header "2.0 1", which parse_profile refuses
+    for n, order in ((2.0, (1, 2)), (True, (1,))):
+        with pytest.raises(ValueError, match="must be an int"):
+            Profile(((1, Permutation(order)),), n)
 
 
 def test_relabel_and_concat():
