@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import ceil, comb, floor
 from operator import eq, getitem, index, lshift, mul
 from typing import Callable, Literal
@@ -234,6 +234,11 @@ def _unpack_lanes(packed: int, lanes: int, width: int) -> list[int]:
     ]
 
 
+def _lane_tops(lanes: int, width: int) -> int:
+    """The top bit of each of ``lanes`` lanes of ``width`` bits."""
+    return ((1 << width * lanes) - 1) // ((1 << width) - 1) << (width - 1)
+
+
 def _term_table(
     params: DistanceParams, profile: Profile
 ) -> tuple[list[list[int]], int]:
@@ -282,7 +287,7 @@ def _term_table(
     lack, by_size, ones = _lane_masks(bits, width)
     # a lane bit above every row value: with it added, every lane is
     # nonnegative, and xor-ing it back leaves each lane in two's complement
-    bias = sum(ones) << (width - 1)
+    bias = _lane_tops(lanes, width)
     # the constants, lane by lane: a placed set without c has the lane's size
     base = sum(map(mul, position, ones))
     base_slope = sum(map(mul, spread, ones))
@@ -326,12 +331,6 @@ def _term_table(
     return rows, params.scale
 
 
-def _masks_by_size(pool: tuple[int, ...], depth: int) -> list[list[int]]:
-    """Subset bitmasks of ``pool`` (candidate labels) grouped by popcount."""
-    bits = tuple(1 << (c - 1) for c in pool)
-    return [list(map(sum, combinations(bits, size))) for size in range(depth + 1)]
-
-
 def _differences(table: Sequence[int], size: int, depth: int) -> list[list[int]]:
     """``rows[j][d]``, the j-th backward difference of ``table`` at d, for
     j < ``depth`` and j <= d < ``size``; the entries below j are 0 and unread.
@@ -346,11 +345,6 @@ def _differences(table: Sequence[int], size: int, depth: int) -> list[list[int]]
         prev = rows[-1]
         rows.append([0] * j + [prev[d] - prev[d - 1] for d in range(j, size)])
     return rows
-
-
-def _lane_tops(lanes: int, width: int) -> int:
-    """The top bit of each of ``lanes`` lanes of ``width`` bits."""
-    return ((1 << width * lanes) - 1) // ((1 << width) - 1) << (width - 1)
 
 
 def _window_terms(
@@ -389,6 +383,13 @@ def _window_terms(
     tops, and each layer's prefixes live only while it is built.  One trimmed
     zeta pass over these down-closed layers then turns T into the terms in
     place: O(p) packed additions for each M, and none per (M, c) pair.
+
+    The table's keys are its only list of placed windows, and their order is
+    part of the contract: the empty set, then the singletons, then layer
+    j = 2, 3, ... in turn, each mask inserted once and never added later
+    (the zeta pass rewrites values only).  So reversed, the keys reach every
+    mask after every mask one member larger, as ``aggregate_myopic``'s
+    recurrence needs.
     """
     width = _lane_width(params, profile.voters)
     if not span:
@@ -850,12 +851,12 @@ def aggregate_myopic(
     them is built: above ``MYOPIC_SUBSET_LIMIT`` (2^16) it raises
     ``ValueError``.  At the guard's corners, with 40 random ballots over a
     pool of all p candidates, a call took (Kendall / ok-nishimura weights;
-    three runs on a 2-core VM with Python 3.11):
+    the median of six runs on a 2-core VM with Python 3.11):
 
-    * p = 16, the full window: 0.42-0.46 / 0.54-0.57 s, tracemalloc peak
-      14.1 / 15.4 MB;
-    * p = 35, depth 4: 0.07-0.08 / 0.11-0.17 s, 1.6 / 3.7 MB;
-    * p = 73, depth 3: 0.06 / 0.15-0.27 s, 0.9 / 7.4 MB;
+    * p = 16, the full window: 0.48 / 0.53 s, tracemalloc peak
+      11.5 / 12.8 MB;
+    * p = 35, depth 4: 0.07 / 0.11 s, 1.3 / 3.3 MB;
+    * p = 73, depth 3: 0.06 / 0.18 s, 0.7 / 7.3 MB;
     * p = 361, depth 2: 0.06 / 0.23 s, 1.5 / 13.9 MB.
     """
     if depth < 1:
@@ -873,27 +874,25 @@ def aggregate_myopic(
             f"visits {subsets} subsets, over the {MYOPIC_SUBSET_LIMIT} guard"
         )
     pool = tuple(sorted(remaining))
-    layers = _masks_by_size(pool, span - 1)
     table, width = _window_terms(params, profile, pool, span)
     bias = _lane_tops(len(pool), width)
     edges = [(c, 1 << (c - 1)) for c in pool]
     # the recurrence replaces table[mask] by the cheapest way to extend the
     # placed window mask to a full span (a full window has no entry: 0),
-    # from the deepest layer up; choice[mask]: the lowest pool label that
-    # reaches it
+    # from the deepest layer up, as the table's reversed insertion order
+    # reaches; choice[mask]: the lowest pool label that reaches it
     completion = table.get
     choice: dict[int, int] = {}
-    for layer in reversed(layers):
-        for mask in layer:
-            terms = _unpack_lanes((table[mask] + bias) ^ bias, len(pool), width)
-            value = None
-            for term, (c, bit) in zip(terms, edges):
-                if mask & bit:
-                    continue
-                cur = term + completion(mask | bit, 0)
-                if value is None or cur < value:
-                    value, best = cur, c
-            table[mask], choice[mask] = value, best
+    for mask in reversed(table):
+        terms = _unpack_lanes((table[mask] + bias) ^ bias, len(pool), width)
+        value = None
+        for term, (c, bit) in zip(terms, edges):
+            if mask & bit:
+                continue
+            cur = term + completion(mask | bit, 0)
+            if value is None or cur < value:
+                value, best = cur, c
+        table[mask], choice[mask] = value, best
     window: list[int] = []
     mask = 0
     while len(window) < span:

@@ -72,10 +72,9 @@ class IlpModel:
 
     ``Q_v_i_r_s``'s written objective coefficient is ``factors[k]`` times
     ``cells[j]``, for (v, i) the k-th block and (r, s) the j-th cell in
-    lexicographic order (``coefficients`` lists the products in (v, i, r,
-    s) order); the objective is the sum of coefficient times Q, divided by
-    ``scale``.  ``below[v - 1][i - 1]`` is the bitmask of the candidates
-    ballot v ranks below i.
+    lexicographic order; the objective is the sum of coefficient times Q,
+    divided by ``scale``.  ``below[v - 1][i - 1]`` is the bitmask of the
+    candidates ballot v ranks below i.
     """
 
     n: int
@@ -84,11 +83,6 @@ class IlpModel:
     factors: tuple[int, ...]
     cells: tuple[int, ...]
     below: tuple[tuple[int, ...], ...]
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        """Every product, built afresh (m n^3 of them) at each read."""
-        return tuple(factor * cell for factor in self.factors for cell in self.cells)
 
     def variable_count(self) -> int:
         return expected_variable_count(self.n, self.m)

@@ -702,10 +702,10 @@ class TestMyopic:
         class ReachedTheDp(Exception):
             pass
 
-        def refuse(pool, depth):
+        def refuse(params, profile, pool, span):
             raise ReachedTheDp
 
-        monkeypatch.setattr(aggregation, "_masks_by_size", refuse)
+        monkeypatch.setattr(aggregation, "_window_terms", refuse)
         for n, depth, allowed in [(16, 16, True), (17, 8, True), (17, 9, False), (17, 17, False)]:
             assert (sum(comb(n, s) for s in range(depth + 1)) <= MYOPIC_SUBSET_LIMIT) == allowed
             params = make_params(*preset("kendall", n))
@@ -965,6 +965,10 @@ class TestMyopic:
             term, _ = _position_terms(params, V)
             terms = self.window_terms(params, V, pool, depth)
             assert len(terms) == sum(comb(len(pool), size) for size in range(depth))
+            # the myopic recurrence walks the keys backwards, so no mask may
+            # come before one with fewer members
+            sizes = [mask.bit_count() for mask in terms]
+            assert sizes == sorted(sizes), (params, V, pool, depth)
             prefix_mask = sum(1 << (c - 1) for c in prefix)
             for size in range(depth):
                 for combo in combinations(pool, size):

@@ -435,10 +435,10 @@ def test_reinforcing_without_a_second_profile_names_the_flag(capsys, tmp_path):
 def test_myopic_window_too_large_exits_2_before_building_it(capsys, tmp_path, monkeypatch):
     # a ballot and its reversal: no majority favourite, so --k 40 asks for
     # all 2^40 subsets of the 40 candidates
-    def refuse(pool, depth):
+    def refuse(params, profile, pool, span):
         raise AssertionError("the window's subsets were built")
 
-    monkeypatch.setattr(aggregation, "_masks_by_size", refuse)
+    monkeypatch.setattr(aggregation, "_window_terms", refuse)
     forty = tmp_path / "forty.prof"
     labels = [str(c) for c in range(1, 41)]
     forty.write_text(f"40 2\n1: {' '.join(labels)}\n1: {' '.join(reversed(labels))}\n")

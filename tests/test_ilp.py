@@ -345,6 +345,12 @@ def _digest_cases():
     )
 
 
+def _coefficients(model) -> tuple[int, ...]:
+    """Every written objective coefficient, ``factor * cell``, in (v, i, r, s)
+    order: block (v, i)'s factor times each cell (r, s)'s price."""
+    return tuple(factor * cell for factor in model.factors for cell in model.cells)
+
+
 def _objective_lines(text: str) -> list[str]:
     lines = text.splitlines()
     return lines[lines.index("Minimize") + 1 : lines.index("Subject To")]
@@ -405,8 +411,8 @@ def test_lp_text_is_byte_identical_to_the_recorded_digests():
             assert head == " obj:" and first.startswith("    -2") and first.endswith("0 Q_1_1_0_1")
         if name == "all-blocks-distinct":
             model = build_ilp(params, V)
-            size = model.n**2
-            blocks = {model.coefficients[k : k + size] for k in range(0, len(model.coefficients), size)}
+            size, coefficients = model.n**2, _coefficients(model)
+            blocks = {coefficients[k : k + size] for k in range(0, len(coefficients), size)}
             assert len(blocks) == model.m * model.n
     assert seen == LP_DIGESTS
 
@@ -454,7 +460,7 @@ def _reference_lp_text(model) -> str:
         "Minimize",
     ]
     terms = []
-    coefficients = iter(model.coefficients)
+    coefficients = iter(_coefficients(model))
     for v in range(1, m + 1):
         for i in range(1, n + 1):
             for cell, c in zip(cells, coefficients):
@@ -540,7 +546,7 @@ def test_segment_writer_matches_the_row_by_row_writer():
             model = build_ilp(make_params(weights, mu), V)
             text = model.to_lp_text()
             assert text == _reference_lp_text(model), (n, m, trial)
-            prices = [c for c in model.coefficients if c]
+            prices = [c for c in _coefficients(model) if c]
             seen |= {
                 *(f"wrapped {kind}" for kind in _wrapped_row_kinds(text)),
                 f"{len(str(m))}-digit ballots",
