@@ -32,9 +32,13 @@ window at once instead, one packed integer per placed window with a lane per
 pool candidate.  By inclusion-exclusion over the placed set (the backward
 differences of ``_differences``), each overlap is a sum, over the subsets S of
 the placed set, of a term that reads each ballot once, at the top member of
-S; one trimmed zeta pass over the window's layers sums them.
-``aggregate_myopic`` keeps only the recurrence.  ``_position_terms`` prices
-one term ballot by ballot, and is the tests' referee for both routes.
+S; one zeta pass sums them, adding each mask of the layers below the deepest
+into its supersets one member larger (the deepest layer, of span - 1
+members, is only read).  ``aggregate_myopic`` keeps only the recurrence: a
+deepest mask takes one ``min`` over its unpacked lanes, with its placed
+members' lanes set above every term, and each mask above it relaxes its
+edges one by one.  ``_position_terms`` prices one term ballot by ballot, and
+is the tests' referee for both routes.
 
 Approximation routes:
 
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, filterfalse, islice
 from math import ceil, comb, floor
 from operator import eq, getitem, index, lshift, mul
 from typing import Callable, Literal
@@ -380,21 +384,27 @@ def _window_terms(
     comes once) are one SWAR lane-min of S's tops and x's ranks, a lane per
     ballot entry, and T(S) is one C-level ``sum(map(getitem, ...))`` over
     that layer's prefix vectors; only the layer being extended keeps its
-    tops, and each layer's prefixes live only while it is built.  One trimmed
-    zeta pass over these down-closed layers then turns T into the terms in
-    place: O(p) packed additions for each M, and none per (M, c) pair.
+    tops, and each layer's prefixes live only while it is built.  One zeta
+    pass over these down-closed layers then turns T into the terms in place:
+    bit by bit, each mask of the lower layers (fewer than span - 1 members)
+    that lacks the bit is added into the mask with it.  The deepest layer
+    (span - 1 members) is read, never added, so the pass walks the lower
+    layers alone: O(p) packed additions for each of their masks, and none
+    per (M, c) pair.
 
     The table's keys are its only list of placed windows, and their order is
     part of the contract: the empty set, then the singletons, then layer
     j = 2, 3, ... in turn, each mask inserted once and never added later
-    (the zeta pass rewrites values only).  So reversed, the keys reach every
-    mask after every mask one member larger, as ``aggregate_myopic``'s
-    recurrence needs.
+    (the zeta pass rewrites values only).  So the lower layers are a prefix
+    of the keys, and reversed, the keys open with the deepest layer and
+    reach every mask after every mask one member larger, as
+    ``aggregate_myopic``'s recurrence needs.
     """
-    width = _lane_width(params, profile.voters)
+    voters = profile.voters
+    width = _lane_width(params, voters)
     if not span:
         return {}, width
-    n, voters, p = params.n, profile.voters, len(pool)
+    n, p = params.n, len(pool)
     f = params.int_table
     shifts = [width * i for i in range(p)]
     bits = [1 << (c - 1) for c in pool]
@@ -450,9 +460,10 @@ def _window_terms(
                 if j + 1 < span:
                     extended.append((subset, x, tops_x))
         level = extended
+    lower = list(islice(table, len(table) - comb(p, span - 1)))
     for bit in bits:
-        for mask in filter(bit.__and__, table):
-            table[mask] += table[mask ^ bit]
+        for mask in filterfalse(bit.__and__, lower):
+            table[mask | bit] += table[mask]
     return table, width
 
 
@@ -853,11 +864,11 @@ def aggregate_myopic(
     pool of all p candidates, a call took (Kendall / ok-nishimura weights;
     the median of six runs on a 2-core VM with Python 3.11):
 
-    * p = 16, the full window: 0.48 / 0.53 s, tracemalloc peak
+    * p = 16, the full window: 0.45 / 0.55 s, tracemalloc peak
       11.5 / 12.8 MB;
-    * p = 35, depth 4: 0.07 / 0.11 s, 1.3 / 3.3 MB;
-    * p = 73, depth 3: 0.06 / 0.18 s, 0.7 / 7.3 MB;
-    * p = 361, depth 2: 0.06 / 0.23 s, 1.5 / 13.9 MB.
+    * p = 35, depth 4: 0.04 / 0.08 s, 1.3 / 3.3 MB;
+    * p = 73, depth 3: 0.02 / 0.12 s, 0.7 / 7.3 MB;
+    * p = 361, depth 2: 0.03 / 0.21 s, 1.5 / 13.9 MB.
     """
     if depth < 1:
         raise ValueError("window depth must be at least 1")
@@ -875,21 +886,37 @@ def aggregate_myopic(
         )
     pool = tuple(sorted(remaining))
     table, width = _window_terms(params, profile, pool, span)
-    bias = _lane_tops(len(pool), width)
+    p = len(pool)
+    bias = _lane_tops(p, width)
     edges = [(c, 1 << (c - 1)) for c in pool]
     # the recurrence replaces table[mask] by the cheapest way to extend the
-    # placed window mask to a full span (a full window has no entry: 0),
-    # from the deepest layer up, as the table's reversed insertion order
-    # reaches; choice[mask]: the lowest pool label that reaches it
-    completion = table.get
+    # placed window mask to a full span, from the deepest layer up, as the
+    # table's reversed insertion order reaches; choice[mask]: the lowest
+    # pool label that reaches it
+    masks = reversed(table)
     choice: dict[int, int] = {}
-    for mask in reversed(table):
-        terms = _unpack_lanes((table[mask] + bias) ^ bias, len(pool), width)
+    # a deepest mask completes the window in one place, its cheapest free
+    # lane: with its placed members' lanes set to 2^width, above every
+    # signed lane value, that is one min, and index() finds its first,
+    # lowest-label lane
+    lane = {bit: i for i, (_, bit) in enumerate(edges)}
+    placed_term = 1 << width
+    for mask in islice(masks, comb(p, span - 1) if span else 0):
+        terms = _unpack_lanes((table[mask] + bias) ^ bias, p, width)
+        placed = mask
+        while placed:
+            bit = placed & -placed
+            terms[lane[bit]] = placed_term
+            placed ^= bit
+        value = min(terms)
+        table[mask], choice[mask] = value, pool[terms.index(value)]
+    for mask in masks:
+        terms = _unpack_lanes((table[mask] + bias) ^ bias, p, width)
         value = None
         for term, (c, bit) in zip(terms, edges):
             if mask & bit:
                 continue
-            cur = term + completion(mask | bit, 0)
+            cur = term + table[mask | bit]
             if value is None or cur < value:
                 value, best = cur, c
         table[mask], choice[mask] = value, best
@@ -902,7 +929,7 @@ def aggregate_myopic(
 
     tail = sorted(remaining - set(window))
     ranking = Permutation(prefix + window + tail)
-    return _one_ranking("myopic", params, profile, ranking, Fraction(completion(0, 0), params.scale))
+    return _one_ranking("myopic", params, profile, ranking, Fraction(table.get(0, 0), params.scale))
 
 
 PTAS_RULES = ("affine", "exponential", "alternating", "custom")

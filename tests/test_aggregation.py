@@ -860,12 +860,27 @@ class TestMyopic:
             deepest = max(d for d in range(1, n + 1)
                           if sum(comb(n, s) for s in range(d + 1)) <= 1 << 12)
             yield make_params(weights, mu), prof(*rows), rng.choice((deepest, rng.randint(1, deepest)))
+        # lanes of 128 bits and more, read back by int.from_bytes: a weight
+        # numerator near 2^70, a multiplicity near 2^60, and both at once
+        rng = random.Random(45)
+        for trial in range(9):
+            n = 3 + trial  # 3..11
+            weights = rand_weights(rng, n).values
+            if trial % 3 != 1:
+                weights = (weights[0] + (1 << 70) + 3,) + weights[1:]
+            top = (1 << 60) if trial % 3 else 3
+            V = prof(*((rng.randint(top // 2, top), rand_ranking(rng, n).order)
+                       for _ in range(rng.randint(3, 7))))
+            deepest = max(d for d in range(1, n + 1)
+                          if sum(comb(n, s) for s in range(d + 1)) <= 1 << 12)
+            yield (make_params(MenuWeights(weights), rand_measure(rng, n)), V,
+                   rng.choice((deepest, rng.randint(1, deepest))))
 
     def test_window_matches_the_per_term_reference(self):
         seen = dict.fromkeys(
-            ("prefix", "odd", "even", "wide", "pairwise w2 = 3/2", "pairwise prefix",
-             "zero weights", "pairwise signed mu", "first in pool", "last in pool",
-             "equal down-sets"), 0)
+            ("prefix", "odd", "even", "wide", "128-bit lanes", "pairwise w2 = 3/2",
+             "pairwise prefix", "zero weights", "pairwise signed mu", "first in pool",
+             "last in pool", "equal down-sets"), 0)
         for params, V, depth in self.window_cases():
             res = aggregate_myopic(params, V, depth)
             order, optimum, certificate = self.reference_myopic(params, V, depth)
@@ -876,6 +891,7 @@ class TestMyopic:
             seen["prefix"] += bool(prefix) and span > 1
             seen["odd" if V.voters % 2 else "even"] += 1
             seen["wide"] += len(remaining) > 8 and span > 1
+            seen["128-bit lanes"] += aggregation._lane_width(params, V.voters) >= 128 and span > 1
             if span < 2:
                 continue
             weights, mu = params.weights.values, params.mu.values
@@ -917,6 +933,56 @@ class TestMyopic:
             seen["whole prefix"] += not remaining
             seen["depth 1"] += depth == 1 and len(remaining) > 1
         assert min(seen.values()) > 0, seen
+
+    @staticmethod
+    def tie_cases():
+        """Windows at span 1, span 2 and the full pool, each with lanes of
+        16, 32 and at least 128 bits, whose deepest placed window on the
+        optimal path ties: (params, profile, span).
+
+        Under pairwise-only weights a ballot and its reversal cancel in every
+        term.  So do two ballots that list span - 1 leaders and then the
+        other candidates, each group in opposite orders, except on the pairs
+        of a leader and another candidate: both put the leader first.  So
+        the window places the leaders first; after them every free lane
+        holds the layer's constant, a tie, and each placed leader's lane
+        lies below it.
+        """
+        rng = random.Random(44)
+        for weight, mult in ((1, 1), (1, 3000), ((1 << 70) + 3, 1 << 60)):
+            for n, span in ((5, 1), (7, 2), (6, 6)):
+                leaders = rng.sample(range(1, n + 1), span - 1)
+                rest = [c for c in rng.sample(range(1, n + 1), n) if c not in leaders]
+                mu = Measure([rng.choice((1, 2, F(3, 2))) for _ in range(n)])
+                params = make_params(MenuWeights([weight] + [0] * (n - 2)), mu)
+                while True:  # no majority favourite
+                    ballot = rand_ranking(rng, n).order
+                    V = prof((mult, ballot), (mult, ballot[::-1]),
+                             (mult, (*leaders, *rest)), (mult, (*leaders[::-1], *rest[::-1])))
+                    if not _majority_prefix(V)[0]:
+                        break
+                yield params, V, span
+
+    def test_deepest_layer_ties_take_the_lowest_free_label(self):
+        # the last window place goes to the lowest-labelled free candidate
+        # among those tied at the deepest placed window's minimum, and the
+        # placed members' lanes, lower still, are never taken
+        seen = set()
+        for params, V, span in self.tie_cases():
+            res = aggregate_myopic(params, V, span)
+            order, optimum, certificate = self.reference_myopic(params, V, span)
+            assert (res.minimizers[0].order, res.optimum, res.certificate) == (
+                order, optimum, certificate)
+            pool = tuple(range(1, V.n + 1))
+            placed = order[: span - 1]
+            terms = self.window_terms(params, V, pool, span)[sum(1 << (c - 1) for c in placed)]
+            free = [t for c, t in zip(pool, terms) if c not in placed]
+            assert len(set(free)) == 1  # every free lane ties
+            assert all(t < min(free) for c, t in zip(pool, terms) if c in placed)
+            width = aggregation._lane_width(params, V.voters)
+            seen.add(("span 1" if span == 1 else "full" if span == V.n else "span 2",
+                      min(width, 128)))
+        assert len(seen) == 9, seen
 
     @staticmethod
     def pricer_cases():
