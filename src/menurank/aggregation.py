@@ -12,8 +12,9 @@ candidates each mask lacks, and keeps the argmin set as the DAG of tight
 edges of its cost-to-go table (``ConsensusSet``): path counting gives its
 size and the edges out of the empty set its winners, the path counts
 unrank any one ranking in O(n^2), and iteration walks the DAG one ranking
-at a time.  Printed, the set is one string built from one text block per
-DAG node, so no ranking becomes an object or a string of its own.
+at a time.  Printed, the set is one string folded from one text block per
+DAG node in the order the path counts are, so no ranking becomes an object
+or a string of its own.
 
 The exact solver reads every term from one integer table built per
 (parameters, profile) by two subset zeta transforms (Yates' algorithm, as in
@@ -73,6 +74,7 @@ from .weights import (
     Measure,
     MenuWeights,
     Rational,
+    _mass_table,
     _scaled_mass,
     as_fraction,
     make_params,
@@ -402,8 +404,6 @@ def _window_terms(
     """
     voters = profile.voters
     width = _lane_width(params, voters)
-    if not span:
-        return {}, width
     n, p = params.n, len(pool)
     f = params.int_table
     shifts = [width * i for i in range(p)]
@@ -531,8 +531,8 @@ def _tight_dag(rows: list[list[int]], togo: list[int]) -> dict[int, tuple[int, .
 
 def _orders(dag: dict[int, tuple[int, ...]], mask: int, head: tuple[int, ...]):
     """Every path on from ``mask`` through ``dag`` as ``head`` and then its
-    labels, in lexicographic order, one tuple at a time.  Module-level, like
-    ``_text_block``, so that its recursion forms no reference cycle."""
+    labels, in lexicographic order, one tuple at a time.  Module-level, so
+    that its recursion forms no reference cycle."""
     for c in dag.get(mask, ()):
         step = mask | 1 << c
         edges = dag.get(step)
@@ -563,30 +563,6 @@ def _first(dag: dict[int, tuple[int, ...]], mask: int, last: int, breaks, memo: 
     return memo[key]
 
 
-def _text_block(dag: dict[int, tuple[int, ...]], mask: int, tokens: list, memo: dict) -> str:
-    """Every path from ``mask`` through ``dag`` as one block of text lines,
-    each line its candidates' tokens and each put after a newline, in
-    lexicographic order of the candidates; the full mask's block is one
-    newline, an empty line, seeded in ``memo``.
-
-    A mask's block is one join, over its tight edges c, of the block below c
-    with ``tokens[c]`` put after each of its newlines by one ``replace``.
-    Every copy of a line happens inside ``str.replace`` and ``str.join``, in
-    C, and no per-line string is built in Python.  Memoised per mask.
-
-    It stays a module-level function: a nested closure that recursed through
-    its own name would be a reference cycle, holding every block of the memo
-    until the cyclic garbage collector ran.
-    """
-    done = memo.get(mask)
-    if done is None:
-        done = memo[mask] = "".join([
-            _text_block(dag, mask | 1 << c, tokens, memo).replace("\n", "\n" + tokens[c])
-            for c in dag[mask]
-        ])
-    return done
-
-
 class ConsensusSet(Sequence):
     """A consensus set kept as a DAG: the DP's tight edges, or one path.
 
@@ -594,12 +570,13 @@ class ConsensusSet(Sequence):
     kept: ``len`` counts the optimal paths, indexing unranks a ranking from
     the path counts in O(n^2), ``in``, ``index`` and ``count`` follow the
     ranking's own path in O(n^2), and iterating (as ``hash``, ``repr`` and
-    ``==`` against a tuple do) walks the DAG one ranking at a time.  ``text`` prints
-    the set as one string of lines, one text block per DAG node, without
-    building a ranking.  It equals, and hashes like, the tuple of its
-    rankings.  The DAG is a canonical form of the set (every edge in it lies
-    on an optimal path), so two views compare (``==``, and ``<=`` for
-    inclusion), and ``first`` and ``adjacent_pairs`` answer, from the DAGs.
+    ``==`` against a tuple do) walks the DAG one ranking at a time.  ``text``
+    prints the set as one string of lines, folded like the path counts from
+    one text block per DAG node, without building a ranking.  It equals, and
+    hashes like, the tuple of its rankings.  The DAG is a canonical form of
+    the set (every edge in it lies on an optimal path), so two views compare
+    (``==``, and ``<=`` for inclusion), and ``first`` and ``adjacent_pairs``
+    answer, from the DAGs.
     """
 
     __slots__ = ("_n", "_dag", "_paths")
@@ -625,17 +602,18 @@ class ConsensusSet(Sequence):
     def text(self, indent: str = "") -> str:
         """The rankings as one block of lines, in order, each ``indent`` and
         then ``str`` of the ranking (``indent + "2 3 1"``), with no final
-        newline; read off the DAG without building a ``Permutation`` or a
-        string per ranking."""
-        dag = self._dag
-        labels = range(1, self._n + 1)
-        tokens = [f" {c}" for c in labels]
-        memo = {(1 << self._n) - 1: "\n"}
-        # the blocks below the empty set first, then its own edges, where
-        # every line starts: they alone take the indent and no space
-        for c in dag[0]:
-            _text_block(dag, 1 << c, tokens, memo)
-        return _text_block(dag, 0, [f"{indent}{c}" for c in labels], memo)[1:]
+        newline, folded over the DAG as ``__init__`` counts paths: a node's
+        block (its paths on, each line after a newline) joins, over its
+        tight edges c, the block after c with c's label put after every
+        newline by one ``replace``, so no ranking is built in Python."""
+        dag, labels = self._dag, range(1, self._n + 1)
+        tokens = [f"\n {c}" for c in labels]
+        blocks = {(1 << self._n) - 1: "\n"}
+        for mask in reversed(dag):
+            if not mask:  # the empty set, last: its edges start every line
+                tokens = [f"\n{indent}{c}" for c in labels]
+            blocks[mask] = "".join([blocks[mask | 1 << c].replace("\n", tokens[c]) for c in dag[mask]])
+        return blocks[0][1:]
 
     def first(self, breaks) -> Permutation | None:
         """The lexicographically first ranking here with a step that
@@ -877,6 +855,8 @@ def aggregate_myopic(
     if profile.n != params.n:
         raise ValueError(f"dimension mismatch: params over {params.n}, profile over {profile.n}")
     prefix, remaining = _majority_prefix(profile)
+    if not remaining:  # the prefix places every candidate: no window
+        return _one_ranking("myopic", params, profile, Permutation(prefix), Fraction(0))
     span = min(depth, len(remaining))
     subsets = sum(comb(len(remaining), size) for size in range(span + 1))
     if subsets > MYOPIC_SUBSET_LIMIT:
@@ -901,7 +881,7 @@ def aggregate_myopic(
     # lowest-label lane
     lane = {bit: i for i, (_, bit) in enumerate(edges)}
     placed_term = 1 << width
-    for mask in islice(masks, comb(p, span - 1) if span else 0):
+    for mask in islice(masks, comb(p, span - 1)):
         terms = _unpack_lanes((table[mask] + bias) ^ bias, p, width)
         placed = mask
         while placed:
@@ -929,7 +909,7 @@ def aggregate_myopic(
 
     tail = sorted(remaining - set(window))
     ranking = Permutation(prefix + window + tail)
-    return _one_ranking("myopic", params, profile, ranking, Fraction(table.get(0, 0), params.scale))
+    return _one_ranking("myopic", params, profile, ranking, Fraction(table[0], params.scale))
 
 
 PTAS_RULES = ("affine", "exponential", "alternating", "custom")
@@ -1057,7 +1037,8 @@ def ptas_depth(
     every pool size t from max(depth, 2) to ``n``.  Depth n - 1 always is:
     the window leaves at most one candidate of every pool out, and
     f(0) = f(1) = 0, so the ratio's numerator is 0.  A horizon past the
-    weights' own n reads them as padded with zero weights.
+    weights' own n reads them as padded with zero weights.  Each ratio is
+    read off one table of f(0..n-1): its numerator is a prefix sum.
     """
     inv_epsilon = as_fraction(inv_epsilon)
     if inv_epsilon <= 0:
@@ -1073,10 +1054,13 @@ def ptas_depth(
             raise ValueError(f"the custom rule needs a horizon n >= 2, got {n}")
         if not weights.is_nonnegative() or weights.values[0] <= 0:
             raise ValueError("custom depths need nonnegative weights with w_2 > 0")
+        f = _mass_table(weights.scaled[0], n)
+        mass_below = [0, *accumulate(f)]  # sum_{s < u} f(s) at u = 0..n
         return next(
             depth
             for depth in range(1, n)
-            if all(truncation_ratio(weights, t, depth) <= eps for t in range(max(depth, 2), n + 1))
+            if all(mass_below[t - depth] * eps.denominator <= eps.numerator * (f[t - 1] - f[t - 2])
+                   for t in range(max(depth, 2), n + 1))
         )
     raise ValueError(f"unknown depth rule {rule!r}; choose from {PTAS_RULES}")
 

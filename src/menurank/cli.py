@@ -50,6 +50,7 @@ from .weights import (
     ParamsFormatError,
     approximation_factor,
     as_fraction,
+    int_text,
     make_params,
     parse_params_text,
     preset,
@@ -121,7 +122,8 @@ def _load_profile(path: str) -> Profile:
 
 def fmt(value) -> str:
     if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+        numerator, denominator = int_text(value.numerator), int_text(value.denominator)
+        return numerator if denominator == "1" else f"{numerator}/{denominator}"
     if isinstance(value, Permutation):
         return str(value)
     if isinstance(value, (frozenset, set)):

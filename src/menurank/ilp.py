@@ -43,8 +43,7 @@ by "\0" and split at the stem, and the block's terms are the stem joined
 into that template (under the counting measure the factors are the
 multiplicities, so a few templates serve every block).  ``_wrap_text``
 breaks the "\0"-joined body into lines with one ``rfind`` a line and
-writes the separators left as spaces; it is the one break finder, and
-``_wrap`` is its front for a list of terms.
+writes the separators left as spaces; it is the one break finder.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from .aggregation import _position_constants
 from .distances import profile_cost
 from .permutations import Permutation
 from .profiles import Profile
-from .weights import DistanceParams, downset_mass
+from .weights import DistanceParams, downset_mass, int_text
 
 # a row continues on a new line before a term that would take it past this
 LINE_WIDTH = 240
@@ -102,7 +101,7 @@ class IlpModel:
             template = templates.get(factor)
             if template is None:
                 template = templates[factor] = "\0".join([
-                    f"+ {c} Q_\1{cell}" if c > 0 else f"- {-c} Q_\1{cell}"
+                    f"+ {int_text(c)} Q_\1{cell}" if c > 0 else f"- {int_text(-c)} Q_\1{cell}"
                     for cell, c in zip(layout.cells, [factor * price for price in self.cells])
                     if c
                 ]).split("\1")
@@ -116,7 +115,7 @@ class IlpModel:
             body = "0 P_1_1"
         parts = [
             f"\\ consensus ranking program: n={n}, m={m}\n"
-            f"\\ objective scaled by {self.scale}\nMinimize\n",
+            f"\\ objective scaled by {int_text(self.scale)}\nMinimize\n",
             _wrap_text(" obj:", body),
             "\n",
             layout.constraints,
@@ -134,11 +133,10 @@ class IlpModel:
                 list(compress(plus, inside)),
             ]
             out_minus, out_plus, in_minus, in_plus = (" ".join(["", *fragment]) for fragment in fragments)
-            # a narrow row ends by column LINE_WIDTH + 1, where _wrap leaves it
-            # whole; the last cell's rows, with the longest names, are widest
+            # a narrow row ends by column LINE_WIDTH + 1, where _wrap_text leaves
+            # it whole; the last cell's rows, with the longest names, are widest
             if layout.widest + 2 * len(stem) + max(len(out_minus), len(in_minus)) > LINE_WIDTH + 1:
-                parts.append("\n".join(_wide_selectors(stem, n, layout.targets, fragments)))
-                parts.append("\n")
+                parts.append(_wide_selectors(stem, n, layout.targets, fragments))
             else:
                 block[1::2] = [
                     stem, stem, out_minus, stem, stem, out_plus,
@@ -223,17 +221,10 @@ def _layout(n: int) -> _Layout:
 def _pick_row(n: int, width: int) -> tuple[str, ...]:
     """The pick row of a block after its name, split at the stem: its breaks
     depend on n and on the stem's length ``width`` alone."""
-    cells = _layout(n).cells
     stem = "\1" * width
     head = " pick_" + stem[:-1] + ":"
-    terms = [f"+ 1 Q_{stem}{cell}" for cell in cells]
-    terms[0] = terms[0][2:]
-    return tuple(("\n".join(_wrap(head, terms, " = 1")) + "\n")[len(head) :].split(stem))
-
-
-def _wrap(head: str, terms: Sequence[str], suffix: str = "") -> list[str]:
-    """The lines of ``_wrap_text`` for a list of (non-empty) terms."""
-    return _wrap_text(head, "\0".join(terms), suffix).split("\n")
+    body = "\0".join([f"+ 1 Q_{stem}{cell}" for cell in _layout(n).cells])[2:]
+    return tuple((_wrap_text(head, body, " = 1") + "\n")[len(head) :].split(stem))
 
 
 def _wrap_text(head: str, body: str, suffix: str = "") -> str:
@@ -271,17 +262,17 @@ def _wrap_text(head: str, body: str, suffix: str = "") -> str:
 
 def _wide_selectors(
     stem: str, n: int, targets: tuple[tuple, ...], fragments: list[list[str]]
-) -> list[str]:
+) -> str:
     """The selector rows of one (ballot, candidate) when they pass the line
     width (from n = 18; at n = 17 only from ballot 10^6 on), each wrapped
-    by ``_wrap``; ``fragments`` holds the P terms of a cell's four rows, in
-    row order."""
-    lines = []
-    for cell, *bounds in targets:
-        q_term = f"{n} Q_{stem}{cell}"
-        for kind, terms, bound in zip(("rlo", "rhi", "slo", "shi"), fragments, bounds):
-            lines += _wrap(f" sel_{kind}_{stem}{cell}:", [q_term, *terms], f" <= {bound}")
-    return lines
+    by ``_wrap_text`` and ended by a newline; ``fragments`` holds the P
+    terms of a cell's four rows, in row order."""
+    return "".join([
+        _wrap_text(f" sel_{kind}_{stem}{cell}:", "\0".join([f"{n} Q_{stem}{cell}", *terms]),
+                   f" <= {bound}\n")
+        for cell, *bounds in targets
+        for kind, terms, bound in zip(("rlo", "rhi", "slo", "shi"), fragments, bounds)
+    ])
 
 
 def comparison_matrix(ranking: Permutation) -> list[list[int]]:

@@ -25,10 +25,10 @@ pairwise-only weights and decided otherwise by exact consensus solves.
 Every result is an exact ``fractions.Fraction``.  One integer kernel,
 ``_scaled_mass``, evaluates the mass over the weights' common denominator as
 ``sum_k w_k * math.comb(t, k - 1)`` over the nonzero weights only.  Each
-weight vector tabulates the masses at t = 0..n-1 from it once
-(``MenuWeights.table``); the Fraction table, the swap prices and every
-distance evaluator read that one table, run their inner loops over plain
-integers and divide once at the end.  Weight vectors, measures and
+weight vector tabulates the masses at t = 0..n-1 once, by forward
+differences (``MenuWeights.table``); the Fraction table, the swap prices and
+every distance evaluator read that one table, run their inner loops over
+plain integers and divide once at the end.  Weight vectors, measures and
 position prices share one immutable exact-vector base, which derives the
 integer scaling (``scaled``) and the sign test once per vector.
 ``DistanceParams`` stores nothing but the pair and derives the views its
@@ -39,10 +39,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm
+from operator import add
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, str, Fraction]
@@ -72,6 +74,15 @@ def as_fraction(value: Rational) -> Fraction:
         except ZeroDivisionError:
             raise ZeroDivisionError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected an exact rational, got {value!r}")
+
+
+def int_text(value: int) -> str:
+    """``str(value)`` at any length: ``str`` refuses over 4,300 digits, a
+    limit that input keeps, but ``decimal`` writes any integer exactly."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
 
 
 @dataclass(frozen=True)
@@ -117,8 +128,7 @@ class MenuWeights(_ExactVector):
     @cached_property
     def table(self) -> tuple[int, ...]:
         """``downset_mass`` at t = 0..n-1 times ``scaled[1]``, as exact integers."""
-        int_weights = self.scaled[0]
-        return tuple(_scaled_mass(int_weights, t) for t in range(self.n))
+        return tuple(_mass_table(self.scaled[0], self.n))
 
     def is_pairwise_only(self) -> bool:
         """True when only the size-2 weight may be nonzero."""
@@ -181,6 +191,18 @@ def _scaled_mass(int_weights: tuple[int, ...], t: int) -> int:
     ``int_weights[k - 2]`` is the size-k weight; zero weights are skipped.
     """
     return sum(w * comb(t, k) for k, w in enumerate(int_weights, 1) if w)
+
+
+def _mass_table(int_weights: Sequence[int], size: int) -> list[int]:
+    """``_scaled_mass`` at t = 0..size-1 by forward differences: the j-th
+    difference at 0 is the size-(j + 1) weight (0 at j = 0 and past n), and
+    a step adds each difference's successor into it, one fewer each step."""
+    differences = ([0, *int_weights] + [0] * size)[:size]
+    masses = []
+    while differences:
+        masses.append(differences[0])
+        differences = list(map(add, differences, differences[1:]))
+    return masses
 
 
 def downset_mass(weights: MenuWeights, t: int) -> Fraction:

@@ -6,13 +6,25 @@ import gc
 import io
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from menurank import aggregation, audit
+from menurank import (
+    Measure,
+    MenuWeights,
+    Permutation,
+    Profile,
+    aggregation,
+    audit,
+    build_ilp,
+    distance,
+    footrule_weighted,
+    make_params,
+)
 from menurank.cli import _build_parser, _load_params, main
 from menurank.weights import PRESET_NAMES, parse_params_text
 
@@ -81,6 +93,37 @@ class TestDist:
     def test_bad_ranking_exits_2(self, capsys):
         code = main(["dist", "--params", "kendall", "--a", "1 2 2", "--b", "1 2 3"])
         assert code == 2
+
+    def test_a_thousand_candidates_answer_at_once(self, capsys):
+        # ok-nishimura charges every menu of two or more, and a ranking and
+        # its reversal put different tops on each: 2 (2^n - n - 1)
+        n = 1000
+        forward, backward = (" ".join(map(str, labels)) for labels in (range(1, n + 1), range(n, 0, -1)))
+        start = time.perf_counter()
+        code, out = run(capsys, "dist", "--params", "ok-nishimura", "--a", forward, "--b", backward)
+        assert time.perf_counter() - start < 2
+        assert code == 0 and int(out) == 2 * (2**n - n - 1)
+
+
+def test_answers_past_the_str_digit_limit_print_exactly(capsys, tmp_path):
+    # 3,000-digit tokens parse, but their products pass the 4,300 digits
+    # CPython's str() writes; every answer still prints, exactly
+    big = 10**3000 - 1
+    nines = "9" * 3000
+    params_path = tmp_path / "big.params"
+    params_path.write_text(f"beta: {nines} 1\nmu: {nines} 1 1\n")
+    profile_path = tmp_path / "big.prof"
+    profile_path.write_text(f"3 {nines}\n{nines}: 1 2 3\n")
+    params = make_params(MenuWeights([big, 1]), Measure([big, 1, 1]))
+    a, b = Permutation([1, 2, 3]), Permutation([3, 2, 1])
+    for command, value in (("dist", distance(params, a, b)),
+                           ("footrule", footrule_weighted(params.weights, params.mu, a, b))):
+        code, out = run(capsys, command, "--params", str(params_path), "--a", "1 2 3", "--b", "3 2 1")
+        assert code == 0 and value.denominator == 1 and int(Decimal(out)) == value.numerator
+        assert value.numerator.bit_length() > 14_300  # over 4,300 digits
+    code, out = run(capsys, "ilp-export", "--params", str(params_path), "--profile", str(profile_path))
+    assert code == 0
+    assert out == build_ilp(params, Profile(((big, a),), 3)).to_lp_text()
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import permutations as it_perms
 from itertools import product
@@ -28,7 +29,7 @@ from menurank import (
     profile_cost,
 )
 from menurank.ilp import (
-    _wrap,
+    _wrap_text,
     comparison_matrix,
     expected_constraint_count,
     expected_variable_count,
@@ -37,6 +38,12 @@ from menurank.ilp import (
 )
 
 from conftest import prof, rand_fraction, rand_measure, rand_profile, rand_ranking, rand_weights
+
+
+def _wrap(head, terms, suffix=""):
+    """The lines ``_wrap_text`` breaks a row of (non-empty) terms into."""
+    return _wrap_text(head, "\0".join(terms), suffix).split("\n")
+
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -176,6 +183,25 @@ class TestModelShape:
             assert lp.scale == scale
             written = [(price * scale, name) for name, price in prices if price]
             assert lp.objective == (written or [(0, "P_1_1")])
+
+    def test_coefficients_past_the_str_digit_limit_are_written_exactly(self):
+        # 3,000-digit parameters give a 6,000-digit scale and coefficients
+        # of up to 9,000 digits, past the 4,300 digits CPython's str() writes
+        big = 10**3000 - 1
+        params = make_params([big, 1], Measure([big, 1, F(1, big**2)]))
+        V = prof((1, (1, 2, 3)), (big, (3, 2, 1)))
+        model = build_ilp(params, V)
+        lines = model.to_lp_text().splitlines()
+        assert int(Decimal(lines[1].rsplit(" ", 1)[1])) == model.scale
+        assert model.scale.bit_length() > 15_000  # over 4,300 digits
+        tokens = " ".join(lines[3 : lines.index("Subject To")]).split()[1:]
+        # Decimal reads a token exactly; arithmetic on it would round
+        written = [int(Decimal(tokens[0]))] + [
+            int(Decimal(magnitude)) * (1 if sign == "+" else -1)
+            for sign, magnitude in zip(tokens[2::3], tokens[3::3])
+        ]
+        expected = [factor * cell for factor in model.factors for cell in model.cells]
+        assert written == [c for c in expected if c]
 
     def test_rows_break_only_past_241_columns(self):
         # a term starts a new, indented line when the line so far plus the

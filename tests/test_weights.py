@@ -32,6 +32,8 @@ from menurank import (
 from menurank.weights import (
     DistanceParams,
     ParamsFormatError,
+    _mass_table,
+    _scaled_mass,
     as_fraction,
     neutral_region,
     parse_params_text,
@@ -91,6 +93,23 @@ class TestDownsetMass:
                 sum((wk * comb(t, k - 1) for k, wk in enumerate(w.values, 2)), F(0))
                 for t in range(n)
             ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.just(0), st.integers(-(10**30), 10**30),
+                      st.fractions(max_denominator=50).filter(lambda v: abs(v) < 10**6)),
+            min_size=1, max_size=40,
+        ),
+        size=st.integers(0, 52),
+    )
+    def test_forward_differences_give_the_binomial_sums(self, values, size):
+        # the table by additions alone against one binomial sum per t, for
+        # signed and zero weights; past n the weights read as padded with 0
+        w = MenuWeights(values)
+        int_weights = w.scaled[0]
+        assert list(w.table) == [_scaled_mass(int_weights, t) for t in range(w.n)]
+        assert _mass_table(int_weights, size) == [_scaled_mass(int_weights, t) for t in range(size)]
 
     def test_increasing_increments(self):
         rng = random.Random(5)
