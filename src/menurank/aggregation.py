@@ -9,12 +9,15 @@ argmin set, and how the myopic scheme minimises its truncated window.  The
 exact solver relaxes each placed set's edges in increasing candidate order,
 read from one cached table per n (``_free_pairs``) that lists the
 candidates each mask lacks, and keeps the argmin set as the DAG of tight
-edges of its cost-to-go table (``ConsensusSet``): path counting gives its
-size and the edges out of the empty set its winners, the path counts
-unrank any one ranking in O(n^2), and iteration walks the DAG one ranking
-at a time.  Printed, the set is one string folded from one text block per
-DAG node in the order the path counts are, so no ranking becomes an object
-or a string of its own.
+edges of its cost-to-go table (``ConsensusSet``): path counting, done on
+the first read that needs it, gives its size, the edges out of the empty
+set give its winners, the path counts unrank any one ranking in O(n^2), and
+iteration walks the DAG one ranking at a time.  Printed, the set meets in
+the middle: the masks below a middle layer fold their text blocks in the
+order the path counts are, the paths down to that layer become head
+strings, and each output line is written once, when a head is put before
+the lines of its block, so no ranking becomes an object or a string of its
+own.
 
 The exact solver reads every term from one integer table built per
 (parameters, profile) by two subset zeta transforms (Yates' algorithm, as in
@@ -570,13 +573,16 @@ class ConsensusSet(Sequence):
     kept: ``len`` counts the optimal paths, indexing unranks a ranking from
     the path counts in O(n^2), ``in``, ``index`` and ``count`` follow the
     ranking's own path in O(n^2), and iterating (as ``hash``, ``repr`` and
-    ``==`` against a tuple do) walks the DAG one ranking at a time.  ``text``
-    prints the set as one string of lines, folded like the path counts from
-    one text block per DAG node, without building a ranking.  It equals, and
-    hashes like, the tuple of its rankings.  The DAG is a canonical form of
-    the set (every edge in it lies on an optimal path), so two views compare
-    (``==``, and ``<=`` for inclusion), and ``first`` and ``adjacent_pairs``
-    answer, from the DAGs.
+    ``==`` against a tuple do) walks the DAG one ranking at a time.  The
+    paths are counted once, by the first read that needs them (``len``,
+    indexing, ``in``, ``index``, ``count``); comparing two sets, relabelling,
+    ``first``, ``adjacent_pairs``, ``text``, iterating and pickling never
+    count.  ``text`` prints the set as one string of lines by meeting in the
+    middle of the DAG, each line written once, without building a ranking.
+    It equals, and hashes like, the tuple of its rankings.  The DAG is a
+    canonical form of the set (every edge in it lies on an optimal path), so
+    two views compare (``==``, and ``<=`` for inclusion), and ``first`` and
+    ``adjacent_pairs`` answer, from the DAGs.
     """
 
     __slots__ = ("_n", "_dag", "_paths")
@@ -584,10 +590,18 @@ class ConsensusSet(Sequence):
     def __init__(self, n: int, dag: dict[int, tuple[int, ...]]):
         self._n = n
         self._dag = dag
-        # the optimal paths on from each mask, counted back from the largest
-        self._paths = paths = {(1 << n) - 1: 1}
+
+    def __getattr__(self, name):
+        # Python calls this only while the slot ``name`` is unset: the first
+        # read of ``_paths`` counts the optimal paths on from each mask, back
+        # from the largest, and every later read is a plain slot read
+        if name != "_paths":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dag = self._dag
+        self._paths = paths = {(1 << self._n) - 1: 1}
         for mask in reversed(dag):
             paths[mask] = sum(paths[mask | 1 << c] for c in dag[mask])
+        return paths
 
     @classmethod
     def of_ranking(cls, ranking: Permutation) -> "ConsensusSet":
@@ -602,18 +616,29 @@ class ConsensusSet(Sequence):
     def text(self, indent: str = "") -> str:
         """The rankings as one block of lines, in order, each ``indent`` and
         then ``str`` of the ranking (``indent + "2 3 1"``), with no final
-        newline, folded over the DAG as ``__init__`` counts paths: a node's
-        block (its paths on, each line after a newline) joins, over its
-        tight edges c, the block after c with c's label put after every
-        newline by one ``replace``, so no ranking is built in Python."""
-        dag, labels = self._dag, range(1, self._n + 1)
-        tokens = [f"\n {c}" for c in labels]
-        blocks = {(1 << self._n) - 1: "\n"}
-        for mask in reversed(dag):
-            if not mask:  # the empty set, last: its edges start every line
-                tokens = [f"\n{indent}{c}" for c in labels]
+        newline, written by meeting in the middle at depth
+        h = max((n - 1) // 2, 1).  Below it, a mask of h or more members
+        folds its block (its paths on, each line after a newline) from its
+        tight edges c as the path counts are: the block after c with c's
+        label put after every newline by one ``replace``.  Above it, the
+        h-step paths out of the empty set become head strings, in order, and
+        each output line is written once, by one ``replace`` of the newlines
+        in the block where its head ends; no ranking is built in Python."""
+        n, dag = self._n, self._dag
+        depth = max((n - 1) // 2, 1)
+        labels = [f" {c}" for c in range(1, n + 1)]
+        tokens = ["\n" + label for label in labels]
+        blocks = {(1 << n) - 1: "\n"}
+        for mask in reversed(dag):  # the masks in order of size, largest first
+            if mask.bit_count() < depth:
+                break
             blocks[mask] = "".join([blocks[mask | 1 << c].replace("\n", tokens[c]) for c in dag[mask]])
-        return blocks[0][1:]
+        heads = [(1 << c, f"\n{indent}{c + 1}") for c in dag[0]]
+        for _ in range(1, depth):
+            heads = [(mask | 1 << c, head + labels[c]) for mask, head in heads for c in dag[mask]]
+        lines = [blocks[mask].replace("\n", head) for mask, head in heads]
+        lines[0] = lines[0][1:]  # no newline before the first line
+        return "".join(lines)
 
     def first(self, breaks) -> Permutation | None:
         """The lexicographically first ranking here with a step that

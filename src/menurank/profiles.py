@@ -13,6 +13,7 @@ written in plain ASCII decimal digits.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -137,7 +138,22 @@ def load_profile(path: str) -> Profile:
 
 
 def format_profile(profile: Profile) -> str:
-    lines = [f"{profile.n} {profile.voters}"]
+    """The profile in the on-disk format, which ``parse_profile`` reads back.
+
+    Refused with a ``ValueError`` when the voter total is longer than the
+    interpreter's limit on integer strings (``sys.get_int_max_str_digits()``,
+    4,300 digits by default), which no multiplicity passes before the total
+    does: ``int`` keeps that limit on input, so the text could not be read
+    back.
+    """
+    try:
+        header = f"{profile.n} {profile.voters}"
+    except ValueError:  # str() refuses the total, as parse_profile's int() would
+        raise ValueError(
+            f"the profile's voter total is longer than {sys.get_int_max_str_digits()} "
+            "digits, which parse_profile could not read back"
+        ) from None
+    lines = [header]
     for mult, ranking in profile.entries:
         lines.append(f"{mult}: {ranking}")
     return "\n".join(lines) + "\n"

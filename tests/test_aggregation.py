@@ -377,11 +377,71 @@ class TestConsensusSet:
                 assert hash(clone.minimizers) == hash(public)
         assert seen == {True, False}
 
+    def test_text_meets_in_the_middle_at_every_depth(self):
+        # the printout splits the DAG at depth max((n - 1) // 2, 1) and stops
+        # its fold at the first mask smaller than that, so it relies on the
+        # DAG's masks coming in order of size
+        for n in (1, 2, 3):  # depth 1: the heads are the edges out of the empty set
+            for order in it_perms(range(1, n + 1)):
+                ranking = Permutation(order)
+                for indent in ("", "  "):
+                    assert ConsensusSet.of_ranking(ranking).text(indent) == indent + str(ranking)
+        rng = random.Random(53)
+        for n, token in ((4, "kendall"), (5, "linear"), (6, "ok-nishimura"), (7, "kendall")):
+            ballot = rand_ranking(rng, n).order
+            params = make_params(*preset(token, n))
+            tie = aggregate_exact(params, prof((2, ballot), (2, ballot[::-1]))).minimizers
+            assert len(tie) > 1
+            for view in (tie.relabel(rand_ranking(rng, n)), pickle.loads(pickle.dumps(tie))):
+                for indent in ("", "  "):
+                    assert view.text(indent).split("\n") == [indent + str(p) for p in view]
+        # a zero measure ties all 9! rankings: depth 4, and 3,024 heads
+        n = 9
+        params = make_params(MenuWeights([1] * (n - 1)), Measure([0] * n))
+        view = aggregate_exact(params, rand_profile(rng, n)).minimizers
+        lines = view.text("  ").split("\n")
+        assert len(lines) == factorial(n) == len(view)
+        for i in [0, len(lines) - 1] + rng.sample(range(len(lines)), 300):
+            assert lines[i] == "  " + str(view[i])
+
+    def test_paths_are_counted_on_first_need(self):
+        # comparing, relabelling, walking, printing and pickling read the
+        # DAG alone; the first len, index or membership test counts the paths
+        def counted(view):
+            try:
+                ConsensusSet._paths.__get__(view)
+            except AttributeError:
+                return False
+            return True
+
+        ballot = (3, 1, 4, 2, 5)
+        params = make_params(*preset("kendall", 5))
+        view = aggregate_exact(params, prof((1, ballot), (1, ballot[::-1]))).minimizers
+        other = aggregate_exact(params, prof((1, ballot))).minimizers
+        tau = Permutation((2, 3, 1, 5, 4))
+        assert view == view.relabel(tau) and other <= view and not view <= other
+        assert view.first(lambda last, placed, c: (last, c) == (0, 2)) == Permutation((2, 1, 3, 4, 5))
+        assert (1, 2) in view.adjacent_pairs()
+        assert view.text().count("\n") == 119
+        assert next(iter(view)) == Permutation((1, 2, 3, 4, 5))
+        for clone in (pickle.loads(pickle.dumps(view)), copy.deepcopy(view)):
+            assert clone == view and not counted(clone)
+        assert not any(map(counted, (view, other)))
+        assert len(view) == 120 and counted(view)
+        assert view[7] == Permutation(_nth_ranking(5, 7))
+        member = Permutation(ballot)
+        for read in (lambda v: v[0], lambda v: member in v, lambda v: v.index(member),
+                     lambda v: v.count(member)):
+            fresh = pickle.loads(pickle.dumps(other))
+            read(fresh)
+            assert counted(fresh)
+
     def test_exact_path_leaves_no_cyclic_garbage(self):
-        # the text walk's memo holds every block of a request, and the ranking
-        # walk a generator per placed label; reference counting must free
-        # them, even when a walk is dropped halfway, with no cycle left for
-        # the collector (a self-recursive closure or generator is one)
+        # the text walk's memo holds the blocks of the masks below its middle
+        # layer, and the ranking walk a generator per placed label; reference
+        # counting must free them, even when a walk is dropped halfway, with
+        # no cycle left for the collector (a self-recursive closure or
+        # generator is one)
         ballot = (3, 1, 4, 7, 5, 2, 6)
         params = make_params(*preset("kendall", 7))
         gc.collect()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,17 @@ def test_parse_roundtrip():
 def test_parse_errors(text, fragment):
     with pytest.raises(ProfileFormatError, match=fragment):
         parse_profile(text)
+
+
+def test_a_total_past_the_str_digit_limit_is_refused_by_name():
+    # each multiplicity fits the limit but their sum does not: such a header
+    # could not be parsed back, so it is refused with the library's message
+    limit = sys.get_int_max_str_digits()
+    big = 10**limit - 1
+    fits = Profile(((big, Permutation((1, 2))),), 2)
+    assert parse_profile(format_profile(fits)).entries == fits.entries
+    with pytest.raises(ValueError, match=f"voter total is longer than {limit} digits"):
+        format_profile(fits.concat(fits))
 
 
 def test_space_before_the_colon_is_still_a_separator():
