@@ -24,7 +24,6 @@ from .aggregation import (
     aggregate_myopic,
     ptas_depth,
     ptas_weights,
-    truncation_ratio,
 )
 from .audit import (
     AuditReport,
@@ -32,7 +31,6 @@ from .audit import (
     check_axiom,
     check_property,
     condorcet_candidates,
-    minimal_path_costs,
     net_preference_matrix,
     recover_pair_weights,
     top_choice_margins,
@@ -48,16 +46,10 @@ from .distances import (
 from .ilp import IlpModel, build_ilp, objective_offset, objective_value
 from .permutations import (
     Permutation,
-    adjacent_pairs,
     all_rankings,
-    common_down_count,
-    down_set_size,
     identity,
-    inversion_set,
     is_between,
     kendall_count,
-    menu_max,
-    transposition,
 )
 from .profiles import Profile, format_profile, load_profile, parse_profile
 from .weights import (
@@ -92,7 +84,6 @@ __all__ = [
     "Permutation",
     "PositionWeights",
     "Profile",
-    "adjacent_pairs",
     "aggregate_exact",
     "aggregate_footrule",
     "aggregate_myopic",
@@ -103,27 +94,22 @@ __all__ = [
     "check_axiom",
     "check_property",
     "classify",
-    "common_down_count",
     "condorcet_candidates",
     "counting_measure",
     "distance",
     "distance_naive",
-    "down_set_size",
     "downset_mass",
     "downset_mass_table",
     "footrule",
     "footrule_weighted",
     "format_profile",
     "identity",
-    "inversion_set",
     "is_between",
     "is_totally_monotone",
     "kendall_count",
     "load_profile",
     "make_params",
-    "menu_max",
     "menu_to_position_weights",
-    "minimal_path_costs",
     "net_preference_matrix",
     "objective_offset",
     "objective_value",
@@ -135,7 +121,5 @@ __all__ = [
     "ptas_weights",
     "recover_pair_weights",
     "top_choice_margins",
-    "transposition",
     "truncated_distance",
-    "truncation_ratio",
 ]

@@ -940,26 +940,6 @@ def aggregate_myopic(
 PTAS_RULES = ("affine", "exponential", "alternating", "custom")
 
 
-def truncation_ratio(weights: MenuWeights, t: int, depth: int) -> Fraction:
-    """Mass the window of size ``depth`` ignores, relative to the top swap price,
-    for a pool of ``t >= 2`` candidates.
-
-    With f = ``downset_mass`` this is ``sum_{s < t - depth} f(s)`` over the
-    price ``f(t - 1) - f(t - 2)``.  By the hockey-stick identity the
-    numerator is ``sum_j w_j C(max(t - depth, 0), j)``, the mass kernel over
-    the weights shifted one size up by a leading 0.  Both are evaluated over
-    the integer-scaled weights, whose common scale cancels.
-    """
-    if t < 2:
-        raise ValueError(f"truncation ratio needs a pool of t >= 2 candidates, got {t}")
-    w = weights.scaled[0]
-    numerator = _scaled_mass((0, *w), max(t - depth, 0))
-    denominator = _scaled_mass(w, t - 1) - _scaled_mass(w, t - 2)
-    if denominator <= 0:
-        raise ValueError("truncation ratio needs a positive size-2 weight")
-    return Fraction(numerator, denominator)
-
-
 # the precision of _ceil_log's last estimate, in digits: one estimate (two
 # ln) at 2,000 digits took 0.3-0.8 s on a 2-core VM with Python 3.11
 _LOG_DIGITS = 2000
@@ -1058,11 +1038,13 @@ def ptas_depth(
     as 2^2 / (2 - 1)^2 = 4.
 
     ``custom`` takes an explicit weight vector plus its horizon ``n`` and
-    returns the smallest depth whose ``truncation_ratio`` is at most eps at
-    every pool size t from max(depth, 2) to ``n``.  Depth n - 1 always is:
-    the window leaves at most one candidate of every pool out, and
-    f(0) = f(1) = 0, so the ratio's numerator is 0.  A horizon past the
-    weights' own n reads them as padded with zero weights.  Each ratio is
+    returns the smallest depth whose truncation ratio, the mass the window
+    ignores over the top swap price,
+    sum_{s < t - depth} f(s) / (f(t - 1) - f(t - 2)) with f = ``downset_mass``,
+    is at most eps at every pool size t from max(depth, 2) to ``n``.  Depth
+    n - 1 always is: the window leaves at most one candidate of every pool
+    out, and f(0) = f(1) = 0, so the ratio's numerator is 0.  A horizon past
+    the weights' own n reads them as padded with zero weights.  Each ratio is
     read off one table of f(0..n-1): its numerator is a prefix sum.
     """
     inv_epsilon = as_fraction(inv_epsilon)
@@ -1091,7 +1073,8 @@ def ptas_depth(
 
 
 def ptas_weights(rule: str, n: int, alpha: Rational | None = None) -> MenuWeights:
-    """The weight vector of a named growth rule, truncated to dimension n."""
+    """The weight vector of a named growth rule, truncated to dimension n:
+    the weights whose depths ``ptas_depth`` answers for in closed form."""
     sizes = range(2, n + 1)
     if rule == "affine":
         return MenuWeights([Fraction(j + 1) for j in sizes])

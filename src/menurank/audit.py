@@ -59,12 +59,7 @@ from typing import Callable, Mapping, Sequence
 
 from .aggregation import aggregate_exact
 from .distances import distance
-from .permutations import (
-    Permutation,
-    all_rankings,
-    adjacent_promotions,
-    kendall_count,
-)
+from .permutations import Permutation, adjacent_promotions, all_rankings
 from .profiles import Profile
 from .weights import DistanceParams, Measure, ParamLabel, _scaled_ints
 
@@ -339,40 +334,6 @@ def recover_pair_weights(
             if dist(a, b) != expected:
                 return None
     return {frozenset(pair): cost for pair, cost in zip(pairs, costs)}
-
-
-def minimal_path_costs(
-    dist: DistanceFn, n: int
-) -> dict[tuple[Permutation, Permutation], Fraction]:
-    """Cheapest total swap cost along *shortest* permutahedron paths.
-
-    For each source, a layered pass over rankings ordered by inversion count
-    relaxes only edges that step one inversion further from the source, so
-    sums range exactly over minimal adjacent-transposition paths.
-    """
-    _guard_axiom_n(n)
-    perms = all_rankings(n)
-    neighbours = {
-        p: tuple(p.swap_adjacent(a) for a in range(1, n)) for p in perms
-    }
-    out: dict[tuple[Permutation, Permutation], Fraction] = {}
-    for source in perms:
-        ordered = sorted(perms, key=lambda p: (kendall_count(source, p), p.order))
-        costs: dict[Permutation, Fraction] = {source: Fraction(0)}
-        for p in ordered:
-            if p == source:
-                continue
-            level = kendall_count(source, p)
-            best = None
-            for q in neighbours[p]:
-                if kendall_count(source, q) == level - 1:
-                    cand = costs[q] + dist(q, p)
-                    if best is None or cand < best:
-                        best = cand
-            costs[p] = best
-        for p, value in costs.items():
-            out[(source, p)] = value
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -136,16 +136,21 @@ def fmt(value) -> str:
 
 
 def _emit(output: Iterable[str] | str, out: str | None) -> None:
-    """Write a command's lines, or its whole text when it built one itself."""
-    text = output if isinstance(output, str) else "\n".join(output) + "\n"
+    """Write a command's lines, each then a newline, or its whole text when
+    it built one itself.  The lines are written one by one, not joined first,
+    so a printout of tied rankings is held once."""
+    if isinstance(output, str):
+        chunks = [output]
+    else:
+        chunks = (chunk for line in output for chunk in (line, "\n"))
     if out:
         try:
             with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
         except OSError as exc:
             raise CliError(f"cannot write {out!r}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------

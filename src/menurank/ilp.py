@@ -53,7 +53,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd
-from typing import Sequence
 
 from .aggregation import _position_constants
 from .distances import profile_cost
@@ -273,41 +272,6 @@ def _wide_selectors(
         for cell, *bounds in targets
         for kind, terms, bound in zip(("rlo", "rhi", "slo", "shi"), fragments, bounds)
     ])
-
-
-def comparison_matrix(ranking: Permutation) -> list[list[int]]:
-    """The 0/1 matrix with entry (i, j) = 1 when i is ranked above j."""
-    n = ranking.n
-    return [
-        [1 if i != j and ranking.prefers(i, j) else 0 for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-
-
-def is_linear_order_matrix(matrix: Sequence[Sequence[int]]) -> bool:
-    """Check the completeness and transitivity rows directly."""
-    n = len(matrix)
-    for i in range(n):
-        if matrix[i][i] != 0:
-            return False
-        for j in range(n):
-            if i != j and matrix[i][j] + matrix[j][i] != 1:
-                return False
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if len({i, j, k}) == 3 and matrix[i][j] + matrix[j][k] - 1 > matrix[i][k]:
-                    return False
-    return True
-
-
-def ranking_from_matrix(matrix: Sequence[Sequence[int]]) -> Permutation:
-    """Invert ``comparison_matrix``; the matrix must satisfy the order rows."""
-    if not is_linear_order_matrix(matrix):
-        raise ValueError("matrix violates the linear-order constraints")
-    n = len(matrix)
-    by_downset = sorted(range(1, n + 1), key=lambda i: -sum(matrix[i - 1]))
-    return Permutation(by_downset)
 
 
 def build_ilp(params: DistanceParams, profile: Profile) -> IlpModel:

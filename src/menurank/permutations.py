@@ -103,11 +103,6 @@ class Permutation:
         self._check_candidate(candidate)
         return self._pos[candidate - 1]
 
-    def below_mask(self, candidate: int) -> int:
-        """Bitmask of candidates strictly less preferred than ``candidate``."""
-        self._check_candidate(candidate)
-        return self._below[candidate - 1]
-
     def prefers(self, a: int, b: int) -> bool:
         """True when ``a`` is ranked above ``b``."""
         return self.position(a) < self.position(b)
@@ -197,16 +192,8 @@ class Permutation:
 
 
 def identity(n: int) -> Permutation:
+    """The ranking 1, 2, ..., n: the unit of ``compose``."""
     return Permutation(range(1, n + 1))
-
-
-def transposition(n: int, i: int, j: int) -> Permutation:
-    """The permutation agreeing with the identity except that i and j trade places."""
-    if i == j:
-        raise ValueError("transposition needs two distinct candidates")
-    order = list(range(1, n + 1))
-    order[i - 1], order[j - 1] = j, i
-    return Permutation(order)
 
 
 @lru_cache(maxsize=None)
@@ -218,57 +205,21 @@ def all_rankings(n: int) -> tuple[Permutation, ...]:
     return tuple(map(Permutation._trusted, _itertools_permutations(range(1, n + 1))))
 
 
-def _check_same_n(p: Permutation, q: Permutation) -> int:
+def _check_same_n(p: Permutation, q: Permutation) -> None:
     if p.n != q.n:
         raise ValueError(f"dimension mismatch: {p.n} vs {q.n}")
-    return p.n
-
-
-def inversion_set(p: Permutation, q: Permutation) -> frozenset[tuple[int, int]]:
-    """Ordered pairs (i, j) ranked i above j by ``p`` but j above i by ``q``."""
-    n = _check_same_n(p, q)
-    out = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and p.prefers(i, j) and q.prefers(j, i):
-                out.append((i, j))
-    return frozenset(out)
 
 
 def kendall_count(p: Permutation, q: Permutation) -> int:
-    """Number of candidate pairs the two rankings order oppositely."""
+    """Number of candidate pairs the two rankings order oppositely: Kendall's
+    inversion count, which the ``kendall`` preset's distance doubles."""
     _check_same_n(p, q)
     return (p.pair_mask ^ q.pair_mask).bit_count()
 
 
-def down_set_size(p: Permutation, candidate: int) -> int:
-    """How many candidates rank strictly below ``candidate``."""
-    return p.n - p.position(candidate)
-
-
-def common_down_count(p: Permutation, q: Permutation, candidate: int) -> int:
-    """Size of the intersection of the two down-sets of ``candidate``."""
-    _check_same_n(p, q)
-    return (p.below_mask(candidate) & q.below_mask(candidate)).bit_count()
-
-
-def menu_max(menu: Iterable[int], p: Permutation) -> int:
-    """The element of ``menu`` that ``p`` ranks highest."""
-    menu = frozenset(menu)
-    if not menu:
-        raise ValueError("empty menu has no maximum")
-    for c in menu:
-        p._check_candidate(c)
-    return min(menu, key=p.position)
-
-
-def adjacent_pairs(p: Permutation) -> frozenset[tuple[int, int]]:
-    """Consecutive candidate pairs of the ranking, higher-ranked first."""
-    return frozenset(zip(p.order, p.order[1:]))
-
-
 def is_between(p: Permutation, w: Permutation, q: Permutation) -> bool:
-    """True when ``w`` agrees with ``p`` and ``q`` on every pair they agree on."""
+    """True when ``w`` agrees with ``p`` and ``q`` on every pair they agree on:
+    the paper's betweenness, which axioms A1 and A3 quantify over."""
     _check_same_n(p, w)
     _check_same_n(p, q)
     return (p.pair_mask ^ w.pair_mask) & ~(p.pair_mask ^ q.pair_mask) == 0

@@ -22,15 +22,20 @@ not a semimetric): measure conditions are sign patterns and pairwise sums,
 while the weight-side region is closed-form for nonnegative, nonpositive or
 pairwise-only weights and decided otherwise by exact consensus solves.
 
-Every result is an exact ``fractions.Fraction``.  One integer kernel,
-``_scaled_mass``, evaluates the mass over the weights' common denominator as
-``sum_k w_k * math.comb(t, k - 1)`` over the nonzero weights only.  Each
-weight vector tabulates the masses at t = 0..n-1 once, by forward
-differences (``MenuWeights.table``); the Fraction table, the swap prices and
-every distance evaluator read that one table, run their inner loops over
-plain integers and divide once at the end.  Weight vectors, measures and
-position prices share one immutable exact-vector base, which derives the
-integer scaling (``scaled``) and the sign test once per vector.
+Every result is an exact ``fractions.Fraction``.  Each weight vector
+tabulates the masses over its common denominator at t = 0..n-1 once, by
+forward differences (``_mass_table``, kept as ``MenuWeights.table``); the
+Fraction table, the swap prices and every distance evaluator read that one
+table, run their inner loops over plain integers and divide once at the end.
+The point kernel ``_scaled_mass`` evaluates one mass as
+``sum_k w_k * math.comb(t, k - 1)`` over the nonzero weights only, and
+serves only ``downset_mass`` and the exact solver's ``_lane_width``.  It
+stays because ``_lane_width`` reads the masses over the positive and the
+negative weights at n - 1 alone, in O(n) each, where ``_mass_table`` would
+build all n entries in O(n^2): that matters at the myopic window's p = 361
+corner.  Weight vectors, measures and position prices share one immutable
+exact-vector base, which derives the integer scaling (``scaled``) and the
+sign test once per vector.
 ``DistanceParams`` stores nothing but the pair and derives the views its
 evaluators read, ``int_table``, ``int_mu`` and ``scale``, on first use.
 """

@@ -34,7 +34,6 @@ from menurank import (
     ptas_depth,
     ptas_weights,
     truncated_distance,
-    truncation_ratio,
 )
 from menurank import aggregation
 from menurank.aggregation import (
@@ -54,6 +53,27 @@ from menurank.aggregation import (
 from menurank.weights import _scaled_mass
 
 from conftest import prof, rand_measure, rand_profile, rand_ranking, rand_weights
+
+
+def truncation_ratio(weights, t, depth):
+    """Mass the window of size ``depth`` ignores, relative to the top swap
+    price, for a pool of ``t >= 2`` candidates: the referee of
+    ``ptas_depth``'s custom rule.
+
+    With f = ``downset_mass`` this is ``sum_{s < t - depth} f(s)`` over the
+    price ``f(t - 1) - f(t - 2)``.  By the hockey-stick identity the
+    numerator is ``sum_j w_j C(max(t - depth, 0), j)``, the mass kernel over
+    the weights shifted one size up by a leading 0.  Both are evaluated over
+    the integer-scaled weights, whose common scale cancels.
+    """
+    if t < 2:
+        raise ValueError(f"truncation ratio needs a pool of t >= 2 candidates, got {t}")
+    w = weights.scaled[0]
+    numerator = _scaled_mass((0, *w), max(t - depth, 0))
+    denominator = _scaled_mass(w, t - 1) - _scaled_mass(w, t - 2)
+    if denominator <= 0:
+        raise ValueError("truncation ratio needs a positive size-2 weight")
+    return F(numerator, denominator)
 
 
 def brute_consensus(params, profile):

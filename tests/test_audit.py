@@ -23,7 +23,6 @@ from menurank import (
     is_between,
     kendall_count,
     make_params,
-    minimal_path_costs,
     net_preference_matrix,
     preset,
     recover_pair_weights,
@@ -416,6 +415,38 @@ class TestRecovery:
             d = params_distance(params)
             holds = check_axiom(d, n, "A1").verdict == "Holds"
             assert holds == (recover_pair_weights(d, n) is not None)
+
+
+def minimal_path_costs(dist, n):
+    """Cheapest total swap cost along *shortest* permutahedron paths: the
+    referee of the A3 path identity.
+
+    For each source, a layered pass over rankings ordered by inversion count
+    relaxes only edges that step one inversion further from the source, so
+    sums range exactly over minimal adjacent-transposition paths.
+    """
+    perms = all_rankings(n)
+    neighbours = {
+        p: tuple(p.swap_adjacent(a) for a in range(1, n)) for p in perms
+    }
+    out = {}
+    for source in perms:
+        ordered = sorted(perms, key=lambda p: (kendall_count(source, p), p.order))
+        costs = {source: F(0)}
+        for p in ordered:
+            if p == source:
+                continue
+            level = kendall_count(source, p)
+            best = None
+            for q in neighbours[p]:
+                if kendall_count(source, q) == level - 1:
+                    cand = costs[q] + dist(q, p)
+                    if best is None or cand < best:
+                        best = cand
+            costs[p] = best
+        for p, value in costs.items():
+            out[(source, p)] = value
+    return out
 
 
 class TestGraphicDistance:

@@ -1,4 +1,5 @@
-"""Every private helper of the package is used by the package.
+"""Every private helper of the package is used by the package, and every
+public name has a reader.
 
 Beside the unused-import check in ``test_imports.py``: each module-level
 function or class of ``src/menurank`` whose name starts with one underscore
@@ -7,18 +8,38 @@ outside its own body, so a helper whose last caller went is caught.  The
 attributes the perf harness wraps (``WRAP_POINTS`` in
 ``perfbench/tracing.py``, loaded read-only as ``test_trace_points.py`` does)
 are exempt: the harness reads them by name.
+
+Each name in ``menurank.__all__`` must be read the same way in
+``src/menurank`` outside ``__init__.py`` and outside its own body, or be read
+in ``demos/`` or ``perfbench/``, or appear in backticks in README, or be one
+of ``KEPT_PUBLIC``, each kept for the reason beside it: so a public helper
+that only the tests read is caught.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import re
 from collections import Counter
 from pathlib import Path
+
+import menurank
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "menurank"
 TRACING = ROOT / "perfbench" / "tracing.py"
+README = ROOT / "README.md"
+READERS = (ROOT / "demos", ROOT / "perfbench")
+
+# public names that nothing but the tests reads, each kept for its reason
+KEPT_PUBLIC = {
+    "format_profile": "the writer of the documented profile format, which parse_profile reads back",
+    "identity": "the unit of the group product that Permutation.compose documents",
+    "is_between": "the paper's betweenness, which axioms A1 and A3 quantify over",
+    "kendall_count": "Kendall's inversion count, which the kendall preset's distance doubles",
+    "ptas_weights": "the weight rules ptas_depth answers for in closed form; the acceptance suite reads it",
+}
 
 
 def dead_helpers(sources: dict[str, str], exempt=frozenset()) -> list[str]:
@@ -47,6 +68,31 @@ def read_names(tree: ast.AST) -> list[str]:
     ]
 
 
+def unread_public_names(
+    public, package: dict[str, str], readers: list[str], readme: str, keep=frozenset()
+) -> list[str]:
+    """Each name of ``public`` that no source of ``package`` (module name to
+    source text) reads outside the body defining it, no source of
+    ``readers`` reads, no backtick span of ``readme`` names and ``keep``
+    does not hold."""
+    trees = [ast.parse(source) for source in package.values()]
+    own_reads = Counter({
+        node.name: read_names(node).count(node.name)
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    })
+    in_package = Counter(name for tree in trees for name in read_names(tree))
+    elsewhere = {name for source in readers for name in read_names(ast.parse(source))}
+    in_readme = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", readme))))
+    return [
+        name
+        for name in public
+        if name not in keep and name not in elsewhere and name not in in_readme
+        and in_package[name] == own_reads[name]
+    ]
+
+
 def wrapped_attributes() -> frozenset[str]:
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
@@ -72,3 +118,35 @@ def test_the_check_sees_an_unused_helper():
     }
     assert dead_helpers(sources) == ["a._only_itself", "a._unused", "a._Wrapped"]
     assert dead_helpers(sources, frozenset({"_Wrapped"})) == ["a._only_itself", "a._unused"]
+
+
+def test_every_public_name_has_a_reader():
+    package = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in PACKAGE.glob("*.py")
+        if path.name != "__init__.py"
+    }
+    readers = [path.read_text(encoding="utf-8") for root in READERS for path in root.rglob("*.py")]
+    readme = README.read_text(encoding="utf-8")
+    assert unread_public_names(menurank.__all__, package, readers, readme, KEPT_PUBLIC) == []
+
+
+def test_the_check_sees_an_unread_public_name():
+    package = {
+        "a": (
+            "def used():\n    return 1\n"
+            "def only_itself(x):\n    return only_itself(x - 1) if x else 0\n"
+            "def unread():\n    pass\n"
+            "def kept():\n    pass\n"
+            "def in_readme():\n    pass\n"
+            "def in_demo():\n    pass\n"
+        ),
+        "b": "from .a import used\nvalue = used()\n",
+    }
+    readers = ["from a import in_demo\nin_demo()\n"]
+    readme = "Call `in_readme(x)` first; unread is named outside backticks."
+    public = ["used", "only_itself", "unread", "kept", "in_readme", "in_demo"]
+    assert unread_public_names(public, package, readers, readme) == [
+        "only_itself", "unread", "kept"]
+    assert unread_public_names(public, package, readers, readme, {"kept": "why"}) == [
+        "only_itself", "unread"]

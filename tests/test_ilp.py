@@ -28,14 +28,7 @@ from menurank import (
     preset,
     profile_cost,
 )
-from menurank.ilp import (
-    _wrap_text,
-    comparison_matrix,
-    expected_constraint_count,
-    expected_variable_count,
-    is_linear_order_matrix,
-    ranking_from_matrix,
-)
+from menurank.ilp import _wrap_text, expected_constraint_count, expected_variable_count
 
 from conftest import prof, rand_fraction, rand_measure, rand_profile, rand_ranking, rand_weights
 
@@ -91,32 +84,42 @@ def parse_lp(text: str) -> LpText:
     return LpText(scale, _terms(objective.split()[1:]), rows, binaries)
 
 
+def order_assignment(ranking):
+    """The comparison matrix of ``ranking`` as the LP's P variables:
+    ``P_i_j`` is 1 when i is ranked above j, and 0 on the diagonal."""
+    n = ranking.n
+    return {
+        f"P_{i}_{j}": int(ranking.prefers(i, j)) for i in range(1, n + 1) for j in range(1, n + 1)
+    }
+
+
+def satisfies(row, values):
+    _, terms, sense, rhs = row
+    lhs = sum(coeff * values[var] for coeff, var in terms)
+    return lhs == rhs if sense == "=" else lhs <= rhs
+
+
 class TestOrderMatrices:
-    def test_permutation_matrices_satisfy_the_rows(self):
-        for order in it_perms(range(1, 5)):
-            matrix = comparison_matrix(Permutation(order))
-            assert is_linear_order_matrix(matrix)
-            assert ranking_from_matrix(matrix) == Permutation(order)
-
-    def test_three_cycle_fails_transitivity(self):
-        assert not is_linear_order_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        with pytest.raises(ValueError, match="violates"):
-            ranking_from_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-
     def test_feasible_set_is_exactly_the_linear_orders(self):
+        # the written diag, complete and transitive rows admit, of the 0/1
+        # matrices with a zero diagonal, exactly the rankings' matrices
         n = 3
+        model = build_ilp(make_params(*preset("kendall", n)), prof((1, (1, 2, 3))))
+        order_rows = [
+            row for row in parse_lp(model.to_lp_text()).rows
+            if row[0].startswith(("diag_", "complete_", "transitive_"))
+        ]
+        assert len(order_rows) == n + n * (n - 1) // 2 + n * (n - 1) * (n - 2)
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
         feasible = []
-        for bits in product((0, 1), repeat=n * (n - 1)):
-            matrix = [[0] * n for _ in range(n)]
-            k = 0
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        matrix[i][j] = bits[k]
-                        k += 1
-            if is_linear_order_matrix(matrix):
-                feasible.append(ranking_from_matrix(matrix))
-        assert sorted(feasible) == sorted(Permutation(p) for p in it_perms((1, 2, 3)))
+        for bits in product((0, 1), repeat=len(cells)):
+            values = {f"P_{i}_{i}": 0 for i in range(1, n + 1)}
+            values.update((f"P_{i}_{j}", bit) for (i, j), bit in zip(cells, bits))
+            if all(satisfies(row, values) for row in order_rows):
+                feasible.append(values)
+        expected = [order_assignment(Permutation(p)) for p in it_perms(range(1, n + 1))]
+        assert sorted(sorted(v.items()) for v in feasible) == sorted(
+            sorted(v.items()) for v in expected)
 
 
 class TestModelShape:
@@ -242,8 +245,8 @@ def objective_by_ballot(params, profile, ranking):
     total = 0
     for mult, v in profile.entries:
         for i in range(1, params.n + 1):
-            mine = ranking.below_mask(i)
-            shared = (mine & v.below_mask(i)).bit_count()
+            mine = ranking._below[i - 1]
+            shared = (mine & v._below[i - 1]).bit_count()
             total += mult * (table[mine.bit_count()] - 2 * table[shared]) * mu[i - 1]
     return F(total, params.scale)
 
@@ -253,7 +256,7 @@ def offset_by_ballot(params, profile):
     for ``objective_offset``, which reads the position constants."""
     table, mu = params.int_table, params.int_mu
     total = sum(
-        mult * table[v.below_mask(i).bit_count()] * mu[i - 1]
+        mult * table[v._below[i - 1].bit_count()] * mu[i - 1]
         for mult, v in profile.entries
         for i in range(1, params.n + 1)
     )
@@ -625,8 +628,13 @@ def test_milp_solves_the_export_to_the_exact_consensus(name, n, m):
     assert abs(solution.fun - value) < 1e-6
     exact = aggregate_exact(params, V)
     assert F(value, lp.scale) + objective_offset(params, V) == exact.optimum
-    order_matrix = [
-        [round(solution.x[column[f"P_{i}_{j}"]]) for j in range(1, n + 1)]
+    solved = {
+        f"P_{i}_{j}": round(solution.x[column[f"P_{i}_{j}"]])
         for i in range(1, n + 1)
-    ]
-    assert ranking_from_matrix(order_matrix) in exact.minimizers
+        for j in range(1, n + 1)
+    }
+    # a candidate's row sum counts the candidates it is ranked above
+    ranking = Permutation(sorted(
+        range(1, n + 1), key=lambda i: -sum(solved[f"P_{i}_{j}"] for j in range(1, n + 1))))
+    assert solved == order_assignment(ranking)
+    assert ranking in exact.minimizers
