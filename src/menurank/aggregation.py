@@ -34,15 +34,15 @@ pricing each DP edge ballot by ballot.  The myopic window visits too few
 placed sets for a full table to pay.  ``_window_terms`` prices all of one
 window at once instead, one packed integer per placed window with a lane per
 pool candidate.  By inclusion-exclusion over the placed set (the backward
-differences of ``_differences``), each overlap is a sum, over the subsets S of
-the placed set, of a term that reads each ballot once, at the top member of
-S; one zeta pass sums them, adding each mask of the layers below the deepest
-into its supersets one member larger (the deepest layer, of span - 1
-members, is only read).  ``aggregate_myopic`` keeps only the recurrence: a
-deepest mask takes one ``min`` over its unpacked lanes, with its placed
-members' lanes set above every term, and each mask above it relaxes its
-edges one by one.  ``_position_terms`` prices one term ballot by ballot, and
-is the tests' referee for both routes.
+differences of ``weights._differences``), each overlap is a sum, over the
+subsets S of the placed set, of a term that reads each ballot once, at the
+top member of S; one zeta pass sums them, adding each mask of the layers
+below the deepest into its supersets one member larger (the deepest layer,
+of span - 1 members, is only read).  ``aggregate_myopic`` keeps only the
+recurrence: a deepest mask takes one ``min`` over its unpacked lanes, with
+its placed members' lanes set above every term, and each mask above it
+relaxes its edges one by one.  ``_position_terms`` prices one term ballot by
+ballot, and is the tests' referee for both routes.
 
 Approximation routes:
 
@@ -77,6 +77,7 @@ from .weights import (
     Measure,
     MenuWeights,
     Rational,
+    _differences,
     _mass_table,
     _scaled_mass,
     as_fraction,
@@ -340,22 +341,6 @@ def _term_table(
     return rows, params.scale
 
 
-def _differences(table: Sequence[int], size: int, depth: int) -> list[list[int]]:
-    """``rows[j][d]``, the j-th backward difference of ``table`` at d, for
-    j < ``depth`` and j <= d < ``size``; the entries below j are 0 and unread.
-
-    With ``nabla g(d) = g(d) - g(d - 1)``, ``1 - nabla`` is the backward
-    shift, so ``g(d - k) = sum_i (-1)^i C(k, i) nabla^i g(d)`` for k <= d:
-    the identity ``_window_terms`` rests on.  It holds for any integers, so
-    for menu weights of any sign.
-    """
-    rows = [list(table[:size])]
-    for j in range(1, depth):
-        prev = rows[-1]
-        rows.append([0] * j + [prev[d] - prev[d - 1] for d in range(j, size)])
-    return rows
-
-
 def _window_terms(
     params: DistanceParams, profile: Profile, pool: tuple[int, ...], span: int
 ) -> tuple[dict[int, int], int]:
@@ -372,7 +357,7 @@ def _window_terms(
     ``_lane_width``, which sets ``width``.  No term is priced on its own.
 
     For a ballot v write D = B_v(c) & pool and d = |D|.  By the identity in
-    ``_differences``, f(|D - M|) is the sum over S within M & D of
+    ``weights._differences``, f(|D - M|) is the sum over S within M & D of
     (-1)^|S| nabla^|S| f(d), and S lies within B_v(c) exactly when v ranks c
     above top_v(S), the highest-placed member of S.  So the overlap part
     ``-2 mu_c sum_v mult_v f(|D - M|)`` is the sum of T_c(S) over S within M,
@@ -380,8 +365,9 @@ def _window_terms(
     ``pre_v^j[q]`` is ``(-1)^(j+1) 2 mu_c mult_v nabla^j f(d)`` when c is
     among v's first q pool candidates, else 0.  The layer constants (the
     position mass and the spread ``mu_c f(p - 1 - |M|) V``) enter T as
-    ``start[|S|]``, their binomial inverse, so that the sum of start over S
-    within M is layer |M|'s constant.
+    ``start[|S|]``, their forward differences at 0 (the diagonal of
+    ``_differences``), so that the sum of start over S within M is layer
+    |M|'s constant.
 
     T is built a layer at a time.  T(empty set) and each T({x}) are summed
     one ballot entry at a time, as x's top in v is its rank there.  Above
@@ -421,8 +407,7 @@ def _window_terms(
                 shifts))
         for k in range(span)
     ]
-    start = [sum((-1) ** (j - i) * comb(j, i) * base[i] for i in range(j + 1))
-             for j in range(span)]
+    start = [row[j] for j, row in enumerate(_differences(base, span, span))]
     nabla = _differences(f, p, span)
 
     def lanes(j: int, mult: int, order: list[int]) -> list[int]:

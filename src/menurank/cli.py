@@ -326,7 +326,7 @@ def _cmd_bench(args) -> tuple[int, list[str]]:
         params = make_params(weights, mu)
         gamma = approximation_factor(weights)
         depth = ptas_depth("custom", 1 / eps, n=n, weights=weights)
-        worst = {"footrule": Fraction(0), "myopic": Fraction(0)}
+        worst = {"footrule": Fraction(1), "myopic": Fraction(1)}
         for profile in profiles:
             optimum = aggregate_exact(params, profile).optimum
             if optimum == 0:

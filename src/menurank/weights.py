@@ -16,26 +16,30 @@ rivals; its increments are the per-position swap prices
     position_weights[a] = downset_mass(n - a) - downset_mass(n - a - 1),
 
 and the linear map between menu weights and position weights is a bijection
-with an explicit alternating-sum inverse.  ``classify`` places a parameter
-pair into one of four regions (metric / semimetric only / trivially zero /
-not a semimetric): measure conditions are sign patterns and pairwise sums,
-while the weight-side region is closed-form for nonnegative, nonpositive or
-pairwise-only weights and decided otherwise by exact consensus solves.
+whose inverse takes forward differences at 0.  ``classify`` places a
+parameter pair into one of four regions (metric / semimetric only / trivially
+zero / not a semimetric): measure conditions are sign patterns and pairwise
+sums, while the weight-side region is closed-form for nonnegative,
+nonpositive or pairwise-only weights and decided otherwise by exact
+consensus solves.
 
 Every result is an exact ``fractions.Fraction``.  Each weight vector
 tabulates the masses over its common denominator at t = 0..n-1 once, by
 forward differences (``_mass_table``, kept as ``MenuWeights.table``); the
-Fraction table, the swap prices and every distance evaluator read that one
-table, run their inner loops over plain integers and divide once at the end.
-The point kernel ``_scaled_mass`` evaluates one mass as
-``sum_k w_k * math.comb(t, k - 1)`` over the nonzero weights only, and
-serves only ``downset_mass`` and the exact solver's ``_lane_width``.  It
-stays because ``_lane_width`` reads the masses over the positive and the
-negative weights at n - 1 alone, in O(n) each, where ``_mass_table`` would
-build all n entries in O(n^2): that matters at the myopic window's p = 361
-corner.  Weight vectors, measures and position prices share one immutable
-exact-vector base, which derives the integer scaling (``scaled``) and the
-sign test once per vector.
+Fraction table, the swap prices, ``approximation_factor`` and every distance
+evaluator read that one table, run their inner loops over plain integers and
+divide once at the end.  Its inverse ``_differences`` takes backward
+differences, for integers and Fractions alike: ``position_to_menu_weights``
+reads its diagonal, ``is_totally_monotone`` the signs of its rows, and the
+myopic window its layer constants and overlap coefficients.  The point
+kernel ``_scaled_mass``, ``sum_k w_k * math.comb(t, k - 1)`` over the
+nonzero weights, serves only ``downset_mass`` and the exact solver's
+``_lane_width``.  It stays because ``_lane_width`` reads the masses over the
+positive and the negative weights at n - 1 alone, in O(n) each, where
+``_mass_table`` would build all n entries in O(n^2): that matters at the
+myopic window's p = 361 corner.  Weight vectors, measures and position
+prices share one immutable exact-vector base, which derives the integer
+scaling (``scaled``) and the sign test once per vector.
 ``DistanceParams`` stores nothing but the pair and derives the views its
 evaluators read, ``int_table``, ``int_mu`` and ``scale``, on first use.
 """
@@ -210,6 +214,25 @@ def _mass_table(int_weights: Sequence[int], size: int) -> list[int]:
     return masses
 
 
+def _differences(table: Sequence, size: int, depth: int) -> list[list]:
+    """``rows[j][d]``, the j-th backward difference of ``table`` at d, for
+    j < ``depth`` and j <= d < ``size``; the entries below j are 0 and unread.
+
+    It inverts ``_mass_table``: row j read at j is the j-th forward
+    difference at 0, so the diagonal of ``_differences(_mass_table(w, size),
+    size, size)`` is ``w`` behind a leading 0.  With ``nabla g(d) = g(d) -
+    g(d - 1)``, ``1 - nabla`` is the backward shift, so ``g(d - k) = sum_i
+    (-1)^i C(k, i) nabla^i g(d)`` for k <= d: the identity the myopic
+    window's ``_window_terms`` rests on.  Both hold for integers and
+    Fractions of any sign.
+    """
+    rows = [list(table[:size])]
+    for j in range(1, depth):
+        prev = rows[-1]
+        rows.append([0] * j + [prev[d] - prev[d - 1] for d in range(j, size)])
+    return rows
+
+
 def downset_mass(weights: MenuWeights, t: int) -> Fraction:
     """Total weight of menus a candidate tops against ``t`` dominated rivals."""
     if t < 0:
@@ -237,34 +260,20 @@ def menu_to_position_weights(weights: MenuWeights) -> PositionWeights:
 
 
 def position_to_menu_weights(prices: PositionWeights) -> MenuWeights:
-    """Exact inverse of ``menu_to_position_weights`` (alternating sums)."""
-    n = prices.n
-    phi = prices.values
-
-    def menu_weight(a: int) -> Fraction:
-        return sum(
-            (
-                (-1 if (a + k) % 2 else 1) * comb(a - 2, k) * phi[n - 2 - k]
-                for k in range(a - 1)
-            ),
-            Fraction(0),
-        )
-
-    return MenuWeights(tuple(menu_weight(a) for a in range(2, n + 1)))
+    """Exact inverse of ``menu_to_position_weights``: read in reverse, the
+    prices are the increments of ``downset_mass`` from t = 0, so the size-k
+    weight is their (k - 2)-th forward difference at 0."""
+    size = len(prices.values)
+    rows = _differences(prices.values[::-1], size, size)
+    return MenuWeights(rows[j][j] for j in range(size))
 
 
 def is_totally_monotone(prices: PositionWeights) -> bool:
     """Positive entries whose alternating finite differences all stay >= 0."""
-    current = list(prices.values)
-    if any(v <= 0 for v in current):
-        return False
-    sign = 1
-    while len(current) > 1:
-        current = [b - a for a, b in zip(current, current[1:])]
-        sign = -sign
-        if any(sign * v < 0 for v in current):
-            return False
-    return True
+    size = len(prices.values)
+    rows = _differences(prices.values, size, size)
+    return all(v > 0 for v in rows[0]) and all(
+        (-1) ** j * v >= 0 for j in range(1, size) for v in rows[j][j:])
 
 
 class ParamLabel(Enum):
@@ -581,6 +590,5 @@ def approximation_factor(weights: MenuWeights) -> Fraction:
         raise ValueError(
             "the footrule sandwich needs nonnegative weights with w_2 > 0"
         )
-    n = weights.n
-    masses = downset_mass_table(weights)
-    return max(1 + masses[n - h] / masses[n - h + 1] for h in range(2, n + 1))
+    n, masses = weights.n, weights.table  # the scale cancels in each ratio
+    return max(1 + Fraction(masses[n - h], masses[n - h + 1]) for h in range(2, n + 1))

@@ -12,7 +12,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from itertools import accumulate, combinations, permutations as it_perms
 from math import comb, factorial
-from operator import getitem
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +39,6 @@ from menurank.aggregation import (
     MYOPIC_SUBSET_LIMIT,
     ConsensusSet,
     _cost_to_go,
-    _differences,
     _free_pairs,
     _lane_tops,
     _majority_prefix,
@@ -50,7 +48,7 @@ from menurank.aggregation import (
     _unpack_lanes,
     _window_terms,
 )
-from menurank.weights import _scaled_mass
+from menurank.weights import _differences, _scaled_mass
 
 from conftest import prof, rand_measure, rand_profile, rand_ranking, rand_weights
 

@@ -650,6 +650,14 @@ class TestOtherCommands:
         assert "footrule" in out and "myopic" in out
         assert "." not in out.split("\n", 1)[1]  # no floats anywhere in the table
 
+    def test_bench_ratio_without_a_counted_profile_is_one(self, capsys):
+        # one ballot: every optimum is 0, no profile counts, and a ratio
+        # (certificate over optimum) is never below that of an exact answer
+        code, out = run(capsys, "bench", "--n", "3", "--m", "1", "--trials", "3")
+        assert code == 0
+        rows = out.splitlines()[2:]
+        assert len(rows) == 6 and [row.split()[2] for row in rows] == ["1"] * 6
+
 
 # ---------------------------------------------------------------------------
 # main is called many times in one process: the shared parser and the preset

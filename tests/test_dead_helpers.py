@@ -3,11 +3,13 @@ public name has a reader.
 
 Beside the unused-import check in ``test_imports.py``: each module-level
 function or class of ``src/menurank`` whose name starts with one underscore
-must be read, as a name or as an attribute, somewhere in ``src/menurank``
-outside its own body, so a helper whose last caller went is caught.  The
-attributes the perf harness wraps (``WRAP_POINTS`` in
-``perfbench/tracing.py``, loaded read-only as ``test_trace_points.py`` does)
-are exempt: the harness reads them by name.
+must be read somewhere in ``src/menurank`` outside its own body, so a helper
+whose last caller went is caught.  A read is a name, or an attribute looked
+up on a name the file binds to a module (``import x``, ``import x as y``,
+``from . import x as y``): ``obj.helper`` on any other object is not a read
+of a module-level ``helper``.  The attributes the perf harness wraps
+(``WRAP_POINTS`` in ``perfbench/tracing.py``, loaded read-only as
+``test_trace_points.py`` does) are exempt: the harness reads them by name.
 
 Each name in ``menurank.__all__`` must be read the same way in
 ``src/menurank`` outside ``__init__.py`` and outside its own body, or be read
@@ -47,7 +49,9 @@ def dead_helpers(sources: dict[str, str], exempt=frozenset()) -> list[str]:
     ``sources`` (module name to source text) that no code outside its own
     body reads, bar the names in ``exempt``."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    everywhere = Counter(name for tree in trees.values() for name in read_names(tree))
+    modules = {module: module_names(tree) for module, tree in trees.items()}
+    everywhere = Counter(
+        name for module, tree in trees.items() for name in read_names(tree, modules[module]))
     return [
         f"{module}.{node.name}"
         for module, tree in trees.items()
@@ -55,17 +59,38 @@ def dead_helpers(sources: dict[str, str], exempt=frozenset()) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name.startswith("_") and not node.name.startswith("__")
         and node.name not in exempt
-        and everywhere[node.name] == read_names(node).count(node.name)
+        and everywhere[node.name] == read_names(node, modules[module]).count(node.name)
     ]
 
 
-def read_names(tree: ast.AST) -> list[str]:
-    """Every name ``tree`` reads, and every attribute it looks up."""
+def module_names(tree: ast.AST) -> set[str]:
+    """The names ``tree`` binds to modules: by ``import x``, ``import x as
+    y`` and relative ``from . import x as y``."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.level and node.module is None
+        for alias in node.names
+    }
+
+
+def read_names(tree: ast.AST, modules=frozenset()) -> list[str]:
+    """Every name ``tree`` reads, and every attribute it looks up on a chain
+    that starts at one of the module names ``modules``."""
     return [
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, ast.Name)
+        or isinstance(node, ast.Attribute) and chain_base(node) in modules
     ]
+
+
+def chain_base(node: ast.Attribute) -> str | None:
+    """The name an attribute chain such as ``a.b.c`` starts at, if any."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
 
 
 def unread_public_names(
@@ -75,15 +100,19 @@ def unread_public_names(
     source text) reads outside the body defining it, no source of
     ``readers`` reads, no backtick span of ``readme`` names and ``keep``
     does not hold."""
-    trees = [ast.parse(source) for source in package.values()]
+    trees = [(tree, module_names(tree)) for tree in map(ast.parse, package.values())]
     own_reads = Counter({
-        node.name: read_names(node).count(node.name)
-        for tree in trees
+        node.name: read_names(node, modules).count(node.name)
+        for tree, modules in trees
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     })
-    in_package = Counter(name for tree in trees for name in read_names(tree))
-    elsewhere = {name for source in readers for name in read_names(ast.parse(source))}
+    in_package = Counter(name for tree, modules in trees for name in read_names(tree, modules))
+    elsewhere = {
+        name
+        for tree in map(ast.parse, readers)
+        for name in read_names(tree, module_names(tree))
+    }
     in_readme = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", readme))))
     return [
         name
@@ -118,6 +147,18 @@ def test_the_check_sees_an_unused_helper():
     }
     assert dead_helpers(sources) == ["a._only_itself", "a._unused", "a._Wrapped"]
     assert dead_helpers(sources, frozenset({"_Wrapped"})) == ["a._only_itself", "a._unused"]
+
+
+def test_the_check_reads_attributes_of_modules_only():
+    # an attribute of some object is not a read of the module-level helper
+    # of that name; an attribute of a module bound in the file is
+    helper = "def _helper():\n    pass\n"
+    on_object = {"a": helper, "b": "def f(obj):\n    return obj._helper()\n"}
+    assert dead_helpers(on_object) == ["a._helper"]
+    for binding in ("from . import a", "from . import a as alias", "import a as alias"):
+        base = binding.split()[-1]
+        on_module = {"a": helper, "b": f"{binding}\nvalue = {base}._helper()\n"}
+        assert dead_helpers(on_module) == []
 
 
 def test_every_public_name_has_a_reader():

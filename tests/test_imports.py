@@ -1,10 +1,11 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package, a test or a demo imports is used in
+that file.
 
 No linter ships with the test tools, so this is the unused-import check: each
-``src/menurank/*.py`` but ``__init__.py`` (which imports to re-export) is
-parsed with ``ast``, and every name bound by an ``import`` or ``from ...
-import`` must be read as a name somewhere in the module.  ``__future__`` imports
-are exempt.
+``src/menurank/*.py`` but ``__init__.py`` (which imports to re-export), each
+``tests/*.py`` and each ``demos/*.py`` is parsed with ``ast``, and every name
+bound by an ``import`` or ``from ... import`` must be read as a name
+somewhere in the file.  ``__future__`` imports are exempt.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "menurank"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "menurank"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,7 +34,10 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS,
+    ids=[p.name for p in MODULES] + [str(p.relative_to(ROOT)) for p in SCRIPTS],
+)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -32,6 +32,7 @@ from menurank import (
 from menurank.weights import (
     DistanceParams,
     ParamsFormatError,
+    _differences,
     _mass_table,
     _scaled_mass,
     as_fraction,
@@ -110,6 +111,22 @@ class TestDownsetMass:
         int_weights = w.scaled[0]
         assert list(w.table) == [_scaled_mass(int_weights, t) for t in range(w.n)]
         assert _mass_table(int_weights, size) == [_scaled_mass(int_weights, t) for t in range(size)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(st.one_of(st.just(0), st.integers(-(10**30), 10**30)),
+                     min_size=1, max_size=40),
+            st.lists(st.one_of(st.just(F(0)), st.fractions(max_denominator=50)),
+                     min_size=1, max_size=40),
+        ),
+        size=st.integers(1, 45),
+    )
+    def test_differences_invert_the_mass_table(self, values, size):
+        # row j of the backward differences read at j is the j-th forward
+        # difference at 0: the weights again, behind the table's leading 0
+        rows = _differences(_mass_table(values, size), size, size)
+        assert [rows[j][j] for j in range(size)] == ([0, *values] + [0] * size)[:size]
 
     def test_increasing_increments(self):
         rng = random.Random(5)
@@ -193,6 +210,33 @@ class TestTotalMonotonicity:
             phi = menu_to_position_weights(MenuWeights(values))
             assert is_totally_monotone(phi)
             assert all(x >= y for x, y in zip(phi.values, phi.values[1:]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.lists(fraction_strategy, min_size=1, max_size=9).map(PositionWeights),
+        st.lists(st.fractions(min_value=0, max_value=5, max_denominator=6),
+                 min_size=1, max_size=9).map(
+            lambda w: menu_to_position_weights(MenuWeights(w))),
+    ))
+    def test_agrees_with_forward_differences(self, prices):
+        # positive, zero and negative prices, and the prices of nonnegative
+        # weights, most of which are totally monotone
+        assert is_totally_monotone(prices) == _monotone_by_forward_differences(prices)
+
+
+def _monotone_by_forward_differences(prices):
+    """The referee of ``is_totally_monotone``: positive entries, then each
+    forward difference in turn, of alternating sign, taken one list at a time."""
+    current = list(prices.values)
+    if any(v <= 0 for v in current):
+        return False
+    sign = 1
+    while len(current) > 1:
+        current = [b - a for a, b in zip(current, current[1:])]
+        sign = -sign
+        if any(sign * v < 0 for v in current):
+            return False
+    return True
 
 
 def _brute_force_region(params, n):
